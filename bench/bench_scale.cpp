@@ -15,8 +15,7 @@
 //
 //   bench_scale [--jobs N] [--smoke] [--out PATH] [--seed N]
 //               [--schedulers LIST] [--sizes LIST] [--repeat N]
-//               [--legacy-planner] [--folded-g] [--events BOOL]
-//               [--churn-aware BOOL]
+//               [--folded-g] [--events BOOL] [--churn-aware BOOL]
 //
 // Ad-hoc studies (ROADMAP campaign sweeps) can override the grid:
 //   --schedulers online,offline     comma-separated scheme names
@@ -27,16 +26,7 @@
 // wall time — the noise-robust throughput estimate the CI regression gate
 // compares (runs are deterministic, so repetition changes nothing else).
 //
-// Offline rows run the PR 5 batched window planner by default — the
-// worker-sharded parallel plan plus the budget-scaled adaptive grid — and
-// are tagged with "planner"/"knapsack_grid" fields so tools/bench_check
-// reports rows measured on a different planner mode or DP grid as SKIP
-// (grid change ≠ regression). --legacy-planner reverts to the serial
-// fixed-grid plan (the bit-identical PR 4 configuration). The parallel
-// plan's worker pool sizes from FEDCO_JOBS (else all cores), independent
-// of --jobs, which stays the campaign-level worker count.
-//
-// Online rows carry a "g_mode" tag for the same reason: by default each
+// Online rows carry a "g_mode" tag: by default each
 // fleet measures the Eq. (15/16) totals both ways — the per-slot fleet
 // sweep ("sweep") and the PR 7 folded closed-form accumulators ("folded",
 // config.folded_gap_accrual) — as two separate rows, and tools/bench_check
@@ -76,7 +66,6 @@
 
 #include "bench_common.hpp"
 #include "core/config_io.hpp"
-#include "core/offline_planner.hpp"
 #include "obs/jsonl_writer.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -209,10 +198,6 @@ struct SchedulerRow {
   double user_slots_per_sec = 0.0;
   std::uint64_t updates = 0;
   double energy_kj = 0.0;
-  /// Offline rows only: the planner mode and effective DP grid, so
-  /// bench_check can tell a grid change from a regression.
-  const char* planner = nullptr;
-  std::uint64_t knapsack_grid = 0;
   /// Online rows only: the G(t) engine the row was measured under —
   /// "sweep" (per-slot fleet sweep) or "folded" (closed-form
   /// accumulators). bench_check SKIPs cross-engine comparisons.
@@ -242,7 +227,7 @@ struct FleetRow {
 FleetRow run_fleet(const FleetSize& size,
                    const std::vector<core::SchedulerKind>& schedulers,
                    std::uint64_t seed, std::size_t jobs, std::size_t repeat,
-                   bool legacy_planner, bool folded_g, bool churn_rows,
+                   bool folded_g, bool churn_rows,
                    const std::string& events_tmp_path,
                    bench::CampaignTotals& totals) {
   core::ExperimentConfig base;
@@ -250,18 +235,8 @@ FleetRow run_fleet(const FleetSize& size,
   // Scheduling-only (real_training stays off): the bench measures the
   // slot-loop and scheduler throughput, not the NN substrate.
   base.record_interval = 60;  // keep 10k-user trace memory modest
-  // The batched window planner (PR 5) is the measured default; offline
-  // rows carry planner/grid tags so the regression gate knows which mode
-  // a number was captured under.
-  base.offline_parallel_plan = !legacy_planner;
-  base.offline_adaptive_grid = !legacy_planner;
-  // Stream fleets expand through the SoA arena (O(1) allocations per
-  // override concern); the bench never archives its configs, so the
-  // arena's not-serializable caveat does not apply. Legacy fleets keep
-  // the AoS expansion their committed baselines were captured under.
   const scenario::ScenarioSpec spec = fleet_spec(size);
-  base = spec.stream_rng ? core::apply_scenario_arena(spec, base)
-                         : core::apply_scenario(spec, base);
+  base = core::apply_scenario_arena(spec, base);
 
   std::vector<core::ExperimentConfig> configs;
   std::vector<const char*> g_modes;  // parallel to configs; null off-online
@@ -334,11 +309,6 @@ FleetRow run_fleet(const FleetSize& size,
         sched.slots_per_sec * static_cast<double>(size.users);
     sched.updates = report.results[k].total_updates;
     sched.energy_kj = report.results[k].total_energy_j / 1000.0;
-    if (configs[k].scheduler == core::SchedulerKind::kOffline) {
-      sched.planner = legacy_planner ? "serial" : "parallel+adaptive";
-      sched.knapsack_grid = static_cast<std::uint64_t>(
-          core::effective_grid(core::make_planner_config(configs[k])));
-    }
     sched.g_mode = g_modes[k];
     sched.churn_aware = churn_flags[k] != 0;
     row.schedulers.push_back(sched);
@@ -365,8 +335,7 @@ FleetRow run_fleet(const FleetSize& size,
         if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
       }
       std::remove(events_tmp_path.c_str());
-      SchedulerRow sched = row.schedulers[k];  // copy the tags (planner,
-                                               // grid, g_mode), re-time
+      SchedulerRow sched = row.schedulers[k];  // copy the tags, re-time
       sched.seconds = best_seconds;
       sched.slots_per_sec = best_seconds > 0.0
                                 ? static_cast<double>(size.horizon) /
@@ -434,10 +403,6 @@ void write_json(const std::string& path, bool smoke, std::size_t jobs,
       json.member("user_slots_per_sec", sched.user_slots_per_sec);
       json.member("updates", sched.updates);
       json.member("energy_kj", sched.energy_kj);
-      if (sched.planner != nullptr) {
-        json.member("planner", sched.planner);
-        json.member("knapsack_grid", sched.knapsack_grid);
-      }
       if (sched.g_mode != nullptr) {
         json.member("g_mode", sched.g_mode);
       }
@@ -470,7 +435,6 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto repeat =
         static_cast<std::size_t>(std::max<std::int64_t>(args.get_int("repeat", 1), 1));
-    const bool legacy_planner = args.get_bool("legacy-planner", false);
     const bool folded_g = args.get_bool("folded-g", false);
     const bool events = args.get_bool("events", true);
     const bool churn_rows = args.get_bool("churn-aware", true);
@@ -508,9 +472,8 @@ int main(int argc, char** argv) {
     bench::CampaignTotals totals;
     std::vector<FleetRow> rows;
     for (const FleetSize& size : sizes) {
-      rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat,
-                               legacy_planner, folded_g, churn_rows,
-                               events_tmp_path, totals));
+      rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat, folded_g,
+                               churn_rows, events_tmp_path, totals));
       print_fleet(rows.back());
     }
     bench::log_campaign(totals);

@@ -59,7 +59,8 @@ void BM_OfflineWindowPlan25Users(benchmark::State& state) {
   core::OfflinePlannerConfig cfg;
   cfg.lb = 1000.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::plan_window(0, users, cfg));
+    core::OfflinePlanner planner{cfg};  // cold: no DP rows to reuse
+    benchmark::DoNotOptimize(planner.plan(0, users));
   }
 }
 BENCHMARK(BM_OfflineWindowPlan25Users);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/campaign.hpp"
@@ -67,13 +68,6 @@ Scheduling:
   --decision-interval K  evaluate Eq.(21) every K slots      (default 1)
   --offline-window K   offline look-ahead window slots       (default 500)
   --offline-Lb X       offline staleness budget              (default 1000)
-  --offline-incremental B  reuse the previous window's DP prefix rows,
-                       bit-identical (true|false)            (default true)
-  --offline-parallel   shard the window replan (item build + knapsack DP)
-                       across $FEDCO_JOBS workers; deterministic for any
-                       worker count, DP tie-breaks may differ from serial
-  --offline-adaptive-grid  scale the DP grid with the window budget
-                       (coarser, faster; plans may legally differ)
   --scalar-decide      force the per-user scalar decide() path (the
                        batched one-pass evaluation is the default and is
                        bit-identical; this exists for A/B verification)
@@ -139,12 +133,30 @@ Unknown options are reported to stderr and exit non-zero.
 )";
 }
 
+/// A --config or --scenario file that cannot be opened, parsed or
+/// validated: an input error (exit 2, like a misspelled option), not a
+/// crash. The loaders already name the file in the message.
+struct InputFileError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+template <typename Loader>
+auto load_input(Loader load, const std::string& path) {
+  try {
+    return load(path);
+  } catch (const std::exception& error) {
+    throw InputFileError{error.what()};
+  }
+}
+
 /// Build the effective config: scenario file first (when given), then every
 /// present flag overrides the corresponding field.
 core::ExperimentConfig effective_config(const util::ArgParser& args) {
   core::ExperimentConfig cfg;
   const std::string config_path = args.get("config");
-  if (!config_path.empty()) cfg = core::load_config_json(config_path);
+  if (!config_path.empty()) {
+    cfg = load_input(core::load_config_json, config_path);
+  }
 
   // Fallbacks are the current field values (never reached — has() guards
   // each call) so the defaults live in ExperimentConfig alone.
@@ -189,18 +201,6 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("offline-Lb")) {
     cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
-  }
-  if (args.has("offline-incremental")) {
-    cfg.offline_incremental_replan =
-        args.get_bool("offline-incremental", cfg.offline_incremental_replan);
-  }
-  if (args.has("offline-parallel")) {
-    cfg.offline_parallel_plan =
-        args.get_bool("offline-parallel", cfg.offline_parallel_plan);
-  }
-  if (args.has("offline-adaptive-grid")) {
-    cfg.offline_adaptive_grid =
-        args.get_bool("offline-adaptive-grid", cfg.offline_adaptive_grid);
   }
   if (args.has("scalar-decide")) {
     cfg.online_batch_decide = !args.get_bool("scalar-decide", false);
@@ -255,18 +255,8 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   // generated from the effective seed): the spec owns the population.
   const std::string scenario_path = args.get("scenario");
   if (!scenario_path.empty()) {
-    const scenario::ScenarioSpec spec =
-        scenario::load_scenario_json(scenario_path);
-    // Runs that archive JSON (--save-config / --save-result / --json) embed
-    // the expanded per-user fleet in the document, so they materialize the
-    // AoS form; pure simulation runs expand into the SoA fleet arena —
-    // O(1) allocations per override concern, the 1M-user path. Both forms
-    // run bit-identically (user i's overrides are equal).
-    const bool archives = args.has("save-config") ||
-                          args.has("save-result") ||
-                          args.has("save-summary") || args.has("json");
-    cfg = archives ? core::apply_scenario(spec, cfg)
-                   : core::apply_scenario_arena(spec, cfg);
+    cfg = core::apply_scenario_arena(
+        load_input(scenario::load_scenario_json, scenario_path), cfg);
   }
   return cfg;
 }
@@ -539,6 +529,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     return run(args);
+  } catch (const InputFileError& error) {
+    std::cerr << "fedco_sim: " << error.what() << '\n';
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "fedco_sim: " << error.what() << "\n(try --help)\n";
     return 1;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "scenario/netem_profiles.hpp"
 #include "scenario/scenario_io.hpp"
 
 namespace fedco::core {
@@ -120,8 +121,14 @@ void read_battery(const util::JsonValue& object, device::BatteryConfig& out) {
                   });
 }
 
+/// One per_user entry. Every value the driver would otherwise reject
+/// mid-run, or silently misread, fails here naming `where.<field>`.
 void read_per_user_entry(const util::JsonValue& object, const std::string& where,
                          scenario::PerUserConfig& out) {
+  const auto reject = [&](const std::string& field, const std::string& why) {
+    throw std::invalid_argument{"config_io: '" + where + "." + field + "' " +
+                                why};
+  };
   for_each_member(
       object, where,
       [&](const std::string& key, const util::JsonValue& value) {
@@ -143,10 +150,7 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
         } else if (key == "leave_slot") {
           out.leave_slot = read_int(value, key);
         } else if (key == "extra_windows") {
-          if (!value.is_array()) {
-            throw std::invalid_argument{"config_io: '" + where +
-                                        ".extra_windows' must be an array"};
-          }
+          if (!value.is_array()) reject(key, "must be an array");
           out.extra_windows.clear();
           for (const util::JsonValue& entry : value.as_array()) {
             scenario::PresenceWindow w;
@@ -165,31 +169,57 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
             out.extra_windows.push_back(w);
           }
         } else if (key == "link_degradations") {
-          out.link_degradations =
-              static_cast<std::uint32_t>(read_uint(value, key));
+          // A mask naming a profile past the registry would wrap or index
+          // nothing; reject it instead of narrowing.
+          const std::uint64_t mask = read_uint(value, key);
+          const std::uint64_t known =
+              (std::uint64_t{1} << scenario::netem_profile_count()) - 1;
+          if ((mask & ~known) != 0) {
+            reject(key, "sets bits outside the " +
+                            std::to_string(scenario::netem_profile_count()) +
+                            " known netem profiles");
+          }
+          out.link_degradations = static_cast<std::uint32_t>(mask);
         } else if (key == "priority") {
           out.priority = read_double(value, key);
+          if (!std::isfinite(out.priority) || out.priority <= 0.0) {
+            reject(key, "must be positive and finite");
+          }
         } else {
           return false;
         }
         return true;
       });
+  if (out.join_slot < 0) reject("join_slot", "must be non-negative");
+  if (out.leave_slot <= out.join_slot) {
+    reject("leave_slot", "must be after join_slot (empty presence window)");
+  }
+  sim::Slot prev_leave = out.leave_slot;
+  for (std::size_t k = 0; k < out.extra_windows.size(); ++k) {
+    const scenario::PresenceWindow& w = out.extra_windows[k];
+    const std::string field = "extra_windows[" + std::to_string(k) + "]";
+    if (w.leave <= w.join) reject(field, "is an empty presence window");
+    if (w.join <= prev_leave) {
+      reject(field, "must start after the previous window leaves "
+                    "(ascending, non-overlapping)");
+    }
+    prev_leave = w.leave;
+  }
 }
 
-void read_per_user(const util::JsonValue& array,
-                   std::vector<scenario::PerUserConfig>& out) {
+/// The per_user array as a fleet arena; `num_users` is checked by the
+/// caller once the whole document (whatever its key order) is read.
+scenario::SharedFleet read_per_user(const util::JsonValue& array) {
   if (!array.is_array()) {
     throw std::invalid_argument{"config_io: 'per_user' must be an array"};
   }
-  out.clear();
-  out.reserve(array.as_array().size());
-  std::size_t index = 0;
-  for (const util::JsonValue& entry : array.as_array()) {
-    scenario::PerUserConfig pu;
-    read_per_user_entry(entry, "per_user[" + std::to_string(index) + "]", pu);
-    out.push_back(pu);
-    ++index;
+  std::vector<scenario::PerUserConfig> fleet(array.as_array().size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    read_per_user_entry(array.as_array()[i],
+                        "per_user[" + std::to_string(i) + "]", fleet[i]);
   }
+  return std::make_shared<const scenario::FleetArena>(
+      scenario::fleet_arena_from(fleet));
 }
 
 void read_thermal(const util::JsonValue& object, device::ThermalConfig& out) {
@@ -313,9 +343,6 @@ void write_config_members(util::JsonWriter& json,
   json.member("offline_window_slots",
               static_cast<std::int64_t>(config.offline_window_slots));
   json.member("offline_lb", config.offline_lb);
-  json.member("offline_incremental_replan", config.offline_incremental_replan);
-  json.member("offline_parallel_plan", config.offline_parallel_plan);
-  json.member("offline_adaptive_grid", config.offline_adaptive_grid);
   json.member("online_batch_decide", config.online_batch_decide);
   json.member("folded_gap_accrual", config.folded_gap_accrual);
   json.member("offline_churn_aware", config.offline_churn_aware);
@@ -389,9 +416,10 @@ void write_config_members(util::JsonWriter& json,
   // Per-user scenario overrides: entries only state what they change
   // (absent keys reload as the inherit-the-config defaults), so a mostly
   // homogeneous 10k-user fleet stays compact.
-  if (!config.per_user.empty()) {
+  if (config.fleet) {
     json.key("per_user").begin_array();
-    for (const scenario::PerUserConfig& pu : config.per_user) {
+    for (std::size_t i = 0; i < config.fleet->size(); ++i) {
+      const scenario::PerUserConfig pu = config.fleet->user(i);
       json.begin_object();
       if (pu.device) {
         json.member("device", scenario::device_kind_token(*pu.device));
@@ -416,7 +444,9 @@ void write_config_members(util::JsonWriter& json,
         for (const scenario::PresenceWindow& w : pu.extra_windows) {
           json.begin_object();
           json.member("join", static_cast<std::int64_t>(w.join));
-          json.member("leave", static_cast<std::int64_t>(w.leave));
+          if (w.leave != scenario::kNeverLeaves) {  // absent = never leaves
+            json.member("leave", static_cast<std::int64_t>(w.leave));
+          }
           json.end_object();
         }
         json.end_array();
@@ -489,12 +519,17 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.offline_window_slots = read_int(value, key);
         } else if (key == "offline_lb") {
           config.offline_lb = read_double(value, key);
-        } else if (key == "offline_incremental_replan") {
-          config.offline_incremental_replan = read_bool(value, key);
-        } else if (key == "offline_parallel_plan") {
-          config.offline_parallel_plan = read_bool(value, key);
-        } else if (key == "offline_adaptive_grid") {
-          config.offline_adaptive_grid = read_bool(value, key);
+        } else if (key == "offline_incremental_replan" ||
+                   key == "offline_parallel_plan" ||
+                   key == "offline_adaptive_grid") {
+          // Retired planner switches. Older archives carry them at the one
+          // setting that survives (incremental on, the others off); any
+          // other value asks for an engine that no longer exists.
+          if (read_bool(value, key) != (key == "offline_incremental_replan")) {
+            throw std::invalid_argument{
+                "config_io: '" + key +
+                "' is retired; only the incremental planner remains"};
+          }
         } else if (key == "online_batch_decide") {
           config.online_batch_decide = read_bool(value, key);
         } else if (key == "folded_gap_accrual") {
@@ -556,7 +591,7 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "record_per_user_gaps") {
           config.record_per_user_gaps = read_bool(value, key);
         } else if (key == "per_user") {
-          read_per_user(value, config.per_user);
+          config.fleet = read_per_user(value);
         } else if (key == "outages") {
           if (!value.is_array()) {
             throw std::invalid_argument{
@@ -584,6 +619,11 @@ ExperimentConfig config_from_json(const std::string& text) {
         }
         return true;
       });
+  if (config.fleet && config.fleet->size() != config.num_users) {
+    throw std::invalid_argument{
+        "config_io: 'per_user' holds " + std::to_string(config.fleet->size()) +
+        " entries but num_users is " + std::to_string(config.num_users)};
+  }
   return config;
 }
 
@@ -592,7 +632,12 @@ ExperimentConfig load_config_json(const std::string& path) {
   if (!in) throw std::runtime_error{"load_config_json: cannot open " + path};
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return config_from_json(buffer.str());
+  try {
+    return config_from_json(buffer.str());
+  } catch (const std::exception& error) {
+    // Name the file: a parse or validation error is useless without it.
+    throw std::invalid_argument{path + ": " + error.what()};
+  }
 }
 
 void save_config_json(const std::string& path,
@@ -604,12 +649,8 @@ void save_config_json(const std::string& path,
 
 // ------------------------------------------------------------- scenarios
 
-namespace {
-
-/// The population fields both scenario expansions share; only the fleet
-/// storage form differs between apply_scenario and apply_scenario_arena.
-void apply_scenario_fields(const scenario::ScenarioSpec& spec,
-                           ExperimentConfig& base) {
+ExperimentConfig apply_scenario_arena(const scenario::ScenarioSpec& spec,
+                                      ExperimentConfig base) {
   base.num_users = spec.num_users;
   base.horizon_slots = spec.horizon_slots;
   base.arrival_probability = spec.arrival.mean_probability;
@@ -632,26 +673,10 @@ void apply_scenario_fields(const scenario::ScenarioSpec& spec,
   // writes concrete per-user devices.
   if (!spec.device_mix.empty()) base.fixed_device.reset();
   // The spec owns the network tier too. A fractional share pins every
-  // user explicitly in generate_fleet; the pure cases set the fleet-wide
+  // user explicitly in the fleet; the pure cases set the fleet-wide
   // default so lte_fraction 0.0 really is an all-WiFi fleet even over a
   // base config that had use_lte on.
   base.use_lte = spec.network.lte_fraction >= 1.0;
-}
-
-}  // namespace
-
-ExperimentConfig apply_scenario(const scenario::ScenarioSpec& spec,
-                                ExperimentConfig base) {
-  apply_scenario_fields(spec, base);
-  base.fleet.reset();
-  base.per_user = scenario::generate_fleet(spec, base.seed);
-  return base;
-}
-
-ExperimentConfig apply_scenario_arena(const scenario::ScenarioSpec& spec,
-                                      ExperimentConfig base) {
-  apply_scenario_fields(spec, base);
-  base.per_user.clear();
   base.fleet = std::make_shared<const scenario::FleetArena>(
       scenario::generate_fleet_arena(spec, base.seed));
   return base;

@@ -4,6 +4,8 @@
 // exactly: `fedco_sim --config scenario.json` loads a config, and a config
 // saved by save_config_json reloads to an operator== equal config (doubles
 // are written in shortest-round-trip form), hence the same seeded result.
+// That includes the per-user fleet: it is written as the "per_user" array
+// and reloads into an arena that compares equal by per-user content.
 // result_io embeds the same full config object in every result document,
 // so a dumped result can be fed straight back to --config.
 //
@@ -47,10 +49,13 @@ void write_config_members(util::JsonWriter& json,
 
 /// Parse a config from a JSON document: either a bare config object or any
 /// document with a "config" member (e.g. a result_io dump). Unknown keys
-/// throw std::invalid_argument.
+/// throw std::invalid_argument, as does a "per_user" entry the driver
+/// could not run (the message names `per_user[i].<field>`) or an array
+/// whose length differs from num_users.
 [[nodiscard]] ExperimentConfig config_from_json(const std::string& text);
 
-/// File variants; throw std::runtime_error on I/O failure.
+/// File variants; throw std::runtime_error when the file cannot be opened.
+/// load_config_json prefixes parse and validation errors with the path.
 [[nodiscard]] ExperimentConfig load_config_json(const std::string& path);
 void save_config_json(const std::string& path, const ExperimentConfig& config);
 
@@ -59,21 +64,13 @@ void save_config_json(const std::string& path, const ExperimentConfig& config);
 /// horizon_slots, the arrival processes (the base rate, diurnal shape,
 /// and any arrival trace are replaced — a leftover trace would silently
 /// override the spec's per-user rates), and the network-tier mix; then
-/// generate_fleet(spec, base.seed) fills per_user. Everything else
-/// (scheduler, training, environment knobs) stays with `base`, so
-/// scenario files compose with ordinary flags/config files. The expanded
-/// config is self-contained: saving it (or any result document embedding
-/// it) reproduces the run without the spec.
-[[nodiscard]] ExperimentConfig apply_scenario(const scenario::ScenarioSpec& spec,
-                                              ExperimentConfig base);
-
-/// apply_scenario with SoA fleet storage: generate_fleet_arena fills
-/// config.fleet instead of materializing the per_user vector — O(1)
-/// allocations per override concern, the 1M-user expansion path. The
-/// resulting config runs bit-identically to apply_scenario's (user i's
-/// overrides are equal), but it is NOT self-contained under config_io
-/// serialization (the arena is not written to JSON); callers that archive
-/// the config must use apply_scenario instead.
+/// generate_fleet_arena(spec, base.seed) fills config.fleet (O(1)
+/// allocations per override concern, the 1M-user expansion path).
+/// Everything else (scheduler, training, environment knobs) stays with
+/// `base`, so scenario files compose with ordinary flags/config files. The
+/// expanded config is self-contained: saving it (or any result document
+/// embedding it) writes the fleet as the "per_user" array and reproduces
+/// the run without the spec.
 [[nodiscard]] ExperimentConfig apply_scenario_arena(
     const scenario::ScenarioSpec& spec, ExperimentConfig base);
 

@@ -263,28 +263,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       throw std::invalid_argument{
           "run_experiment: record_interval must be positive"};
     }
-    if (!cfg.per_user.empty() && cfg.per_user.size() != cfg.num_users) {
+    if (cfg.fleet && cfg.fleet->size() != cfg.num_users) {
       throw std::invalid_argument{
-          "run_experiment: per_user must be empty or hold num_users entries"};
+          "run_experiment: fleet must hold num_users entries"};
     }
-    for (const scenario::PerUserConfig& pu : cfg.per_user) {
-      if (pu.join_slot < 0 || pu.leave_slot <= pu.join_slot) {
-        throw std::invalid_argument{
-            "run_experiment: per_user presence window is empty"};
-      }
-    }
-    if (cfg.fleet) {
-      if (!cfg.per_user.empty()) {
-        throw std::invalid_argument{
-            "run_experiment: fleet and per_user are mutually exclusive"};
-      }
-      if (cfg.fleet->size() != cfg.num_users) {
-        throw std::invalid_argument{
-            "run_experiment: fleet must hold num_users entries"};
-      }
-      // Presence windows are validated per user inside setup_users (one
-      // arena read per user instead of a second full pass).
-    }
+    // Presence windows are validated per user inside setup_users (one
+    // arena read per user instead of a second full pass).
     model_bytes_ = cfg.model_bytes;
     scheduler_ = make_scheduler(cfg_);
     // Gap-accounting mode. Default: strategies consuming exact per-slot
@@ -659,7 +643,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     for (std::size_t i = 0; i < cfg_.num_users; ++i) {
       UserState& u = users_[i];
       const scenario::PerUserConfig pu = user_overrides(i);
-      if (cfg_.fleet && (pu.join_slot < 0 || pu.leave_slot <= pu.join_slot)) {
+      if (pu.join_slot < 0 || pu.leave_slot <= pu.join_slot) {
         throw std::invalid_argument{
             "run_experiment: per_user presence window is empty"};
       }
@@ -789,11 +773,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     pending_arrivals_ = initial;
   }
 
-  /// The per-user override source: the SoA arena when present, the AoS
-  /// vector otherwise, the identity override for a homogeneous fleet.
+  /// The per-user override source: the fleet arena when present, the
+  /// identity override for a homogeneous fleet.
   [[nodiscard]] scenario::PerUserConfig user_overrides(std::size_t i) const {
     if (cfg_.fleet) return cfg_.fleet->user(i);
-    if (!cfg_.per_user.empty()) return cfg_.per_user[i];
     return scenario::PerUserConfig{};
   }
 

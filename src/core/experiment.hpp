@@ -79,22 +79,16 @@ struct ExperimentConfig {
   std::optional<device::DeviceKind> fixed_device;
 
   /// Per-user overrides (the scenario subsystem, see src/scenario/):
-  /// device kind, arrival process, network tier, presence window. Empty =
-  /// the homogeneous fleet above; non-empty must hold exactly `num_users`
-  /// entries (usually produced by scenario::generate_fleet). Default
-  /// entries change nothing — a fleet of all-default PerUserConfigs runs
-  /// bit-identically to the empty vector (golden-parity guarded).
-  std::vector<scenario::PerUserConfig> per_user;
-
-  /// SoA alternative to `per_user` for very large fleets: the same per-user
-  /// overrides packed into shared columns (O(1) allocations per concern,
-  /// see scenario::FleetArena). Mutually exclusive with a non-empty
-  /// `per_user`; must hold exactly `num_users` entries. user i's overrides
-  /// are fleet->user(i) — a config carrying fleet_arena_from(per_user) runs
-  /// bit-identically to the AoS form. NOT serialized by config_io (JSON
-  /// archives materialize per_user instead); operator== compares the
-  /// pointer only.
-  std::shared_ptr<const scenario::FleetArena> fleet;
+  /// device kind, arrival process, network tier, presence window, link
+  /// degradations and priority, packed into shared SoA columns (O(1)
+  /// allocations per concern, see scenario::FleetArena). Null = the
+  /// homogeneous fleet above; otherwise it must hold exactly `num_users`
+  /// entries (usually produced by scenario::generate_fleet_arena). Default
+  /// entries change nothing — a fleet of all-default overrides runs
+  /// bit-identically to a null fleet (golden-parity guarded). config_io
+  /// serializes it as the "per_user" array, and operator== compares it by
+  /// per-user content.
+  scenario::SharedFleet fleet;
 
   /// Online scheduler knobs (Sec. V).
   double V = 4000.0;
@@ -104,21 +98,6 @@ struct ExperimentConfig {
   /// Offline planner knobs (Sec. IV / VII: 500 s look-ahead, Lb = 1000).
   sim::Slot offline_window_slots = 500;
   double offline_lb = 1000.0;
-
-  /// Batched hot-path engine (docs/algorithms.md, docs/performance.md §6).
-  /// Incremental replans reuse the previous window's DP rows for the
-  /// unchanged item prefix — bit-identical to a cold solve, so it defaults
-  /// on (golden-fingerprint guarded). The parallel window plan shards the
-  /// item build and knapsack DP across FEDCO_JOBS workers (deterministic
-  /// for any worker count, but DP tie-breaks may differ from the serial
-  /// solver); the adaptive grid coarsens the DP resolution with the window
-  /// budget (may legally pick a different equal-feasibility plan). Both
-  /// default off: the bit-identical mode of every committed golden.
-  /// Precedence: offline_parallel_plan supersedes the incremental replan
-  /// (the sharded grouped DP keeps no per-item prefix rows to reuse).
-  bool offline_incremental_replan = true;
-  bool offline_parallel_plan = false;
-  bool offline_adaptive_grid = false;
 
   /// Churn-aware offline planning (docs/algorithms.md §"Churn- and
   /// priority-aware modes"): drop knapsack (user, window) pairs whose

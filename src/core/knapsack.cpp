@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
-
-#include "util/thread_pool.hpp"
 
 namespace fedco::core {
 
@@ -47,16 +44,15 @@ void dp_item_row(std::vector<double>& best, std::vector<bool>& row,
   }
 }
 
-/// Standard backtrack over the per-item choice rows, accumulating the
-/// selected set and totals in decreasing item order. `rows[first + k]`
-/// holds item `items_offset + k`'s row; `budget` is the starting grid cell.
+/// Standard backtrack over the per-item choice rows from the full budget
+/// `grid`, accumulating the selected set and totals in decreasing item
+/// order (rows[i] is item i's take/skip row).
 void backtrack_rows(const std::vector<KnapsackItem>& items,
                     const std::vector<std::size_t>& units,
                     const std::vector<std::vector<bool>>& rows,
-                    std::size_t begin, std::size_t end, std::size_t budget,
-                    KnapsackSolution& solution) {
-  std::size_t y = budget;
-  for (std::size_t i = end; i-- > begin;) {
+                    std::size_t grid, KnapsackSolution& solution) {
+  std::size_t y = grid;
+  for (std::size_t i = items.size(); i-- > 0;) {
     if (rows[i][y]) {
       solution.selected[i] = true;
       solution.total_value += items[i].value;
@@ -84,7 +80,7 @@ KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
   for (std::size_t i = 0; i < items.size(); ++i) {
     dp_item_row(best, choice[i], units[i], items[i].value, grid);
   }
-  backtrack_rows(items, units, choice, 0, items.size(), grid, solution);
+  backtrack_rows(items, units, choice, grid, solution);
   return solution;
 }
 
@@ -136,220 +132,7 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
   items_ = items;
   capacity_ = capacity;
   grid_ = grid;
-  backtrack_rows(items, units, choice_, 0, items.size(), grid, solution);
-  return solution;
-}
-
-namespace {
-
-/// One contiguous item range solved as a grouped bounded knapsack: equal
-/// (units, value) items collapse into classes, multiplicities binary-split
-/// into pseudo-items, the Eq. (8) DP runs over the pseudo-items, and any
-/// budget backtracks to per-item selections (class members chosen in
-/// ascending original index — the fixed, worker-count-independent rule).
-class GroupedRangeDp {
- public:
-  GroupedRangeDp(const std::vector<KnapsackItem>& items,
-                 const std::vector<std::size_t>& units, std::size_t begin,
-                 std::size_t end, std::size_t grid)
-      : grid_(grid) {
-    members_.resize(end - begin);
-    std::iota(members_.begin(), members_.end(), begin);
-    std::sort(members_.begin(), members_.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (units[a] != units[b]) return units[a] < units[b];
-                if (items[a].value != items[b].value) {
-                  return items[a].value < items[b].value;
-                }
-                return a < b;  // ascending within a class — determinism
-              });
-    for (std::size_t k = 0; k < members_.size();) {
-      std::size_t run = k + 1;
-      while (run < members_.size() &&
-             units[members_[run]] == units[members_[k]] &&
-             items[members_[run]].value == items[members_[k]].value) {
-        ++run;
-      }
-      class_begin_.push_back(k);
-      // Binary split: pieces of 1, 2, 4, ... plus a remainder reach every
-      // count 0..m. Oversized pieces (units beyond the grid) are emitted
-      // anyway — the DP skips them, exactly as those counts are
-      // infeasible within the budget.
-      std::size_t left = run - k;
-      std::size_t piece = 1;
-      while (left > 0) {
-        const std::size_t take = std::min(piece, left);
-        pseudos_.push_back({units[members_[k]] * take,
-                            items[members_[k]].value *
-                                static_cast<double>(take),
-                            static_cast<std::uint32_t>(class_begin_.size() - 1),
-                            static_cast<std::uint32_t>(take)});
-        left -= take;
-        piece <<= 1;
-      }
-      k = run;
-    }
-    class_begin_.push_back(members_.size());
-  }
-
-  /// Run the DP (separate from construction so shard tasks own the heavy
-  /// part end to end).
-  void solve() {
-    best_.assign(grid_ + 1, 0.0);
-    choice_.assign(pseudos_.size(), {});
-    for (std::size_t p = 0; p < pseudos_.size(); ++p) {
-      choice_[p].assign(grid_ + 1, false);
-      dp_item_row(best_, choice_[p], pseudos_[p].units, pseudos_[p].value,
-                  grid_);
-    }
-  }
-
-  [[nodiscard]] const std::vector<double>& best() const noexcept {
-    return best_;
-  }
-
-  /// Mark the range's selections for `budget` grid cells in `selected`.
-  void backtrack(std::size_t budget, std::vector<bool>& selected) const {
-    std::vector<std::size_t> counts(class_begin_.size() - 1, 0);
-    std::size_t y = budget;
-    for (std::size_t p = pseudos_.size(); p-- > 0;) {
-      if (choice_[p][y]) {
-        counts[pseudos_[p].klass] += pseudos_[p].count;
-        y -= pseudos_[p].units;
-      }
-    }
-    for (std::size_t c = 0; c + 1 < class_begin_.size(); ++c) {
-      for (std::size_t j = class_begin_[c]; j < class_begin_[c] + counts[c];
-           ++j) {
-        selected[members_[j]] = true;
-      }
-    }
-  }
-
- private:
-  struct Pseudo {
-    std::size_t units;
-    double value;
-    std::uint32_t klass;
-    std::uint32_t count;
-  };
-
-  std::size_t grid_;
-  std::vector<std::size_t> members_;     ///< range indices, class-sorted
-  std::vector<std::size_t> class_begin_; ///< class c = members_[begin..begin')
-  std::vector<Pseudo> pseudos_;
-  std::vector<double> best_;
-  std::vector<std::vector<bool>> choice_;  ///< per pseudo-item row
-};
-
-/// Selected totals accumulated in ascending item order (the grouped
-/// solvers' fixed accumulation rule).
-void accumulate_totals(const std::vector<KnapsackItem>& items,
-                       KnapsackSolution& solution) {
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (solution.selected[i]) {
-      solution.total_value += items[i].value;
-      solution.total_weight += items[i].weight;
-    }
-  }
-}
-
-}  // namespace
-
-KnapsackSolution solve_knapsack_grouped(const std::vector<KnapsackItem>& items,
-                                        double capacity, std::size_t grid) {
-  KnapsackSolution solution;
-  solution.selected.assign(items.size(), false);
-  if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
-  validate_items(items);
-  const std::vector<std::size_t> units = weight_units(items, capacity, grid);
-  GroupedRangeDp dp{items, units, 0, items.size(), grid};
-  dp.solve();
-  dp.backtrack(grid, solution.selected);
-  accumulate_totals(items, solution);
-  return solution;
-}
-
-KnapsackSolution solve_knapsack_parallel(
-    const std::vector<KnapsackItem>& items, double capacity, std::size_t grid,
-    util::ThreadPool& pool, std::size_t shards) {
-  KnapsackSolution solution;
-  solution.selected.assign(items.size(), false);
-  if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
-  validate_items(items);
-
-  // Shard boundaries are a pure function of the input sizes — never of the
-  // pool's worker count — so the fold below (and its tie-breaks) replays
-  // identically for any FEDCO_JOBS. Sharding fights grouping (each shard
-  // re-discovers its own classes), so blocks are large and capped at 8:
-  // below ~2 blocks the grouped serial core wins outright.
-  const std::size_t n = items.size();
-  std::size_t count = shards != 0 ? shards
-                                  : std::clamp<std::size_t>(n / 8192, 1, 8);
-  count = std::min(count, n);
-  if (count <= 1) return solve_knapsack_grouped(items, capacity, grid);
-
-  const std::vector<std::size_t> units = weight_units(items, capacity, grid);
-  const std::size_t base = n / count;
-  const std::size_t extra = n % count;
-  std::vector<std::size_t> begin(count + 1, 0);
-  for (std::size_t s = 0; s < count; ++s) {
-    begin[s + 1] = begin[s] + base + (s < extra ? 1 : 0);
-  }
-
-  // Stage 1: each shard's grouped DP over the full budget axis, as
-  // independent pool tasks writing disjoint slots.
-  std::vector<std::unique_ptr<GroupedRangeDp>> shard_dp(count);
-  pool.run_indexed(count, [&](std::size_t s) {
-    shard_dp[s] = std::make_unique<GroupedRangeDp>(items, units, begin[s],
-                                                   begin[s + 1], grid);
-    shard_dp[s]->solve();
-  });
-
-  // Stage 2: left fold of the shard optima with a max-plus merge —
-  // combined[y] = max over y2 of combined[y - y2] + shard_best[s][y2] —
-  // keeping the argmax per cell for the backtrack. Ties keep the smallest
-  // y2 (fixed rule, worker-count independent); cells are independent, so
-  // each merge is itself sharded across the pool.
-  std::vector<double> combined = shard_dp[0]->best();
-  std::vector<std::vector<std::uint32_t>> pick(count);
-  const std::size_t merge_chunks =
-      std::min<std::size_t>(grid + 1, std::max<std::size_t>(
-                                          pool.thread_count() * 2, 1));
-  for (std::size_t s = 1; s < count; ++s) {
-    pick[s].assign(grid + 1, 0);
-    std::vector<double> merged(grid + 1, 0.0);
-    const std::vector<double>& right = shard_dp[s]->best();
-    pool.run_indexed(merge_chunks, [&](std::size_t chunk) {
-      const std::size_t lo = chunk * (grid + 1) / merge_chunks;
-      const std::size_t hi = (chunk + 1) * (grid + 1) / merge_chunks;
-      for (std::size_t y = lo; y < hi; ++y) {
-        double best_v = combined[y] + right[0];
-        std::uint32_t best_y2 = 0;
-        for (std::size_t y2 = 1; y2 <= y; ++y2) {
-          const double v = combined[y - y2] + right[y2];
-          if (v > best_v) {
-            best_v = v;
-            best_y2 = static_cast<std::uint32_t>(y2);
-          }
-        }
-        merged[y] = best_v;
-        pick[s][y] = best_y2;
-      }
-    });
-    combined = std::move(merged);
-  }
-
-  // Backtrack: peel each shard's budget share off the fold (last shard
-  // first), then backtrack each shard's grouped DP at its share.
-  std::size_t y = grid;
-  for (std::size_t s = count; s-- > 1;) {
-    const std::size_t share = pick[s][y];
-    shard_dp[s]->backtrack(share, solution.selected);
-    y -= share;
-  }
-  shard_dp[0]->backtrack(y, solution.selected);
-  accumulate_totals(items, solution);
+  backtrack_rows(items, units, choice_, grid, solution);
   return solution;
 }
 

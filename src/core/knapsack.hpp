@@ -7,10 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-namespace fedco::util {
-class ThreadPool;
-}
-
 namespace fedco::core {
 
 /// One candidate item of problem P1.
@@ -32,35 +28,6 @@ struct KnapsackSolution {
 [[nodiscard]] KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                               double capacity,
                                               std::size_t grid = 1000);
-
-/// Class-grouped bounded-knapsack DP — the batched planner's serial core.
-/// Items sharing the exact (discretized weight, value) pair are
-/// interchangeable in Eq. (8), so each class of multiplicity m contributes
-/// ceil(log2 m)+1 binary-split pseudo-items instead of m rows. Window
-/// fleets draw values from a handful of device/app profiles and weights
-/// collapse onto the integer grid, so 10k–100k-item windows shrink to a
-/// few thousand DP rows. Deterministic in the inputs; NOT bit-identical
-/// to solve_knapsack (aggregated values multiply instead of summing, and
-/// among equal-value optima the class assignment selects ascending member
-/// indices).
-[[nodiscard]] KnapsackSolution solve_knapsack_grouped(
-    const std::vector<KnapsackItem>& items, double capacity, std::size_t grid);
-
-/// Parallel variant of the grouped DP: the items are split into `shards`
-/// contiguous blocks (0 = an automatic count derived from items.size()
-/// alone; one block runs the serial grouped core directly), each block's
-/// grouped DP runs as an independent `pool` task, and the block optima
-/// are folded with a max-plus merge over the weight grid (merge
-/// convolutions are themselves sharded across the pool).
-///
-/// Determinism contract: shard boundaries and every tie-break depend only
-/// on (items, capacity, grid, shards) — never on the pool's worker count
-/// or scheduling order — so the returned solution is identical for any
-/// pool size (property-tested across 1/2/8 workers). Like the grouped
-/// core it is NOT guaranteed bit-identical to the serial solver.
-[[nodiscard]] KnapsackSolution solve_knapsack_parallel(
-    const std::vector<KnapsackItem>& items, double capacity, std::size_t grid,
-    util::ThreadPool& pool, std::size_t shards = 0);
 
 /// Incremental re-solver for windowed replans (Sec. IV runs Algorithm 1
 /// every 500 s over a slowly-changing ready set). The solver keeps the

@@ -1,32 +1,15 @@
 #include "core/offline_planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 
-#include "core/campaign.hpp"
 #include "core/experiment.hpp"
 #include "device/power_model.hpp"
 #include "fl/staleness.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedco::core {
-
-std::size_t effective_grid(const OfflinePlannerConfig& config) {
-  if (!config.adaptive_grid) return config.knapsack_grid;
-  // One weight cell per unit of staleness budget: the replan cost scales
-  // with Lb instead of a fixed fine resolution, and the per-item ceil
-  // rounding overshoot is bounded by one budget unit.
-  const auto cells = static_cast<std::size_t>(
-      std::max<long long>(std::llround(config.lb), 1));
-  // A configured grid below the adaptive floor wins (std::clamp requires
-  // lo <= hi): adaptivity only ever coarsens, never refines.
-  const std::size_t floor =
-      std::min(OfflinePlannerConfig::kMinAdaptiveGrid, config.knapsack_grid);
-  return std::clamp(cells, floor, config.knapsack_grid);
-}
 
 OfflinePlannerConfig make_planner_config(const ExperimentConfig& config) {
   OfflinePlannerConfig planner;
@@ -36,22 +19,9 @@ OfflinePlannerConfig make_planner_config(const ExperimentConfig& config) {
   planner.eta = config.eta;
   planner.beta = config.beta;
   planner.slot_seconds = config.slot_seconds;
-  planner.incremental = config.offline_incremental_replan;
-  planner.parallel = config.offline_parallel_plan;
-  planner.adaptive_grid = config.offline_adaptive_grid;
   planner.churn_aware = config.offline_churn_aware;
   return planner;
 }
-
-OfflinePlanner::OfflinePlanner(OfflinePlannerConfig config)
-    : config_(config), grid_(effective_grid(config)) {
-  if (config_.parallel) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        config_.workers != 0 ? config_.workers : resolve_jobs(0));
-  }
-}
-
-OfflinePlanner::~OfflinePlanner() = default;
 
 OfflineWindowPlan OfflinePlanner::plan(
     sim::Slot window_begin, const std::vector<OfflineUserInput>& users) {
@@ -145,7 +115,7 @@ OfflineWindowPlan OfflinePlanner::plan(
       }
     }
   }
-  const auto build_item = [&](std::size_t i) {
+  for (std::size_t i = 0; i < users.size(); ++i) {
     const auto& u = users[i];
     const double lag = static_cast<double>(out.lag_bounds[i]);
     if (corun_ok(i)) {
@@ -181,33 +151,8 @@ OfflineWindowPlan OfflinePlanner::plan(
     // VIPs are the first to be scheduled now. 1.0 is the exact identity.
     if (u.priority != 1.0) items[i].weight *= u.priority;
     if (items[i].value < 0.0) items[i].value = 0.0;  // co-run never helps here
-  };
-  if (pool_ != nullptr) {
-    // Each index writes its own items/lag_bounds slot, so the sharded
-    // build is bit-identical to the serial loop for any worker count.
-    const std::size_t chunks =
-        std::min(users.size(), std::max<std::size_t>(
-                                   pool_->thread_count() * 4, 1));
-    pool_->run_indexed(chunks, [&](std::size_t chunk) {
-      const std::size_t lo = chunk * users.size() / chunks;
-      const std::size_t hi = (chunk + 1) * users.size() / chunks;
-      for (std::size_t i = lo; i < hi; ++i) build_item(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < users.size(); ++i) build_item(i);
   }
-
-  if (pool_ != nullptr) {
-    // Parallel supersedes incremental: the sharded grouped DP has no
-    // per-item prefix rows for the KnapsackSolver cache to reuse, so
-    // last_prefix_reused() reports 0 in this mode (documented at the
-    // flags and in docs/performance.md §6).
-    out.knapsack = solve_knapsack_parallel(items, config_.lb, grid_, *pool_);
-  } else if (config_.incremental) {
-    out.knapsack = incremental_.solve(items, config_.lb, grid_);
-  } else {
-    out.knapsack = solve_knapsack(items, config_.lb, grid_);
-  }
+  out.knapsack = solver_.solve(items, config_.lb, config_.knapsack_grid);
 
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (out.knapsack.selected[i]) {
@@ -223,16 +168,6 @@ OfflineWindowPlan OfflinePlanner::plan(
     }
   }
   return out;
-}
-
-OfflineWindowPlan plan_window(sim::Slot window_begin,
-                              const std::vector<OfflineUserInput>& users,
-                              const OfflinePlannerConfig& config) {
-  OfflinePlannerConfig serial = config;
-  serial.incremental = false;
-  serial.parallel = false;
-  OfflinePlanner planner{serial};
-  return planner.plan(window_begin, users);
 }
 
 }  // namespace fedco::core

@@ -8,28 +8,20 @@
 // an in-window arrival are deferred when selected, scheduled immediately
 // otherwise.
 //
-// Two entry points: the stateless plan_window() reference (the historical
-// serial path, used by tests/benches), and the stateful OfflinePlanner —
-// the batched hot-path engine behind schedulers/offline: incremental DP-row
-// reuse across windows (bit-identical), a worker-sharded item build + DP
-// (deterministic for any worker count), and an adaptive budget-scaled grid
-// (flag-gated; may legally pick a different equal-feasibility plan — see
-// docs/algorithms.md §1 and docs/performance.md §6).
+// OfflinePlanner is the one planning path: each plan() solves Algorithm 1
+// with the planner's own KnapsackSolver, which reuses the previous window's
+// DP rows for the unchanged item prefix — bit-identical to a cold
+// solve_knapsack (docs/algorithms.md §1).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/knapsack.hpp"
 #include "device/profiles.hpp"
 #include "sim/clock.hpp"
-
-namespace fedco::util {
-class ThreadPool;
-}
 
 namespace fedco::core {
 
@@ -44,40 +36,16 @@ struct OfflinePlannerConfig {
   double slot_seconds = 1.0;
   std::size_t knapsack_grid = 2000;
 
-  // --------------------------------------------- batched-engine knobs
-  /// Reuse the previous window's DP rows for the unchanged item prefix
-  /// (KnapsackSolver). Bit-identical to a cold solve by construction.
-  bool incremental = false;
-  /// Shard the per-user item build and the knapsack DP across a worker
-  /// pool. Deterministic in the config for any worker count, but not
-  /// guaranteed bit-identical to the serial DP (tie-breaks may differ —
-  /// see solve_knapsack_parallel).
-  bool parallel = false;
-  /// Worker pool size when `parallel`; 0 = FEDCO_JOBS / hardware threads.
-  std::size_t workers = 0;
-  /// Scale the DP grid with the window budget: one weight cell per unit
-  /// of Lb, clamped to [kMinAdaptiveGrid, knapsack_grid]. Coarser cells
-  /// round weights up harder, so selections may legally differ from the
-  /// fixed-grid plan (never violating the budget).
-  bool adaptive_grid = false;
   /// Churn-aware planning (ExperimentConfig::offline_churn_aware): co-run
   /// (user, window) pairs whose session would end after the user's known
   /// departure are dropped to the no-arrival branch, and deferred work is
   /// deweighted by the fraction of the window the user remains present.
   /// Off = the oblivious plan of every committed golden.
   bool churn_aware = false;
-
-  static constexpr std::size_t kMinAdaptiveGrid = 64;
 };
 
-/// The DP grid a plan will actually use: `knapsack_grid`, or the
-/// budget-scaled coarsening when `adaptive_grid` is set. Exposed so
-/// benches can tag their rows with the grid in effect (tools/bench_check
-/// treats rows solved on different grids as incomparable).
-[[nodiscard]] std::size_t effective_grid(const OfflinePlannerConfig& config);
-
 /// Map the experiment-level offline knobs onto a planner config (shared by
-/// schedulers/offline and bench_scale so the two never drift).
+/// schedulers/offline and the benchmarks so the two never drift).
 [[nodiscard]] OfflinePlannerConfig make_planner_config(
     const ExperimentConfig& config);
 
@@ -115,46 +83,23 @@ struct OfflineWindowPlan {
 };
 
 /// Stateful window planner (one per offline scheduler instance). Owns the
-/// incremental DP cache and, when `parallel`, the worker pool.
+/// incremental DP cache.
 class OfflinePlanner {
  public:
-  explicit OfflinePlanner(OfflinePlannerConfig config);
-  ~OfflinePlanner();
-
-  OfflinePlanner(const OfflinePlanner&) = delete;
-  OfflinePlanner& operator=(const OfflinePlanner&) = delete;
+  explicit OfflinePlanner(OfflinePlannerConfig config) : config_(config) {}
 
   /// Algorithm 1 applied to one window starting at `window_begin`.
   [[nodiscard]] OfflineWindowPlan plan(
       sim::Slot window_begin, const std::vector<OfflineUserInput>& users);
 
-  [[nodiscard]] const OfflinePlannerConfig& config() const noexcept {
-    return config_;
-  }
-  /// The grid every plan() call solves on (fixed per planner instance).
-  [[nodiscard]] std::size_t grid() const noexcept { return grid_; }
-  /// DP prefix rows the last incremental plan() reused (0 otherwise).
-  [[nodiscard]] std::size_t last_prefix_reused() const noexcept {
-    return incremental_.last_prefix_reused();
-  }
-
  private:
   OfflinePlannerConfig config_;
-  std::size_t grid_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< only when config_.parallel
-  KnapsackSolver incremental_;
+  KnapsackSolver solver_;
   // Window-to-window scratch (capacity persists across replans).
   std::vector<UserWindow> windows_;
   std::vector<KnapsackItem> items_;
   std::vector<std::uint32_t> order_;
   std::vector<std::uint8_t> infeasible_;  ///< churn-aware dropped co-runs
 };
-
-/// Algorithm 1 applied to one window starting at `window_begin` — the
-/// stateless serial reference (ignores the incremental/parallel knobs;
-/// honours adaptive_grid, which is a pure function of the config).
-[[nodiscard]] OfflineWindowPlan plan_window(
-    sim::Slot window_begin, const std::vector<OfflineUserInput>& users,
-    const OfflinePlannerConfig& config);
 
 }  // namespace fedco::core

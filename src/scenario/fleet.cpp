@@ -133,6 +133,14 @@ std::size_t FleetArena::column_count() const noexcept {
   return live;
 }
 
+bool operator==(const FleetArena& a, const FleetArena& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.user(i) != b.user(i)) return false;
+  }
+  return true;
+}
+
 FleetArena fleet_arena_from(const std::vector<PerUserConfig>& fleet) {
   FleetArena arena{fleet.size()};
   for (std::size_t i = 0; i < fleet.size(); ++i) {

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "device/profiles.hpp"
@@ -139,7 +141,10 @@ class FleetArena {
   /// memory-budget property test pins this.
   [[nodiscard]] std::size_t column_count() const noexcept;
 
-  friend bool operator==(const FleetArena&, const FleetArena&) = default;
+  /// Per-user content equality: arenas holding the same overrides compare
+  /// equal whatever their column layout (an explicitly stored default and
+  /// an unmaterialized column read back identically through user(i)).
+  friend bool operator==(const FleetArena& a, const FleetArena& b);
 
  private:
   std::size_t num_users_ = 0;
@@ -170,7 +175,23 @@ class FleetArena {
   std::vector<double> priority_;                  // empty = all 1.0
 };
 
-/// Pack an AoS fleet into the arena form (test/interop helper).
+/// The config-level fleet handle: one immutable arena shared by every copy
+/// of a config, so campaigns replicate 1M-user configs in O(1). Equality
+/// compares per-user content, not pointers — a config reloaded from JSON
+/// equals the one that was saved. Null = the homogeneous fleet.
+struct SharedFleet : std::shared_ptr<const FleetArena> {
+  SharedFleet() = default;
+  // Implicit by design: `config.fleet = std::make_shared<...>(...)`.
+  SharedFleet(std::shared_ptr<const FleetArena> arena) noexcept
+      : std::shared_ptr<const FleetArena>(std::move(arena)) {}
+
+  friend bool operator==(const SharedFleet& a, const SharedFleet& b) {
+    if (!a || !b) return !a && !b;
+    return a.get() == b.get() || *a == *b;
+  }
+};
+
+/// Pack an AoS fleet into the arena form (config_io's reader, tests).
 [[nodiscard]] FleetArena fleet_arena_from(
     const std::vector<PerUserConfig>& fleet);
 

@@ -428,7 +428,13 @@ ScenarioSpec load_scenario_json(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  ScenarioSpec spec = spec_from_json(buffer.str());
+  ScenarioSpec spec;
+  try {
+    spec = spec_from_json(buffer.str());
+  } catch (const std::exception& error) {
+    // Name the file: a parse or validation error is useless without it.
+    throw std::invalid_argument{path + ": " + error.what()};
+  }
   // A relative trace_dir is relative to the spec file, not the process
   // cwd — example specs ship their traces beside them.
   if (!spec.faults.trace_dir.empty()) {

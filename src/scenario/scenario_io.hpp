@@ -34,7 +34,8 @@ namespace fedco::scenario {
 /// std::invalid_argument; the parsed spec is validated before returning.
 [[nodiscard]] ScenarioSpec spec_from_json(const std::string& text);
 
-/// File variants; throw std::runtime_error on I/O failure.
+/// File variants; throw std::runtime_error when the file cannot be opened.
+/// load_scenario_json prefixes parse and validation errors with the path.
 [[nodiscard]] ScenarioSpec load_scenario_json(const std::string& path);
 void save_scenario_json(const std::string& path, const ScenarioSpec& spec);
 

@@ -1,7 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <atomic>
-#include <stdexcept>
 #include <utility>
 
 namespace fedco::util {
@@ -34,24 +32,6 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait() {
   std::unique_lock lock{mutex_};
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::run_indexed(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  std::atomic<bool> failed{false};
-  for (std::size_t index = 0; index < count; ++index) {
-    submit([&fn, &failed, index] {
-      try {
-        fn(index);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  wait();
-  if (failed.load(std::memory_order_relaxed)) {
-    throw std::runtime_error{"ThreadPool::run_indexed: a task threw"};
-  }
 }
 
 std::size_t ThreadPool::hardware_threads() noexcept {

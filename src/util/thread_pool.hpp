@@ -38,16 +38,6 @@ class ThreadPool {
   /// Block until every submitted task has completed.
   void wait();
 
-  /// Run `count` index-addressed tasks — fn(0) .. fn(count-1) — on the
-  /// pool and block until all have completed (the data-parallel pattern of
-  /// the sharded window planner: each index writes its own caller-owned
-  /// slot, so results are identical for any worker count). The caller must
-  /// own the pool exclusively (wait() drains the whole queue) and must not
-  /// call this from a worker thread. An exception escaping `fn` is caught
-  /// at the worker boundary and rethrown here as std::runtime_error.
-  void run_indexed(std::size_t count,
-                   const std::function<void(std::size_t)>& fn);
-
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return workers_.size();
   }

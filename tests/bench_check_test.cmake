@@ -1,30 +1,16 @@
 # tools/bench_check behaviour test, run via ctest:
 #   1. A candidate matching the baseline exits 0 and prints OK rows.
 #   2. A candidate with a >20% slots/sec drop exits 1 and prints FAIL.
-#   3. A row whose planner/knapsack_grid metadata changed (the offline
-#      scheme's adaptive-grid tagging) is reported as SKIP — a grid change
-#      is not a regression — even when its throughput cratered.
+#   3. One identity rule: a row's identity is users, horizon, scheduler
+#      and every other non-metric field. Rows pair only with an identical
+#      row (a regressed tagged row FAILs while its differently-tagged
+#      sibling stays OK), and a row whose tags changed prints SKIP + NEW,
+#      never FAIL, however far its throughput moved.
 #   4. Rows present on only one side degrade to SKIP/NEW notices.
-#   5. A fleet whose "rng" tag flipped (legacy <-> stream, the PR 6
-#      counter-based arrival streams) SKIPs both its timing and RSS rows:
-#      different RNG layouts sample different arrivals.
+#   5. A fleet whose "rng" tag flipped (legacy <-> stream) SKIPs both its
+#      timing and RSS rows under the same rule.
 #   6. A fleet whose process_peak_rss_mib grew beyond --max-rss-growth-pct
 #      exits 1 with a FAIL row; growth inside the tolerance stays OK.
-#   7. Online rows carry a "g_mode" tag (sweep vs folded G(t) engines, the
-#      PR 7 closed-form accumulators): an untagged baseline row paired
-#      with a tagged candidate SKIPs (mode change, not a regression), and
-#      when both documents tag their rows the matcher pairs them per
-#      engine — a folded regression FAILs while the sweep row stays OK.
-#   8. Rows measured with the JSONL event emitter attached carry an
-#      "events": true tag (PR 8): when both documents tag their rows the
-#      matcher pairs per tag (an events-on regression FAILs while the
-#      events-off row stays OK), and a baseline events-on row whose
-#      candidate lost the tag SKIPs — emitter on/off is a mode change.
-#   10. Rows measured with the departure-aware scheduling mode on carry a
-#      "churn_aware": true tag (PR 10): the matcher pairs per tag (a
-#      churn-aware regression FAILs while the oblivious row stays OK),
-#      and a baseline churn-aware row whose candidate lost the tag SKIPs
-#      — the mode runs a different decision rule, not slower code.
 # Invoked as: cmake -DBENCH_CHECK=<binary> -P bench_check_test.cmake
 
 if(NOT DEFINED BENCH_CHECK)
@@ -34,13 +20,12 @@ endif()
 set(work_dir ${CMAKE_CURRENT_BINARY_DIR}/bench_check_test_docs)
 file(MAKE_DIRECTORY ${work_dir})
 
-# Two-row baseline: a plain row and an offline row tagged with planner
-# metadata (grid 1000).
+# Two-row baseline: an online and an offline row.
 file(WRITE ${work_dir}/baseline.json
 "{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
 {\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
 {\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000}\
+{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0}\
 ]}]}\n")
 
 # 1. Identical candidate -> exit 0, OK rows.
@@ -61,7 +46,7 @@ file(WRITE ${work_dir}/regressed.json
 "{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
 {\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
 {\"scheduler\":\"Online\",\"seconds\":2.0,\"slots_per_sec\":300.0,\"user_slots_per_sec\":30000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000}\
+{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0}\
 ]}]}\n")
 execute_process(
   COMMAND ${BENCH_CHECK} --baseline ${work_dir}/baseline.json
@@ -75,29 +60,56 @@ if(NOT bad_out MATCHES "FAIL")
   message(FATAL_ERROR "regression printed no FAIL row:\n${bad_out}")
 endif()
 
-# 3. The offline row re-measured on a different grid (1000 -> 500) with a
-#    90% slots/sec drop must SKIP, not FAIL: grid change, not regression.
-#    The untouched Online row keeps the comparison non-empty -> exit 0.
-file(WRITE ${work_dir}/regridded.json
+# 3. One identity rule. Per-tag pairing: the regressed folded row FAILs
+#    while the identical sweep row stays OK. Tag changes: the events-on
+#    row re-measured with an extra tag, and the churn-aware row
+#    re-measured with a knapsack_grid tag and a 90% drop, each print
+#    SKIP + NEW and never FAIL -> exactly one FAIL row, exit 1.
+file(WRITE ${work_dir}/tags_base.json
 "{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
 {\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Offline\",\"seconds\":5.0,\"slots_per_sec\":80.0,\"user_slots_per_sec\":8000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"serial\",\"knapsack_grid\":500}\
+{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
+{\"scheduler\":\"Online\",\"seconds\":0.4,\"slots_per_sec\":1250.0,\"user_slots_per_sec\":125000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"},\
+{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0},\
+{\"scheduler\":\"Immediate\",\"seconds\":0.6,\"slots_per_sec\":850.0,\"user_slots_per_sec\":85000.0,\"updates\":5,\"energy_kj\":1.0,\"events\":true},\
+{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0},\
+{\"scheduler\":\"Offline\",\"seconds\":0.6,\"slots_per_sec\":750.0,\"user_slots_per_sec\":75000.0,\"updates\":5,\"energy_kj\":1.0,\"churn_aware\":true}\
+]}]}\n")
+file(WRITE ${work_dir}/tags_cand.json
+"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
+{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
+{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
+{\"scheduler\":\"Online\",\"seconds\":4.0,\"slots_per_sec\":125.0,\"user_slots_per_sec\":12500.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"},\
+{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0},\
+{\"scheduler\":\"Immediate\",\"seconds\":6.0,\"slots_per_sec\":85.0,\"user_slots_per_sec\":8500.0,\"updates\":5,\"energy_kj\":1.0,\"events\":true,\"planner\":\"serial\"},\
+{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0},\
+{\"scheduler\":\"Offline\",\"seconds\":6.0,\"slots_per_sec\":75.0,\"user_slots_per_sec\":7500.0,\"updates\":5,\"energy_kj\":1.0,\"churn_aware\":true,\"knapsack_grid\":500}\
 ]}]}\n")
 execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/baseline.json
-          --candidate ${work_dir}/regridded.json
-  OUTPUT_VARIABLE skip_out ERROR_VARIABLE skip_err RESULT_VARIABLE skip_rc
+  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/tags_base.json
+          --candidate ${work_dir}/tags_cand.json
+  OUTPUT_VARIABLE tags_out ERROR_VARIABLE tags_err RESULT_VARIABLE tags_rc
 )
-if(NOT skip_rc EQUAL 0)
-  message(FATAL_ERROR "grid-changed row exited ${skip_rc} (want 0 — grid change is not a regression):\n${skip_out}${skip_err}")
+if(NOT tags_rc EQUAL 1)
+  message(FATAL_ERROR "regressed folded row exited ${tags_rc} (want 1):\n${tags_out}${tags_err}")
 endif()
-if(NOT skip_out MATCHES "SKIP.*planner/grid changed")
-  message(FATAL_ERROR "grid-changed row was not SKIPped:\n${skip_out}")
+string(REGEX MATCHALL "FAIL" tags_fails "${tags_out}")
+list(LENGTH tags_fails tags_fail_count)
+if(NOT tags_fail_count EQUAL 1 OR NOT tags_out MATCHES "FAIL  100 users x 600 slots / Online \\[g_mode=folded\\]")
+  message(FATAL_ERROR "want exactly one FAIL, on the folded row:\n${tags_out}")
 endif()
-if(skip_out MATCHES "FAIL")
-  message(FATAL_ERROR "grid-changed row FAILed instead of SKIPping:\n${skip_out}")
-endif()
+foreach(want
+    "OK    100 users x 600 slots / Online \\[g_mode=sweep\\]"
+    "OK    100 users x 600 slots / Immediate: "
+    "OK    100 users x 600 slots / Offline: "
+    "SKIP  100 users x 600 slots / Immediate \\[events=true\\]"
+    "NEW   100 users x 600 slots / Immediate \\[events=true planner=serial\\]"
+    "SKIP  100 users x 600 slots / Offline \\[churn_aware=true\\]"
+    "NEW   100 users x 600 slots / Offline \\[churn_aware=true knapsack_grid=500\\]")
+  if(NOT tags_out MATCHES "${want}")
+    message(FATAL_ERROR "missing '${want}':\n${tags_out}")
+  endif()
+endforeach()
 
 # 4. A candidate missing a baseline row (and adding a new one) degrades to
 #    SKIP + NEW notices while the shared rows still gate -> exit 0.
@@ -148,7 +160,8 @@ execute_process(
 if(NOT rng_rc EQUAL 0)
   message(FATAL_ERROR "rng-flipped fleet exited ${rng_rc} (want 0 — mode change is not a regression):\n${rng_out}${rng_err}")
 endif()
-if(NOT rng_out MATCHES "SKIP.*rng layout changed")
+if(NOT rng_out MATCHES "SKIP  100 users x 600 slots / Online \\[rng=legacy\\]"
+   OR NOT rng_out MATCHES "SKIP  100 users x 600 slots \\[rng=legacy\\] / peak RSS")
   message(FATAL_ERROR "rng-flipped fleet was not SKIPped:\n${rng_out}")
 endif()
 if(rng_out MATCHES "FAIL")
@@ -161,7 +174,7 @@ file(WRITE ${work_dir}/bloated.json
 "{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
 {\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":30.0,\"schedulers\":[\
 {\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000}\
+{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0}\
 ]}]}\n")
 execute_process(
   COMMAND ${BENCH_CHECK} --baseline ${work_dir}/baseline.json
@@ -186,175 +199,6 @@ if(NOT wide_rc EQUAL 0)
 endif()
 if(NOT wide_out MATCHES "OK.*peak RSS")
   message(FATAL_ERROR "widened RSS tolerance printed no OK RSS row:\n${wide_out}")
-endif()
-
-# 7a. Untagged baseline online row vs a candidate measured under the
-#     folded G(t) engine: SKIP even with cratered numbers (the tag-blind
-#     fallback match pairs them, the g_mode check rejects the pair). The
-#     untouched Immediate row keeps the comparison non-empty -> exit 0.
-file(WRITE ${work_dir}/g_base_untagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0}\
-]}]}\n")
-file(WRITE ${work_dir}/g_tagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":5.0,\"slots_per_sec\":100.0,\"user_slots_per_sec\":10000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"},\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":900.0,\"user_slots_per_sec\":90000.0,\"updates\":5,\"energy_kj\":1.0}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/g_base_untagged.json
-          --candidate ${work_dir}/g_tagged.json
-  OUTPUT_VARIABLE gmode_out ERROR_VARIABLE gmode_err RESULT_VARIABLE gmode_rc
-)
-if(NOT gmode_rc EQUAL 0)
-  message(FATAL_ERROR "g_mode-flipped row exited ${gmode_rc} (want 0 — mode change is not a regression):\n${gmode_out}${gmode_err}")
-endif()
-if(NOT gmode_out MATCHES "SKIP.*engine changed")
-  message(FATAL_ERROR "g_mode-flipped row was not SKIPped:\n${gmode_out}")
-endif()
-if(gmode_out MATCHES "FAIL")
-  message(FATAL_ERROR "g_mode-flipped row FAILed instead of SKIPping:\n${gmode_out}")
-endif()
-
-# 7b. Both documents tagged: the matcher pairs rows per engine, so the
-#     regressed folded row FAILs while the identical sweep row stays OK
-#     (first-found matching would have compared folded against sweep).
-file(WRITE ${work_dir}/g_base_both.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
-{\"scheduler\":\"Online\",\"seconds\":0.4,\"slots_per_sec\":1250.0,\"user_slots_per_sec\":125000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"}\
-]}]}\n")
-file(WRITE ${work_dir}/g_folded_regressed.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Online\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"sweep\"},\
-{\"scheduler\":\"Online\",\"seconds\":4.0,\"slots_per_sec\":125.0,\"user_slots_per_sec\":12500.0,\"updates\":5,\"energy_kj\":1.0,\"g_mode\":\"folded\"}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/g_base_both.json
-          --candidate ${work_dir}/g_folded_regressed.json
-  OUTPUT_VARIABLE pair_out ERROR_VARIABLE pair_err RESULT_VARIABLE pair_rc
-)
-if(NOT pair_rc EQUAL 1)
-  message(FATAL_ERROR "regressed folded row exited ${pair_rc} (want 1):\n${pair_out}${pair_err}")
-endif()
-if(NOT pair_out MATCHES "FAIL.*folded")
-  message(FATAL_ERROR "regressed folded row printed no FAIL:\n${pair_out}")
-endif()
-if(NOT pair_out MATCHES "OK.*sweep")
-  message(FATAL_ERROR "identical sweep row was not compared OK:\n${pair_out}")
-endif()
-
-# 8a. Both documents carry events-off and events-on rows: the matcher
-#     pairs per tag, so a regressed events-on row FAILs while the
-#     identical events-off row stays OK.
-file(WRITE ${work_dir}/ev_base.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Immediate\",\"seconds\":0.6,\"slots_per_sec\":950.0,\"user_slots_per_sec\":95000.0,\"updates\":5,\"energy_kj\":1.0,\"events\":true}\
-]}]}\n")
-file(WRITE ${work_dir}/ev_regressed.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0},\
-{\"scheduler\":\"Immediate\",\"seconds\":6.0,\"slots_per_sec\":95.0,\"user_slots_per_sec\":9500.0,\"updates\":5,\"energy_kj\":1.0,\"events\":true}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/ev_base.json
-          --candidate ${work_dir}/ev_regressed.json
-  OUTPUT_VARIABLE ev_out ERROR_VARIABLE ev_err RESULT_VARIABLE ev_rc
-)
-if(NOT ev_rc EQUAL 1)
-  message(FATAL_ERROR "regressed events-on row exited ${ev_rc} (want 1):\n${ev_out}${ev_err}")
-endif()
-if(NOT ev_out MATCHES "FAIL.*\\+events")
-  message(FATAL_ERROR "regressed events-on row printed no FAIL:\n${ev_out}")
-endif()
-if(NOT ev_out MATCHES "OK  +100 users x 600 slots / Immediate: ")
-  message(FATAL_ERROR "identical events-off row was not compared OK:\n${ev_out}")
-endif()
-
-# 8b. The candidate re-measured without the emitter: the baseline
-#     events-on row pairs tag-blind with the events-off candidate and
-#     SKIPs — emitter on/off is a mode change, not a regression. The
-#     events-off pair keeps the comparison non-empty -> exit 0.
-file(WRITE ${work_dir}/ev_untagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Immediate\",\"seconds\":0.5,\"slots_per_sec\":1000.0,\"user_slots_per_sec\":100000.0,\"updates\":5,\"energy_kj\":1.0}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/ev_base.json
-          --candidate ${work_dir}/ev_untagged.json
-  OUTPUT_VARIABLE evskip_out ERROR_VARIABLE evskip_err RESULT_VARIABLE evskip_rc
-)
-if(NOT evskip_rc EQUAL 0)
-  message(FATAL_ERROR "events-tag-lost candidate exited ${evskip_rc} (want 0):\n${evskip_out}${evskip_err}")
-endif()
-if(NOT evskip_out MATCHES "SKIP.*event emitter changed")
-  message(FATAL_ERROR "events-tag mismatch was not SKIPped:\n${evskip_out}")
-endif()
-if(evskip_out MATCHES "FAIL")
-  message(FATAL_ERROR "events-tag mismatch FAILed instead of SKIPping:\n${evskip_out}")
-endif()
-
-# 10a. Both documents carry oblivious and churn-aware rows: the matcher
-#      pairs per tag, so a regressed churn-aware row FAILs while the
-#      identical oblivious row stays OK.
-file(WRITE ${work_dir}/churn_base.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000},\
-{\"scheduler\":\"Offline\",\"seconds\":0.6,\"slots_per_sec\":750.0,\"user_slots_per_sec\":75000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000,\"churn_aware\":true}\
-]}]}\n")
-file(WRITE ${work_dir}/churn_regressed.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000},\
-{\"scheduler\":\"Offline\",\"seconds\":6.0,\"slots_per_sec\":75.0,\"user_slots_per_sec\":7500.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000,\"churn_aware\":true}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/churn_base.json
-          --candidate ${work_dir}/churn_regressed.json
-  OUTPUT_VARIABLE churn_out ERROR_VARIABLE churn_err RESULT_VARIABLE churn_rc
-)
-if(NOT churn_rc EQUAL 1)
-  message(FATAL_ERROR "regressed churn-aware row exited ${churn_rc} (want 1):\n${churn_out}${churn_err}")
-endif()
-if(NOT churn_out MATCHES "FAIL.*\\+churn")
-  message(FATAL_ERROR "regressed churn-aware row printed no FAIL:\n${churn_out}")
-endif()
-if(NOT churn_out MATCHES "OK  +100 users x 600 slots / Offline: ")
-  message(FATAL_ERROR "identical oblivious row was not compared OK:\n${churn_out}")
-endif()
-
-# 10b. The candidate re-measured without the mode: the baseline
-#      churn-aware row pairs tag-blind with the oblivious candidate and
-#      SKIPs — departure-awareness on/off is a mode change, not a
-#      regression. The oblivious pair keeps the comparison non-empty.
-file(WRITE ${work_dir}/churn_untagged.json
-"{\"bench\":\"scale\",\"smoke\":true,\"jobs\":1,\"timing\":\"serial\",\"seed\":1,\"fleets\":[\
-{\"num_users\":100,\"horizon_slots\":600,\"wall_seconds\":1.0,\"process_peak_rss_mib\":10.0,\"schedulers\":[\
-{\"scheduler\":\"Offline\",\"seconds\":0.5,\"slots_per_sec\":800.0,\"user_slots_per_sec\":80000.0,\"updates\":5,\"energy_kj\":1.0,\"planner\":\"parallel+adaptive\",\"knapsack_grid\":1000}\
-]}]}\n")
-execute_process(
-  COMMAND ${BENCH_CHECK} --baseline ${work_dir}/churn_base.json
-          --candidate ${work_dir}/churn_untagged.json
-  OUTPUT_VARIABLE chskip_out ERROR_VARIABLE chskip_err RESULT_VARIABLE chskip_rc
-)
-if(NOT chskip_rc EQUAL 0)
-  message(FATAL_ERROR "churn-tag-lost candidate exited ${chskip_rc} (want 0):\n${chskip_out}${chskip_err}")
-endif()
-if(NOT chskip_out MATCHES "SKIP.*churn-aware mode changed")
-  message(FATAL_ERROR "churn-tag mismatch was not SKIPped:\n${chskip_out}")
-endif()
-if(chskip_out MATCHES "FAIL")
-  message(FATAL_ERROR "churn-tag mismatch FAILed instead of SKIPping:\n${chskip_out}")
 endif()
 
 message(STATUS "bench_check behaviour test passed")

@@ -17,6 +17,8 @@
 #      document per replication.
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir is
 #      rejected up front with exit 2 and a path-bearing message.
+#   8. A malformed --config (a bad per_user entry) or --scenario file
+#      exits 2, and stderr names both the file and the field.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -263,5 +265,28 @@ if(NOT bad_csv_err MATCHES "bad.csv")
   message(FATAL_ERROR
     "malformed trace-CSV error did not name the file:\n${bad_csv_err}")
 endif()
+
+# --- 8. malformed --config / --scenario files -------------------------------
+file(WRITE ${work_dir}/bad_per_user.json
+  "{\"num_users\":2,\"per_user\":[{},{\"priority\":-1.0}]}\n")
+file(WRITE ${work_dir}/bad_scenario.json
+  "{\"num_users\":4,\"priority\":{\"vip_fraction\":1.5}}\n")
+foreach(bad "--config;bad_per_user.json;per_user\\[1\\]\\.priority"
+            "--scenario;bad_scenario.json;priority\\.vip_fraction")
+  list(GET bad 0 flag)
+  list(GET bad 1 file)
+  list(GET bad 2 field)
+  execute_process(
+    COMMAND ${FEDCO_SIM} ${flag} ${work_dir}/${file} --horizon 60
+    RESULT_VARIABLE bad_rc ERROR_VARIABLE bad_err OUTPUT_QUIET
+  )
+  if(NOT bad_rc EQUAL 2)
+    message(FATAL_ERROR "malformed ${flag} file exited ${bad_rc} (want 2):\n${bad_err}")
+  endif()
+  if(NOT bad_err MATCHES "${file}" OR NOT bad_err MATCHES "${field}")
+    message(FATAL_ERROR
+      "malformed ${flag} error did not name file and field:\n${bad_err}")
+  endif()
+endforeach()
 
 message(STATUS "cli_smoke_test OK")

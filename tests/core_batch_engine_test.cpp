@@ -1,13 +1,10 @@
-// PR 5 batched hot-path engine parity: the batched online decide and the
-// incremental offline replan are bit-identical to the scalar/cold
-// reference paths (golden-fingerprint cross-checks over the parity
-// scenario grid), and the parallel window plan is deterministic across
-// FEDCO_JOBS worker counts. See docs/algorithms.md for the map of which
-// test guards which hot-path algorithm.
+// Batched hot-path engine parity: the batched online decide is
+// bit-identical to the scalar reference path (golden-fingerprint
+// cross-checks over the parity scenario grid). The incremental offline
+// replan's equivalence to a cold solve is a solver-level property in
+// core_knapsack_test. See docs/algorithms.md for the map of which test
+// guards which hot-path algorithm.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <vector>
 
 #include "golden_fingerprint.hpp"
 
@@ -35,71 +32,6 @@ TEST(BatchEngine, BatchedDecideMatchesScalarForAllSchemes) {
           << scenario.name << " / " << scheduler_name(kind);
     }
   }
-}
-
-TEST(BatchEngine, IncrementalReplanMatchesColdPlans) {
-  // KnapsackSolver prefix reuse replays exactly the DP operations a cold
-  // solve performs, so window plans — and therefore whole runs — are
-  // bit-identical with the incremental path on or off.
-  for (const auto& scenario : testing::parity_scenarios()) {
-    ExperimentConfig incremental = scenario.config;
-    incremental.scheduler = SchedulerKind::kOffline;
-    incremental.offline_incremental_replan = true;
-    ExperimentConfig cold = incremental;
-    cold.offline_incremental_replan = false;
-    EXPECT_EQ(testing::fingerprint(run_experiment(incremental)),
-              testing::fingerprint(run_experiment(cold)))
-        << scenario.name;
-  }
-}
-
-TEST(BatchEngine, ParallelPlanIsDeterministicAcrossJobs) {
-  // The sharded window plan promises determinism in the config for any
-  // FEDCO_JOBS value — shard boundaries and DP tie-breaks never depend on
-  // the worker count. The fleet is sized past the auto-shard threshold
-  // (16384 ready users -> 2 shards) so the max-plus merge — the one
-  // stage whose internal chunking varies with the pool — actually runs
-  // inside a real experiment, not just in the knapsack-level property
-  // test.
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kOffline;
-  cfg.num_users = 17000;
-  cfg.horizon_slots = 500;
-  cfg.arrival_probability = 0.004;
-  cfg.seed = 11;
-  cfg.offline_parallel_plan = true;
-  std::vector<std::uint64_t> prints;
-  for (const char* jobs : {"1", "2", "8"}) {
-    ASSERT_EQ(setenv("FEDCO_JOBS", jobs, 1), 0);
-    prints.push_back(testing::fingerprint(run_experiment(cfg)));
-  }
-  ASSERT_EQ(unsetenv("FEDCO_JOBS"), 0);
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(prints[0], prints[2]);
-}
-
-TEST(BatchEngine, AdaptiveGridRunsAreDeterministic) {
-  // The adaptive grid may legally diverge from the fixed-grid plan (it is
-  // a different discretization), but it must stay a pure function of the
-  // config — and composed with the parallel plan it must still be
-  // deterministic across worker counts.
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kOffline;
-  cfg.num_users = 80;
-  cfg.horizon_slots = 1500;
-  cfg.arrival_probability = 0.004;
-  cfg.seed = 23;
-  cfg.offline_adaptive_grid = true;
-  const std::uint64_t alone = testing::fingerprint(run_experiment(cfg));
-  EXPECT_EQ(alone, testing::fingerprint(run_experiment(cfg)));
-  cfg.offline_parallel_plan = true;
-  std::vector<std::uint64_t> prints;
-  for (const char* jobs : {"1", "8"}) {
-    ASSERT_EQ(setenv("FEDCO_JOBS", jobs, 1), 0);
-    prints.push_back(testing::fingerprint(run_experiment(cfg)));
-  }
-  ASSERT_EQ(unsetenv("FEDCO_JOBS"), 0);
-  EXPECT_EQ(prints[0], prints[1]);
 }
 
 }  // namespace

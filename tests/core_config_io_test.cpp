@@ -1,6 +1,7 @@
-// ExperimentConfig <-> JSON round-trip: equality after reload, identical
-// seeded results, token vocabularies, strict unknown-key handling, and
-// loading from a full result document.
+// ExperimentConfig <-> JSON round-trip: equality after reload (arena
+// fleets included), identical seeded results, token vocabularies, strict
+// unknown-key handling, load-time per_user validation, and loading from a
+// full result document.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include "core/config_io.hpp"
 #include "core/result_io.hpp"
 #include "golden_fingerprint.hpp"
+#include "scenario/scenario_io.hpp"
 
 namespace fedco::core {
 namespace {
@@ -74,16 +76,20 @@ ExperimentConfig exotic_config() {
   cfg.thermal.max_slowdown = 2.5;
   cfg.record_interval = 4;
   cfg.record_per_user_gaps = true;
-  cfg.per_user.assign(7, scenario::PerUserConfig{});
-  cfg.per_user[0].device = device::DeviceKind::kNexus6;
-  cfg.per_user[1].arrival_probability = 0.0042;
-  cfg.per_user[2].diurnal = true;
-  cfg.per_user[2].diurnal_swing = 0.55;
-  cfg.per_user[2].diurnal_peak_hour = 7.25;
-  cfg.per_user[3].use_lte = false;  // explicit false must survive reload
-  cfg.per_user[4].join_slot = 100;
-  cfg.per_user[4].leave_slot = 900;
-  // per_user[5] and [6] stay all-default ({} in JSON).
+  std::vector<scenario::PerUserConfig> fleet(7);
+  fleet[0].device = device::DeviceKind::kNexus6;
+  fleet[1].arrival_probability = 0.0042;
+  fleet[2].diurnal = true;
+  fleet[2].diurnal_swing = 0.55;
+  fleet[2].diurnal_peak_hour = 7.25;
+  fleet[3].use_lte = false;  // explicit false must survive reload
+  fleet[4].join_slot = 100;
+  fleet[4].leave_slot = 900;
+  fleet[4].extra_windows = {{1000, 1100}, {1150, scenario::kNeverLeaves}};
+  fleet[5].link_degradations = 0b101;
+  fleet[5].priority = 2.5;
+  // fleet[6] stays all-default ({} in JSON).
+  testing::set_fleet(cfg, fleet);
   return cfg;
 }
 
@@ -123,6 +129,21 @@ TEST(ConfigIo, FileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_THROW((void)load_config_json("/no/such/config.json"),
                std::runtime_error);
+  // Parse and validation errors name the file too.
+  const std::string bad = "/tmp/fedco_config_io_test_bad.json";
+  {
+    std::ofstream out{bad};
+    out << R"({"num_users":1,"per_user":[{"priority":-1}]})";
+  }
+  try {
+    (void)load_config_json(bad);
+    ADD_FAILURE() << "accepted a negative priority";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(bad), std::string::npos) << what;
+    EXPECT_NE(what.find("per_user[0].priority"), std::string::npos) << what;
+  }
+  std::remove(bad.c_str());
 }
 
 TEST(ConfigIo, PartialDocumentKeepsDefaults) {
@@ -161,10 +182,84 @@ TEST(ConfigIo, PerUserEntriesAreStrict) {
       std::invalid_argument);
   const ExperimentConfig cfg = config_from_json(
       R"({"num_users":2,"per_user":[{},{"device":"hikey970","leave_slot":50}]})");
-  ASSERT_EQ(cfg.per_user.size(), 2u);
-  EXPECT_TRUE(cfg.per_user[0].is_default());
-  EXPECT_EQ(cfg.per_user[1].device, device::DeviceKind::kHikey970);
-  EXPECT_EQ(cfg.per_user[1].leave_slot, 50);
+  ASSERT_EQ(cfg.fleet->size(), 2u);
+  EXPECT_TRUE(cfg.fleet->user(0).is_default());
+  EXPECT_EQ(cfg.fleet->user(1).device, device::DeviceKind::kHikey970);
+  EXPECT_EQ(cfg.fleet->user(1).leave_slot, 50);
+}
+
+// Every per_user value the driver would reject mid-run, or silently
+// misread, fails at load time with the entry and field named.
+TEST(ConfigIo, MalformedPerUserEntriesAreNamedAtLoad) {
+  const auto rejects = [](const char* json, const char* needle) {
+    try {
+      (void)config_from_json(json);
+      FAIL() << "accepted: " << json;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(needle), std::string::npos)
+          << error.what();
+    }
+  };
+  rejects(R"({"num_users":2,"per_user":[{},{"priority":-1.0}]})",
+          "'per_user[1].priority' must be positive and finite");
+  rejects(R"({"num_users":1,"per_user":[{"priority":0}]})",
+          "'per_user[0].priority' must be positive and finite");
+  rejects(R"({"num_users":1,"per_user":[{"link_degradations":4294967297}]})",
+          "'per_user[0].link_degradations' sets bits outside the");
+  rejects(R"({"num_users":1,"per_user":[{"join_slot":-3}]})",
+          "'per_user[0].join_slot' must be non-negative");
+  rejects(R"({"num_users":1,"per_user":[{"join_slot":10,"leave_slot":5}]})",
+          "'per_user[0].leave_slot' must be after join_slot");
+  rejects(R"({"num_users":1,"per_user":[{"leave_slot":100,
+             "extra_windows":[{"join":200,"leave":200}]}]})",
+          "'per_user[0].extra_windows[0]' is an empty presence window");
+  rejects(R"({"num_users":1,"per_user":[{"leave_slot":100,
+             "extra_windows":[{"join":50,"leave":200}]}]})",
+          "'per_user[0].extra_windows[0]' must start after the previous");
+  rejects(R"({"num_users":1,"per_user":[{"leave_slot":100,
+             "extra_windows":[{"join":300,"leave":400},
+                              {"join":200,"leave":250}]}]})",
+          "'per_user[0].extra_windows[1]' must start after the previous");
+  rejects(R"({"num_users":3,"per_user":[{},{}]})",
+          "'per_user' holds 2 entries but num_users is 3");
+  // The length check sees the whole document, whatever its key order.
+  EXPECT_EQ(
+      config_from_json(R"({"per_user":[{},{}],"num_users":2})").num_users,
+      2u);
+}
+
+TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {
+  // Archives written before the planner collapse carry these keys.
+  EXPECT_TRUE(config_from_json(R"({"offline_incremental_replan":true,
+      "offline_parallel_plan":false,"offline_adaptive_grid":false})") ==
+              ExperimentConfig{});
+  EXPECT_THROW((void)config_from_json(R"({"offline_parallel_plan":true})"),
+               std::invalid_argument);
+  EXPECT_THROW((void)config_from_json(R"({"offline_adaptive_grid":true})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)config_from_json(R"({"offline_incremental_replan":false})"),
+      std::invalid_argument);
+}
+
+TEST(ConfigIo, ArenaConfigsSurviveSaveAndLoad) {
+  // A scenario expanded into its fleet arena round-trips through JSON to
+  // an equal config that replays the identical run.
+  for (const char* name :
+       {"commute", "congested_evenings", "vip_priority", "churn"}) {
+    const scenario::ScenarioSpec spec = scenario::load_scenario_json(
+        std::string{FEDCO_SCENARIOS_DIR} + "/" + name + ".json");
+    ExperimentConfig base;
+    base.scheduler = SchedulerKind::kOffline;
+    const ExperimentConfig original = apply_scenario_arena(spec, base);
+    ASSERT_TRUE(original.fleet) << name;
+    const ExperimentConfig reloaded =
+        config_from_json(config_to_json(original));
+    ASSERT_TRUE(reloaded == original) << name;
+    EXPECT_EQ(testing::fingerprint(run_experiment(reloaded)),
+              testing::fingerprint(run_experiment(original)))
+        << name;
+  }
 }
 
 TEST(ConfigIo, PerUserRoundTripReproducesSeededResult) {
@@ -175,11 +270,12 @@ TEST(ConfigIo, PerUserRoundTripReproducesSeededResult) {
   cfg.horizon_slots = 700;
   cfg.arrival_probability = 0.004;
   cfg.seed = 123;
-  cfg.per_user.assign(5, scenario::PerUserConfig{});
-  cfg.per_user[0].device = device::DeviceKind::kPixel2;
-  cfg.per_user[1].use_lte = true;
-  cfg.per_user[2].leave_slot = 350;
-  cfg.per_user[3].arrival_probability = 0.01;
+  std::vector<scenario::PerUserConfig> fleet(5);
+  fleet[0].device = device::DeviceKind::kPixel2;
+  fleet[1].use_lte = true;
+  fleet[2].leave_slot = 350;
+  fleet[3].arrival_probability = 0.01;
+  testing::set_fleet(cfg, fleet);
   const ExperimentConfig reloaded = config_from_json(config_to_json(cfg));
   ASSERT_TRUE(reloaded == cfg);
   EXPECT_EQ(testing::fingerprint(run_experiment(reloaded)),

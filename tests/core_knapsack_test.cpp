@@ -1,9 +1,8 @@
 // Offline knapsack (Algorithm 1): DP optimality vs exhaustive search,
 // capacity feasibility, greedy comparison, the Lemma 1 lag bound checked
 // against a brute-force enumeration of all decision combinations, and the
-// batched-engine solvers — incremental prefix reuse (bit-identical to the
-// full DP) and the worker-sharded parallel DP (deterministic for any pool
-// size).
+// incremental KnapsackSolver the planner runs (bit-identical to the cold
+// solve_knapsack under arbitrary input mutations).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include "core/offline_planner.hpp"
 #include "device/profiles.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedco::core {
 namespace {
@@ -167,130 +165,6 @@ TEST(IncrementalKnapsackReuse, SuffixEditResumesFromACheckpoint) {
   EXPECT_EQ(solver.last_prefix_reused(), 0u);
 }
 
-// --------------------------------------------------- parallel solver
-
-TEST(ParallelKnapsack, DeterministicAcrossPoolSizes) {
-  // The sharded DP must return the identical solution for any worker
-  // count (FEDCO_JOBS ∈ {1,2,8} in the scheduler-level test): shard
-  // boundaries, merges, and tie-breaks are functions of the inputs alone.
-  // Shard counts are forced >= 2 — 5000 items auto-resolve to a single
-  // shard, which would skip the max-plus merge this test exists to pin
-  // (merge chunking DOES vary with the pool size, so this is the path
-  // where a worker-count dependence could hide).
-  util::Rng rng{7};
-  const std::vector<KnapsackItem> items = random_items(rng, 5000);
-  const double capacity = 60.0;
-  const std::size_t grid = 400;
-  const KnapsackSolution serial = solve_knapsack(items, capacity, grid);
-  for (const std::size_t shards : {2u, 5u}) {
-    KnapsackSolution first;
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      util::ThreadPool pool{threads};
-      const KnapsackSolution parallel =
-          solve_knapsack_parallel(items, capacity, grid, pool, shards);
-      if (threads == 1) {
-        first = parallel;
-      } else {
-        ASSERT_EQ(parallel.selected, first.selected)
-            << threads << " threads, " << shards << " shards";
-        EXPECT_EQ(parallel.total_value, first.total_value);
-        EXPECT_EQ(parallel.total_weight, first.total_weight);
-      }
-      // Never infeasible, and never worse than the serial optimum beyond
-      // floating-point association noise in the block value sums.
-      EXPECT_LE(parallel.total_weight, capacity + 1e-9);
-      EXPECT_NEAR(parallel.total_value, serial.total_value,
-                  1e-9 * std::max(1.0, serial.total_value));
-    }
-  }
-  // The auto shard count is a pure function of n: below one block's
-  // worth (8192 items) it must match the grouped serial core, any pool.
-  util::ThreadPool pool{8};
-  const KnapsackSolution auto_sharded =
-      solve_knapsack_parallel(items, capacity, grid, pool);
-  const KnapsackSolution grouped =
-      solve_knapsack_grouped(items, capacity, grid);
-  EXPECT_EQ(auto_sharded.selected, grouped.selected);
-}
-
-TEST(ParallelKnapsack, ExplicitShardCountsAgree) {
-  util::Rng rng{21};
-  const std::vector<KnapsackItem> items = random_items(rng, 1500);
-  util::ThreadPool pool{4};
-  const KnapsackSolution serial = solve_knapsack(items, 25.0, 300);
-  for (const std::size_t shards : {2u, 3u, 7u}) {
-    const KnapsackSolution parallel =
-        solve_knapsack_parallel(items, 25.0, 300, pool, shards);
-    EXPECT_LE(parallel.total_weight, 25.0 + 1e-9) << shards << " shards";
-    EXPECT_NEAR(parallel.total_value, serial.total_value,
-                1e-9 * std::max(1.0, serial.total_value))
-        << shards << " shards";
-  }
-}
-
-TEST(ParallelKnapsack, SmallInputsTakeTheGroupedCoreExactly) {
-  // Below one shard's worth of items the parallel entry point is the
-  // serial grouped core — bitwise the same solution regardless of pool.
-  util::Rng rng{3};
-  const std::vector<KnapsackItem> items = random_items(rng, 200);
-  util::ThreadPool pool{8};
-  const KnapsackSolution serial = solve_knapsack(items, 15.0, 250);
-  const KnapsackSolution grouped = solve_knapsack_grouped(items, 15.0, 250);
-  const KnapsackSolution parallel =
-      solve_knapsack_parallel(items, 15.0, 250, pool);
-  EXPECT_EQ(parallel.selected, grouped.selected);
-  EXPECT_EQ(parallel.total_value, grouped.total_value);
-  EXPECT_EQ(parallel.total_weight, grouped.total_weight);
-  EXPECT_LE(parallel.total_weight, 15.0 + 1e-9);
-  EXPECT_NEAR(parallel.total_value, serial.total_value,
-              1e-9 * std::max(1.0, serial.total_value));
-}
-
-class GroupedKnapsack : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GroupedKnapsack, MatchesThePerItemOptimumOnDuplicatedClasses) {
-  // Grouping + binary splitting reaches exactly the same count
-  // combinations as the per-item DP, so on instances with heavy (units,
-  // value) duplication — the fleet shape it exists for — the optimum
-  // value must agree (up to FP association in the class value products)
-  // and the solution must stay feasible.
-  util::Rng rng{GetParam()};
-  const double values[] = {4.0, 7.5, 11.0, 19.0};  // few classes, like devices
-  std::vector<KnapsackItem> items(50 + rng.uniform_int(std::uint64_t{300}));
-  for (auto& item : items) {
-    item.value = values[rng.uniform_int(std::uint64_t{4})];
-    item.weight = 0.5 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{12}));
-  }
-  const double capacity = rng.uniform(10.0, 60.0);
-  const KnapsackSolution serial = solve_knapsack(items, capacity, 300);
-  const KnapsackSolution grouped = solve_knapsack_grouped(items, capacity, 300);
-  EXPECT_LE(grouped.total_weight, capacity + 1e-9);
-  EXPECT_NEAR(grouped.total_value, serial.total_value,
-              1e-9 * std::max(1.0, serial.total_value));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GroupedKnapsack,
-                         ::testing::Range<std::uint64_t>(1, 17));
-
-// ----------------------------------------------------- adaptive grid
-
-TEST(AdaptiveGrid, ScalesWithTheWindowBudget) {
-  OfflinePlannerConfig cfg;
-  cfg.knapsack_grid = 2000;
-  EXPECT_EQ(effective_grid(cfg), 2000u);  // off by default
-  cfg.adaptive_grid = true;
-  cfg.lb = 1000.0;
-  EXPECT_EQ(effective_grid(cfg), 1000u);  // one cell per budget unit
-  cfg.lb = 1e-3;
-  EXPECT_EQ(effective_grid(cfg), OfflinePlannerConfig::kMinAdaptiveGrid);
-  cfg.lb = 1e9;
-  EXPECT_EQ(effective_grid(cfg), 2000u);  // never finer than configured
-  // A configured grid below the adaptive floor wins outright (adaptivity
-  // only coarsens; this must not trip std::clamp's lo <= hi contract).
-  cfg.knapsack_grid = 32;
-  EXPECT_EQ(effective_grid(cfg), 32u);
-}
-
 // ------------------------------------------------------------- Lemma 1
 
 /// Brute-force "true lag": for every combination of everyone's decisions
@@ -377,7 +251,7 @@ OfflinePlannerConfig planner_config(double lb) {
 }
 
 TEST(OfflinePlanner, EmptyInput) {
-  const auto plan = plan_window(0, {}, planner_config(100.0));
+  const auto plan = OfflinePlanner{planner_config(100.0)}.plan(0, {});
   EXPECT_TRUE(plan.plans.empty());
 }
 
@@ -391,7 +265,7 @@ TEST(OfflinePlanner, RelaxedBudgetWaitsForApps) {
     users[i].arrival_app = device::AppKind::kMap;
     users[i].momentum_norm = 10.0;
   }
-  const auto plan = plan_window(0, users, planner_config(1000.0));
+  const auto plan = OfflinePlanner{planner_config(1000.0)}.plan(0, users);
   for (std::size_t i = 0; i < users.size(); ++i) {
     EXPECT_EQ(plan.plans[i].action, OfflineAction::kWaitForApp);
     EXPECT_EQ(plan.plans[i].start_slot, *users[i].next_arrival);
@@ -408,7 +282,7 @@ TEST(OfflinePlanner, TightBudgetSchedulesImmediately) {
     u.current_gap = 5.0;
   }
   // Budget too small for anyone's gap weight.
-  const auto plan = plan_window(0, users, planner_config(1e-6));
+  const auto plan = OfflinePlanner{planner_config(1e-6)}.plan(0, users);
   for (const auto& p : plan.plans) {
     EXPECT_EQ(p.action, OfflineAction::kScheduleNow);
   }
@@ -420,7 +294,7 @@ TEST(OfflinePlanner, NoArrivalSelectedMeansDefer) {
   users[1].dev = &device::profile(device::DeviceKind::kHikey970);
   // No arrivals at all: deferring saves (P_b - P_d) * d, still worth picking
   // under a relaxed budget.
-  const auto plan = plan_window(0, users, planner_config(1000.0));
+  const auto plan = OfflinePlanner{planner_config(1000.0)}.plan(0, users);
   for (const auto& p : plan.plans) {
     EXPECT_EQ(p.action, OfflineAction::kDefer);
   }
@@ -441,7 +315,7 @@ TEST(OfflinePlanner, StalenessBudgetIsRespected) {
     u.momentum_norm = rng.uniform(1.0, 15.0);
   }
   const double lb = 30.0;
-  const auto plan = plan_window(0, users, planner_config(lb));
+  const auto plan = OfflinePlanner{planner_config(lb)}.plan(0, users);
   EXPECT_LE(plan.knapsack.total_weight, lb + 1e-9);
   EXPECT_EQ(plan.lag_bounds.size(), users.size());
 }
@@ -456,7 +330,7 @@ TEST_P(LagBoundIndexProperty, IndexMatchesNaiveScanExactly) {
   util::Rng rng{GetParam()};
   std::vector<UserWindow> users(rng.uniform_int(std::uint64_t{60}) + 2);
   for (auto& u : users) {
-    u.begin = 1000.0;  // plan_window gives every user the same window start
+    u.begin = 1000.0;  // the planner gives every user the same window start
     // Few distinct durations (device/app profiles), arbitrary arrivals.
     u.duration = 50.0 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{5}));
     u.app_arrival =

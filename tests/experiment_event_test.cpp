@@ -63,10 +63,11 @@ ExperimentConfig idle_window_config() {
   cfg.V = 1e12;  // energy term dominates: decide() always idles
   cfg.record_interval = 50;
   cfg.record_per_user_gaps = true;
-  cfg.per_user.assign(cfg.num_users, scenario::PerUserConfig{});
-  cfg.per_user[3].join_slot = 100;
-  cfg.per_user[3].leave_slot = 900;
-  cfg.per_user[5].join_slot = 400;
+  std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
+  fleet[3].join_slot = 100;
+  fleet[3].leave_slot = 900;
+  fleet[5].join_slot = 400;
+  testing::set_fleet(cfg, fleet);
   return cfg;
 }
 
@@ -82,10 +83,11 @@ ExperimentConfig offline_defer_config() {
   cfg.offline_window_slots = 600;
   cfg.seed = 33;
   cfg.record_interval = 25;
-  cfg.per_user.assign(cfg.num_users, scenario::PerUserConfig{});
-  cfg.per_user[2].join_slot = 200;
-  cfg.per_user[2].leave_slot = 1000;
-  cfg.per_user[4].leave_slot = 900;
+  std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
+  fleet[2].join_slot = 200;
+  fleet[2].leave_slot = 1000;
+  fleet[4].leave_slot = 900;
+  testing::set_fleet(cfg, fleet);
   return cfg;
 }
 
@@ -122,13 +124,14 @@ ExperimentConfig churn_aligned_config(SchedulerKind kind) {
   cfg.horizon_slots = 3 * d + 10;
   cfg.seed = 55;
   cfg.record_interval = 20;
-  cfg.per_user.assign(cfg.num_users, scenario::PerUserConfig{});
-  cfg.per_user[1].join_slot = d;
-  cfg.per_user[2].leave_slot = d;
-  cfg.per_user[3].join_slot = d;
-  cfg.per_user[3].leave_slot = 2 * d;
-  cfg.per_user[4].join_slot = d;
-  cfg.per_user[4].leave_slot = d + 1;
+  std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
+  fleet[1].join_slot = d;
+  fleet[2].leave_slot = d;
+  fleet[3].join_slot = d;
+  fleet[3].leave_slot = 2 * d;
+  fleet[4].join_slot = d;
+  fleet[4].leave_slot = d + 1;
+  testing::set_fleet(cfg, fleet);
   return cfg;
 }
 
@@ -155,7 +158,7 @@ ExperimentConfig churn_scenario_config(SchedulerKind kind) {
   base.seed = 9;
   base.scheduler = kind;
   base.record_interval = 25;
-  return apply_scenario(spec, base);
+  return apply_scenario_arena(spec, base);
 }
 
 struct EdgeGolden {
@@ -231,8 +234,9 @@ ExperimentConfig drain_scan_config(SchedulerKind kind, sim::Slot leave) {
   cfg.arrival_probability = 0.002;
   cfg.seed = 11;
   cfg.record_interval = 100;
-  cfg.per_user.assign(cfg.num_users, scenario::PerUserConfig{});
-  cfg.per_user[2].leave_slot = leave;
+  std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
+  fleet[2].leave_slot = leave;
+  testing::set_fleet(cfg, fleet);
   return cfg;
 }
 

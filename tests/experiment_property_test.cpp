@@ -219,7 +219,7 @@ ExperimentConfig folded_case_config(const FoldedCase& param) {
     spec.churn.churn_fraction = 0.5;
     spec.churn.min_presence = 0.3;
     spec.churn.max_presence = 0.8;
-    cfg = apply_scenario(spec, cfg);
+    cfg = apply_scenario_arena(spec, cfg);
   } else if (std::string{param.regime} == "diurnal") {
     cfg.diurnal = true;
     cfg.diurnal_swing = 0.8;
@@ -377,7 +377,7 @@ TEST(FaultInvariants, ConservationUnderMidTrainingOutages) {
     ExperimentConfig cfg;
     cfg.scheduler = kind;
     cfg.seed = 7;
-    expect_fault_conservation(apply_scenario(spec, cfg), "mid-training");
+    expect_fault_conservation(apply_scenario_arena(spec, cfg), "mid-training");
   }
 }
 
@@ -396,15 +396,16 @@ TEST(FaultInvariants, SingleSlotRecoveryWindows) {
     // Lb=500 deferral budget would let Online push every decision past
     // the horizon, which tests nothing. A small budget makes it act.
     cfg.lb = 20.0;
-    cfg.per_user.resize(cfg.num_users);
+    std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
     for (std::size_t i = 0; i < cfg.num_users; ++i) {
       const auto s = static_cast<sim::Slot>(i);
-      auto& pu = cfg.per_user[i];
+      auto& pu = fleet[i];
       pu.leave_slot = 500 + s;
       pu.extra_windows = {{501 + s, 502 + s},   // single-slot recovery
                           {900 + s, 901 + s},   // and another
                           {1200, scenario::kNeverLeaves}};
     }
+    testing::set_fleet(cfg, fleet);
     expect_fault_conservation(cfg, "single-slot-recovery");
   }
 }
@@ -432,7 +433,7 @@ TEST(FaultInvariants, OutageCollidingWithPhaseEnds) {
     ExperimentConfig cfg;
     cfg.scheduler = kind;
     cfg.seed = 29;
-    expect_fault_conservation(apply_scenario(spec, cfg), "phase-collide");
+    expect_fault_conservation(apply_scenario_arena(spec, cfg), "phase-collide");
   }
 }
 
@@ -463,7 +464,7 @@ TEST(FaultInvariants, StreamLazyMatchesPregeneratedUnderFaults) {
     ExperimentConfig base;
     base.scheduler = kind;
     base.seed = 42;
-    ExperimentConfig lazy = apply_scenario(spec, base);
+    ExperimentConfig lazy = apply_scenario_arena(spec, base);
     lazy.pregenerate_streams = false;
     ExperimentConfig pregen = lazy;
     pregen.pregenerate_streams = true;
@@ -514,7 +515,7 @@ TEST(ChurnAwareInvariants, PlansNeverCoRunPastTheDeparture) {
       }
     }
   }
-  const OfflineWindowPlan aware = plan_window(0, users, cfg);
+  const OfflineWindowPlan aware = OfflinePlanner{cfg}.plan(0, users);
   std::size_t co_runs = 0;
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (aware.plans[i].action != OfflineAction::kWaitForApp) continue;
@@ -534,7 +535,7 @@ TEST(ChurnAwareInvariants, PlansNeverCoRunPastTheDeparture) {
   // And the property bites: the oblivious planner waits for at least one
   // co-run the departure makes unfinishable.
   cfg.churn_aware = false;
-  const OfflineWindowPlan oblivious = plan_window(0, users, cfg);
+  const OfflineWindowPlan oblivious = OfflinePlanner{cfg}.plan(0, users);
   std::size_t doomed = 0;
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (oblivious.plans[i].action != OfflineAction::kWaitForApp) continue;
@@ -567,7 +568,7 @@ TEST(ChurnAwareInvariants, ConservationHoldsWithBothFlagsOn) {
     cfg.seed = 13;
     cfg.offline_churn_aware = true;
     cfg.online_churn_aware = true;
-    expect_fault_conservation(apply_scenario(spec, cfg), "churn-aware");
+    expect_fault_conservation(apply_scenario_arena(spec, cfg), "churn-aware");
   }
 }
 
@@ -612,7 +613,7 @@ TEST(ChurnAwareInvariants, StreamLazyMatchesPregeneratedOnPriorityFleets) {
     base.seed = 42;
     base.offline_churn_aware = true;
     base.online_churn_aware = true;
-    ExperimentConfig lazy = apply_scenario(spec, base);
+    ExperimentConfig lazy = apply_scenario_arena(spec, base);
     lazy.pregenerate_streams = false;
     ExperimentConfig pregen = lazy;
     pregen.pregenerate_streams = true;

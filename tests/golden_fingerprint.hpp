@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,14 @@ struct ParityScenario {
   const char* name;
   core::ExperimentConfig config;
 };
+
+/// Install a per-user fleet, written as a plain vector, as the config's
+/// arena (the one fleet form the driver reads).
+inline void set_fleet(core::ExperimentConfig& cfg,
+                      const std::vector<scenario::PerUserConfig>& fleet) {
+  cfg.fleet = std::make_shared<const scenario::FleetArena>(
+      scenario::fleet_arena_from(fleet));
+}
 
 /// The scenario grid the golden constants were captured on. Exercises the
 /// plain path, the environment extensions (battery gate, thermal, drops,

@@ -70,7 +70,7 @@ ExperimentConfig churn_config(SchedulerKind kind) {
   base.scheduler = kind;
   base.record_interval = 25;
   base.offline_window_slots = 400;
-  return apply_scenario(spec, base);
+  return apply_scenario_arena(spec, base);
 }
 
 TEST(ObsEventTest, HooksDoNotPerturbResultsForAnyScheduler) {

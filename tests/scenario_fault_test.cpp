@@ -109,7 +109,7 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     sampled.end_slot = 1700;
     sampled.fraction = 0.25;
     spec.faults.outages = {band, sampled};
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "fault-degrade") {
     spec.network.lte_fraction = 0.4;
@@ -118,7 +118,7 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     // 60 s slots: the 2400-slot horizon spans 40 h of day time, so both
     // profiles' phases open and close inside the run.
     base.slot_seconds = 60.0;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "fault-commute") {
     spec.churn.churn_fraction = 0.2;
@@ -127,12 +127,12 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     spec.faults.commute.fraction = 0.6;
     spec.faults.commute.period_slots = 600;
     spec.faults.commute.on_slots = 350;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "fault-trace") {
     spec.num_users = 12;
     spec.faults.trace_dir = trace_dir();
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   throw std::logic_error{"unknown fault battery scenario"};
 }
@@ -204,7 +204,7 @@ ExperimentConfig fault_free_churn_config(SchedulerKind kind) {
   spec.churn.max_presence = 0.75;
   spec.stream_rng = true;
   EXPECT_TRUE(spec.faults.empty());
-  return apply_scenario(spec, base_config(kind));
+  return apply_scenario_arena(spec, base_config(kind));
 }
 
 TEST(FaultFree, SpecWithoutFaultsMatchesPreFaultGoldens) {

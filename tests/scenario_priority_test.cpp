@@ -76,19 +76,19 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
   if (name == "churn-aware") {
     base.offline_churn_aware = true;
     base.online_churn_aware = true;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "vip") {
     spec.priority.vip_fraction = 0.25;
     spec.priority.vip_weight = 4.0;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "vip-churn-aware") {
     spec.priority.vip_fraction = 0.25;
     spec.priority.vip_weight = 4.0;
     base.offline_churn_aware = true;
     base.online_churn_aware = true;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   throw std::logic_error{"unknown priority battery scenario"};
 }
@@ -154,7 +154,7 @@ constexpr PriorityGolden kPreChurnAwareGoldens[] = {
 TEST(Oblivious, DefaultFlagsMatchPreChurnAwareGoldens) {
   for (const PriorityGolden& golden : kPreChurnAwareGoldens) {
     const ExperimentConfig cfg =
-        apply_scenario(churn_fleet_spec(), base_config(golden.kind));
+        apply_scenario_arena(churn_fleet_spec(), base_config(golden.kind));
     EXPECT_FALSE(cfg.offline_churn_aware);
     EXPECT_FALSE(cfg.online_churn_aware);
     EXPECT_EQ(testing::fingerprint(run_experiment(cfg)), golden.fingerprint)
@@ -171,7 +171,7 @@ TEST(Oblivious, DisabledPriorityBlockIsTheExactIdentity) {
     spec.priority.vip_weight = 4.0;  // irrelevant with no VIPs
     EXPECT_FALSE(spec.priority.enabled());
     const ExperimentConfig cfg =
-        apply_scenario(spec, base_config(golden.kind));
+        apply_scenario_arena(spec, base_config(golden.kind));
     EXPECT_EQ(testing::fingerprint(run_experiment(cfg)), golden.fingerprint)
         << scheduler_name(golden.kind);
   }
@@ -190,7 +190,7 @@ TEST(PriorityInvariance, ImmediateAndSyncIgnoreVipWeights) {
   for (const SchedulerKind kind :
        {SchedulerKind::kImmediate, SchedulerKind::kSyncSgd}) {
     const std::uint64_t base = testing::fingerprint(
-        run_experiment(apply_scenario(churn_fleet_spec(), base_config(kind))));
+        run_experiment(apply_scenario_arena(churn_fleet_spec(), base_config(kind))));
     const std::uint64_t vip =
         testing::fingerprint(run_experiment(battery_config("vip", kind)));
     EXPECT_EQ(vip, base) << scheduler_name(kind);
@@ -205,7 +205,7 @@ TEST(PriorityInvariance, WeightedSchedulersReactToVipWeights) {
   for (const SchedulerKind kind :
        {SchedulerKind::kOffline, SchedulerKind::kOnline}) {
     const std::uint64_t base = testing::fingerprint(
-        run_experiment(apply_scenario(churn_fleet_spec(), base_config(kind))));
+        run_experiment(apply_scenario_arena(churn_fleet_spec(), base_config(kind))));
     const std::uint64_t vip =
         testing::fingerprint(run_experiment(battery_config("vip", kind)));
     EXPECT_NE(vip, base) << scheduler_name(kind);
@@ -218,7 +218,7 @@ TEST(ChurnAware, FlagsChangeOfflineAndOnlineSchedules) {
   for (const SchedulerKind kind :
        {SchedulerKind::kOffline, SchedulerKind::kOnline}) {
     const std::uint64_t oblivious = testing::fingerprint(
-        run_experiment(apply_scenario(churn_fleet_spec(), base_config(kind))));
+        run_experiment(apply_scenario_arena(churn_fleet_spec(), base_config(kind))));
     const std::uint64_t aware = testing::fingerprint(
         run_experiment(battery_config("churn-aware", kind)));
     EXPECT_NE(aware, oblivious) << scheduler_name(kind);

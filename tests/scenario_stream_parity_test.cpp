@@ -14,15 +14,13 @@
 //      LTE-heavy, and per-user-override scenarios under all four schedulers,
 //      a lazy-stream run is bit-identical to a pregenerated-stream run
 //      (pregenerate_streams materializes the very same streams into the
-//      script arena), and an arena-backed config is bit-identical to its
-//      AoS-materialized twin. The fingerprints are additionally pinned as
-//      golden constants so the stream mode's trajectories cannot drift
-//      silently between releases.
+//      script arena). The fingerprints are additionally pinned as golden
+//      constants so the stream mode's trajectories cannot drift silently
+//      between releases.
 //
 // Like the core_scheduler_parity goldens, the pinned constants are IEEE-754
 // bit patterns from the reference x86-64/libstdc++ toolchain; the A/B
-// equalities (lazy == pregenerated, arena == AoS) must hold on every
-// platform. Re-pin after an intentional stream-layout change with
+// equality (lazy == pregenerated) must hold on every platform. Re-pin after an intentional stream-layout change with
 //   FEDCO_REGEN_GOLDENS=1 ./scenario_stream_parity_test
 // and paste the printed table (see tests/README.md).
 #include <gtest/gtest.h>
@@ -203,6 +201,18 @@ TEST(FleetArenaParity, ArenaRoundTripsEveryFleet) {
   EXPECT_EQ(packed, scenario::generate_fleet_arena(full_feature_spec(300), 9));
 }
 
+TEST(FleetArenaParity, EqualityComparesPerUserContent) {
+  // Column layout is not identity: a materialized column holding only the
+  // inherit default reads back exactly like an absent one.
+  scenario::FleetArena explicit_default{3};
+  explicit_default.set_priority(1, 1.0);
+  EXPECT_EQ(explicit_default, scenario::FleetArena{3});
+  scenario::FleetArena vip{3};
+  vip.set_priority(1, 2.0);
+  EXPECT_NE(vip, scenario::FleetArena{3});
+  EXPECT_NE(scenario::FleetArena{2}, scenario::FleetArena{3});
+}
+
 // ---------------------------------------------------------------------------
 // 3. Driver level: the golden battery.
 // ---------------------------------------------------------------------------
@@ -236,7 +246,7 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     spec.churn.min_presence = 0.25;
     spec.churn.max_presence = 0.75;
     spec.stream_rng = true;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "stream-diurnal") {
     scenario::ScenarioSpec spec;
@@ -249,7 +259,7 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     spec.diurnal.swing = 0.9;
     spec.diurnal.timezone_spread_hours = 14.0;
     spec.stream_rng = true;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "stream-lte") {
     scenario::ScenarioSpec spec;
@@ -260,16 +270,16 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
     spec.arrival.mean_probability = 0.005;
     spec.network.lte_fraction = 0.7;
     spec.stream_rng = true;
-    return apply_scenario(spec, base);
+    return apply_scenario_arena(spec, base);
   }
   if (name == "stream-overrides") {
     base.num_users = 40;
     base.horizon_slots = 2400;
     base.arrival_probability = 0.003;
     base.arrival_streams = true;
-    base.per_user.resize(40);
+    std::vector<scenario::PerUserConfig> fleet(40);
     for (std::size_t i = 0; i < 40; ++i) {
-      auto& pu = base.per_user[i];
+      auto& pu = fleet[i];
       if (i % 3 == 0) pu.device = device::DeviceKind::kPixel2;
       if (i % 4 == 0) pu.arrival_probability = 0.01;
       if (i % 5 == 0) {
@@ -283,6 +293,7 @@ ExperimentConfig battery_config(const std::string& name, SchedulerKind kind) {
         pu.leave_slot = static_cast<sim::Slot>(40 * i + 900);
       }
     }
+    testing::set_fleet(base, fleet);
     return base;
   }
   throw std::logic_error{"unknown battery scenario"};
@@ -343,26 +354,6 @@ TEST(StreamParity, LazyStreamsMatchPregeneratedScriptsAndGoldens) {
     }
     EXPECT_EQ(lazy_fp, golden.fingerprint)
         << golden.scenario << " / " << scheduler_name(golden.kind);
-  }
-}
-
-TEST(StreamParity, ArenaConfigMatchesAoSConfig) {
-  // The SoA fleet storage must be observationally invisible: a config
-  // carrying the arena runs bit-identically to the same config carrying the
-  // materialized vector<PerUserConfig>, in both legacy and stream RNG modes.
-  for (const bool stream : {false, true}) {
-    auto spec = full_feature_spec(80);
-    spec.stream_rng = stream;
-    for (const SchedulerKind kind : kAllSchedulers) {
-      const ExperimentConfig aos = apply_scenario(spec, base_config(kind));
-      const ExperimentConfig arena =
-          apply_scenario_arena(spec, base_config(kind));
-      ASSERT_TRUE(arena.fleet != nullptr);
-      ASSERT_TRUE(arena.per_user.empty());
-      EXPECT_EQ(testing::fingerprint(run_experiment(arena)),
-                testing::fingerprint(run_experiment(aos)))
-          << scheduler_name(kind) << (stream ? " stream" : " legacy");
-    }
   }
 }
 

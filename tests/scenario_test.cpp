@@ -1,7 +1,7 @@
 // Scenario subsystem: generate_fleet determinism and semantics, the
 // trivial-spec golden-parity bridge (a default spec expanded through
-// apply_scenario runs bit-identically to the homogeneous config), churn
-// behaviour under all four schedulers, and per_user validation in the
+// apply_scenario_arena runs bit-identically to the homogeneous config),
+// churn behaviour under all four schedulers, and fleet validation in the
 // driver.
 #include <gtest/gtest.h>
 
@@ -233,8 +233,9 @@ TEST(ScenarioDriver, TrivialSpecMatchesHomogeneousGoldenPath) {
     trivial.num_users = cfg.num_users;
     trivial.horizon_slots = cfg.horizon_slots;
     trivial.arrival.mean_probability = cfg.arrival_probability;
-    const core::ExperimentConfig expanded = core::apply_scenario(trivial, cfg);
-    ASSERT_EQ(expanded.per_user.size(), cfg.num_users);
+    const core::ExperimentConfig expanded =
+        core::apply_scenario_arena(trivial, cfg);
+    ASSERT_EQ(expanded.fleet->size(), cfg.num_users);
 
     EXPECT_EQ(testing::fingerprint(core::run_experiment(expanded)),
               testing::fingerprint(core::run_experiment(cfg)))
@@ -251,17 +252,18 @@ TEST(ScenarioDriver, ApplyScenarioOwnsArrivalsAndNetwork) {
   ScenarioSpec wifi_only;
   wifi_only.num_users = 5;
   wifi_only.network.lte_fraction = 0.0;
-  const core::ExperimentConfig cfg = core::apply_scenario(wifi_only, base);
+  const core::ExperimentConfig cfg =
+      core::apply_scenario_arena(wifi_only, base);
   EXPECT_TRUE(cfg.arrival_trace_path.empty());
   EXPECT_FALSE(cfg.use_lte);
 
   ScenarioSpec all_lte = wifi_only;
   all_lte.network.lte_fraction = 1.0;
-  EXPECT_TRUE(core::apply_scenario(all_lte, base).use_lte);
+  EXPECT_TRUE(core::apply_scenario_arena(all_lte, base).use_lte);
 }
 
 TEST(ScenarioDriver, PerUserDevicePinEqualsFixedDevice) {
-  // Pinning every user's device through per_user consumes the same RNG
+  // Pinning every user's device through the fleet consumes the same RNG
   // stream as fixed_device (neither draws), so the runs are bit-identical.
   core::ExperimentConfig fixed;
   fixed.num_users = 6;
@@ -270,14 +272,13 @@ TEST(ScenarioDriver, PerUserDevicePinEqualsFixedDevice) {
   fixed.seed = 5;
   fixed.fixed_device = device::DeviceKind::kPixel2;
 
-  core::ExperimentConfig per_user = fixed;
-  per_user.fixed_device.reset();
-  per_user.per_user.assign(per_user.num_users, PerUserConfig{});
-  for (PerUserConfig& user : per_user.per_user) {
-    user.device = device::DeviceKind::kPixel2;
-  }
+  core::ExperimentConfig pinned = fixed;
+  pinned.fixed_device.reset();
+  std::vector<PerUserConfig> fleet(pinned.num_users);
+  for (PerUserConfig& user : fleet) user.device = device::DeviceKind::kPixel2;
+  testing::set_fleet(pinned, fleet);
 
-  EXPECT_EQ(testing::fingerprint(core::run_experiment(per_user)),
+  EXPECT_EQ(testing::fingerprint(core::run_experiment(pinned)),
             testing::fingerprint(core::run_experiment(fixed)));
 }
 
@@ -293,7 +294,7 @@ TEST(ScenarioDriver, ChurnRunsGreenUnderAllSchedulers) {
     core::ExperimentConfig cfg;
     cfg.seed = 9;
     cfg.scheduler = kind;
-    cfg = core::apply_scenario(spec, cfg);
+    cfg = core::apply_scenario_arena(spec, cfg);
     const core::ExperimentResult result = core::run_experiment(cfg);
     EXPECT_GT(result.total_updates, 0u) << core::scheduler_name(kind);
     EXPECT_GT(result.total_energy_j, 0.0) << core::scheduler_name(kind);
@@ -311,10 +312,9 @@ TEST(ScenarioDriver, AbsentUsersBurnNoEnergy) {
   always_on.scheduler = core::SchedulerKind::kImmediate;
 
   core::ExperimentConfig churned = always_on;
-  churned.per_user.assign(churned.num_users, PerUserConfig{});
-  for (std::size_t i = 0; i < churned.per_user.size(); i += 2) {
-    churned.per_user[i].leave_slot = 200;
-  }
+  std::vector<PerUserConfig> fleet(churned.num_users);
+  for (std::size_t i = 0; i < fleet.size(); i += 2) fleet[i].leave_slot = 200;
+  testing::set_fleet(churned, fleet);
 
   const double full = core::run_experiment(always_on).total_energy_j;
   const double partial = core::run_experiment(churned).total_energy_j;
@@ -329,13 +329,14 @@ TEST(ScenarioDriver, LateJoinersContributeUpdates) {
   cfg.arrival_probability = 0.002;
   cfg.seed = 12;
   cfg.scheduler = core::SchedulerKind::kImmediate;
-  cfg.per_user.assign(cfg.num_users, PerUserConfig{});
-  for (PerUserConfig& user : cfg.per_user) user.join_slot = 1000;
+  std::vector<PerUserConfig> fleet(cfg.num_users);
+  for (PerUserConfig& user : fleet) user.join_slot = 1000;
+  testing::set_fleet(cfg, fleet);
   const core::ExperimentResult result = core::run_experiment(cfg);
   EXPECT_GT(result.total_updates, 0u);
   // Nobody present before slot 1000: roughly half the always-on energy.
   core::ExperimentConfig always = cfg;
-  always.per_user.clear();
+  always.fleet.reset();
   EXPECT_LT(result.total_energy_j,
             0.75 * core::run_experiment(always).total_energy_j);
 }
@@ -352,25 +353,28 @@ TEST(ScenarioDriver, SyncBarrierReleasesDepartedUsers) {
   cfg.arrival_probability = 0.002;
   cfg.seed = 21;
   core::ExperimentConfig churned = cfg;
-  churned.per_user.assign(churned.num_users, PerUserConfig{});
-  churned.per_user[2].leave_slot = 400;
-  churned.per_user[3].leave_slot = 400;
+  std::vector<PerUserConfig> fleet(churned.num_users);
+  fleet[2].leave_slot = 400;
+  fleet[3].leave_slot = 400;
+  testing::set_fleet(churned, fleet);
   const core::ExperimentResult partial = core::run_experiment(churned);
   EXPECT_GT(partial.total_updates, 0u);  // the barrier never deadlocks
   EXPECT_LT(partial.total_energy_j,
             core::run_experiment(cfg).total_energy_j);
 }
 
-TEST(ScenarioDriver, RejectsMalformedPerUser) {
+TEST(ScenarioDriver, RejectsMalformedFleet) {
   core::ExperimentConfig cfg;
   cfg.num_users = 4;
   cfg.horizon_slots = 100;
-  cfg.per_user.assign(3, PerUserConfig{});  // wrong cardinality
+  std::vector<PerUserConfig> fleet(3);  // wrong cardinality
+  testing::set_fleet(cfg, fleet);
   EXPECT_THROW((void)core::run_experiment(cfg), std::invalid_argument);
 
-  cfg.per_user.assign(4, PerUserConfig{});
-  cfg.per_user[1].join_slot = 50;
-  cfg.per_user[1].leave_slot = 50;  // empty presence window
+  fleet.assign(4, PerUserConfig{});
+  fleet[1].join_slot = 50;
+  fleet[1].leave_slot = 50;  // empty presence window
+  testing::set_fleet(cfg, fleet);
   EXPECT_THROW((void)core::run_experiment(cfg), std::invalid_argument);
 }
 

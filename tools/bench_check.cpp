@@ -1,39 +1,28 @@
 // Throughput-regression gate over bench_scale's machine-readable output.
 //
 // Compares a freshly measured BENCH_scale(.json) document against a
-// committed baseline: for every (num_users, horizon_slots, scheduler) row
-// present in BOTH documents, the candidate's slots_per_sec must not fall
-// more than --max-regression-pct below the baseline's. Rows only one side
-// has (grid changes) are reported and skipped, as are rows whose optional
-// planner metadata ("planner" mode or "knapsack_grid" — the offline
-// scheme's adaptive-grid tagging) differs between the documents: a row
-// solved on a different DP grid or planner mode measures different work,
-// so a slowdown there is a grid change, not a regression. The same SKIP
-// logic applies to the fleet-level "rng" tag ("legacy" vs "stream", the
-// PR 6 counter-based arrival streams): different RNG layouts sample
-// different arrival sequences, so a timing delta there is a mode change,
-// not a regression. Online rows additionally carry a "g_mode" tag ("sweep"
-// vs "folded", the PR 7 closed-form G(t) accumulators): matching prefers
-// the exact (users, horizon, scheduler, g_mode, events) row, and pairs
-// whose tags differ SKIP — the engines diverge by floating-point
-// associativity, so cross-engine timings measure different decision
-// streams. Rows measured with the JSONL event emitter attached (PR 8,
-// "events": true) likewise only compare against other events-on rows:
-// the emitter's serialization + I/O is deliberate work, not a scheduler
-// regression. The departure-aware tag (PR 10, "churn_aware": true) works
-// the same way: a churn-aware row runs a different decision rule (and on
-// churny fleets a different decision stream), so it only compares against
-// other churn-aware rows. CI runs this against the committed smoke baseline on
-// every push (ROADMAP "BENCH trajectory"), so an accidental O(n)
+// committed baseline. One identity rule decides which rows compare: a
+// row's identity is its fleet's users and horizon, its scheduler, and
+// every other non-metric field the row or its fleet carries (the "rng"
+// layout, the online "g_mode" engine, "events", "churn_aware", and any tag
+// a later bench adds). Metrics are the measured numbers listed in
+// kMetrics. For every baseline row with an identical candidate row, the
+// candidate's slots_per_sec must not fall more than --max-regression-pct
+// below the baseline's. A baseline row without an identical partner
+// prints SKIP and a candidate row without one prints NEW: a changed tag
+// is a mode change (different work per slot), not a regression, and the
+// baseline must be recaptured to start tracking it. CI runs this against
+// the committed smoke baseline on every push, so an accidental O(n)
 // regression in the event-driven driver fails loudly instead of rotting
 // silently.
 //
 // The gate also watches memory: each fleet row carries the process peak
 // RSS high-water mark after that fleet, and a candidate fleet whose
 // process_peak_rss_mib grows more than --max-rss-growth-pct above the
-// baseline's fails. This is what catches a footprint regression in the
-// 1M-user SoA arenas (an accidental per-user vector re-introduction
-// would triple the row's RSS long before it breaks a timing gate).
+// identical baseline fleet's fails. This is what catches a footprint
+// regression in the 1M-user SoA arenas (an accidental per-user vector
+// re-introduction would triple the row's RSS long before it breaks a
+// timing gate).
 //
 // Baselines are machine-specific: recapture them (bench_scale --smoke
 // --jobs 1) when the reference hardware changes, and compare only serial
@@ -44,6 +33,8 @@
 //               [--max-rss-growth-pct N]
 //
 // Exit code: 0 = within tolerance, 1 = regression, 2 = usage/parse error.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -58,61 +49,74 @@ namespace {
 
 using fedco::util::JsonValue;
 
-struct Row {
-  std::uint64_t users = 0;
-  std::int64_t horizon = 0;
-  std::string scheduler;
-  double slots_per_sec = 0.0;
-  /// Optional planner metadata (offline rows since PR 5): rows with
-  /// different modes/grids are incomparable and SKIP instead of FAIL.
-  std::string planner;          ///< "" when absent
-  std::int64_t grid = -1;       ///< -1 when absent
-  /// Fleet-level RNG layout tag (since PR 6): "legacy" or "stream",
-  /// "" in pre-tag documents. Mismatched layouts SKIP.
-  std::string rng;
-  /// Online rows' G(t) engine tag (since PR 7): "sweep" or "folded",
-  /// "" on non-online rows and pre-tag documents. The engines differ by
-  /// floating-point associativity, so decision streams (and hence work)
-  /// can legally diverge — mismatched engines SKIP.
-  std::string g_mode;
-  /// True on rows measured with the JSONL event emitter attached (PR 8
-  /// observability). Events-on rows pay serialization + I/O per slot, so
-  /// they only compare against other events-on rows; absent = false keeps
-  /// pre-tag baselines comparable.
-  bool events = false;
-  /// True on rows measured with the PR 10 departure-aware scheduling mode
-  /// on (offline_churn_aware / online_churn_aware). A churn-aware row runs
-  /// a different decision rule, so it only compares against other
-  /// churn-aware rows; absent = false keeps pre-tag baselines comparable.
-  bool churn_aware = false;
-};
+/// Fields that are measurements; every other field is identity.
+constexpr const char* kMetrics[] = {
+    "wall_seconds", "process_peak_rss_mib", "schedulers",
+    "seconds",      "slots_per_sec",        "user_slots_per_sec",
+    "updates",      "energy_kj"};
 
-/// One fleet's memory footprint: the process peak RSS high-water mark
-/// recorded after that fleet ran (bench_scale runs the grid smallest
-/// first, so growth here is attributable to the fleet or its
-/// predecessors — either way a footprint regression).
-struct FleetStat {
-  std::uint64_t users = 0;
-  std::int64_t horizon = 0;
-  std::string rng;
-  double peak_rss_mib = 0.0;  ///< 0 when the platform lacks getrusage
+/// Fields already spelled out in a row's display name.
+constexpr const char* kNamed[] = {"num_users", "horizon_slots", "scheduler"};
+
+bool listed(const std::string& key, const auto& names) {
+  return std::find(std::begin(names), std::end(names), key) != std::end(names);
+}
+
+/// A row or fleet as the gate sees it: an identity string (every
+/// non-metric field, sorted by key) plus the one metric it gates.
+struct Entry {
+  std::string identity;
+  std::string name;
+  double metric = 0.0;
 };
 
 struct Doc {
-  std::vector<Row> rows;
-  std::vector<FleetStat> fleets;
+  std::vector<Entry> rows;    ///< metric = slots_per_sec
+  std::vector<Entry> fleets;  ///< metric = process_peak_rss_mib (0 = none)
 };
 
-std::string row_name(const Row& row) {
-  return std::to_string(row.users) + " users x " +
-         std::to_string(row.horizon) + " slots / " + row.scheduler +
-         (row.g_mode.empty() ? "" : " (" + row.g_mode + ")") +
-         (row.churn_aware ? " +churn" : "") + (row.events ? " +events" : "");
+std::string scalar_text(const JsonValue& value) {
+  if (value.is_string()) return value.as_string();
+  if (value.is_bool()) return value.as_bool() ? "true" : "false";
+  if (value.is_number()) {
+    const double number = value.as_number();
+    if (number == std::floor(number) && std::fabs(number) < 9.0e15) {
+      return std::to_string(static_cast<long long>(number));
+    }
+    std::string text;
+    fedco::util::append_shortest_double(text, number);
+    return text;
+  }
+  throw std::runtime_error{"bench_check: identity fields must be scalars"};
 }
 
-std::string fleet_name(const FleetStat& fleet) {
-  return std::to_string(fleet.users) + " users x " +
-         std::to_string(fleet.horizon) + " slots / peak RSS";
+/// "key=value" for each non-metric member of `object`, appended to `tags`.
+void collect_tags(const JsonValue& object,
+                  std::vector<std::pair<std::string, std::string>>& tags) {
+  for (const auto& [key, value] : object.as_object()) {
+    if (!listed(key, kMetrics)) tags.emplace_back(key, scalar_text(value));
+  }
+}
+
+/// Identity + display name of a tag set: "<users> users x <horizon> slots"
+/// (plus " / <scheduler>" for rows) and the remaining tags in brackets.
+Entry entry_of(std::vector<std::pair<std::string, std::string>> tags) {
+  std::sort(tags.begin(), tags.end());
+  Entry entry;
+  std::string users, horizon, scheduler, extra;
+  for (const auto& [key, value] : tags) {
+    entry.identity += key + "=" + value + ";";
+    if (key == "num_users") users = value;
+    if (key == "horizon_slots") horizon = value;
+    if (key == "scheduler") scheduler = value;
+    if (!listed(key, kNamed)) {
+      extra += (extra.empty() ? "" : " ") + key + "=" + value;
+    }
+  }
+  entry.name = users + " users x " + horizon + " slots" +
+               (scheduler.empty() ? "" : " / " + scheduler) +
+               (extra.empty() ? "" : " [" + extra + "]");
+  return entry;
 }
 
 JsonValue load(const std::string& path) {
@@ -123,7 +127,7 @@ JsonValue load(const std::string& path) {
   return fedco::util::parse_json(text.str());
 }
 
-Doc rows_of(const JsonValue& doc, const std::string& path) {
+Doc entries_of(const JsonValue& doc, const std::string& path) {
   const JsonValue* fleets = doc.find("fleets");
   if (fleets == nullptr || !fleets->is_array()) {
     throw std::runtime_error{"bench_check: " + path + " has no fleets array"};
@@ -137,83 +141,38 @@ Doc rows_of(const JsonValue& doc, const std::string& path) {
   }
   Doc out;
   for (const JsonValue& fleet : fleets->as_array()) {
-    const JsonValue* users = fleet.find("num_users");
-    const JsonValue* horizon = fleet.find("horizon_slots");
     const JsonValue* schedulers = fleet.find("schedulers");
-    if (users == nullptr || horizon == nullptr || schedulers == nullptr) {
+    if (fleet.find("num_users") == nullptr ||
+        fleet.find("horizon_slots") == nullptr || schedulers == nullptr) {
       throw std::runtime_error{"bench_check: malformed fleet row in " + path};
     }
-    FleetStat stat;
-    stat.users = static_cast<std::uint64_t>(users->as_number());
-    stat.horizon = static_cast<std::int64_t>(horizon->as_number());
-    if (const JsonValue* rng = fleet.find("rng")) {
-      stat.rng = rng->as_string();
-    }
+    std::vector<std::pair<std::string, std::string>> fleet_tags;
+    collect_tags(fleet, fleet_tags);
+    Entry stat = entry_of(fleet_tags);
+    stat.name += " / peak RSS";
     if (const JsonValue* rss = fleet.find("process_peak_rss_mib")) {
-      stat.peak_rss_mib = rss->as_number();
+      stat.metric = rss->as_number();
     }
-    out.fleets.push_back(stat);
+    out.fleets.push_back(std::move(stat));
     for (const JsonValue& sched : schedulers->as_array()) {
-      const JsonValue* name = sched.find("scheduler");
       const JsonValue* slots = sched.find("slots_per_sec");
-      if (name == nullptr || slots == nullptr) {
+      if (sched.find("scheduler") == nullptr || slots == nullptr) {
         throw std::runtime_error{"bench_check: malformed scheduler row in " +
                                  path};
       }
-      Row row;
-      row.users = stat.users;
-      row.horizon = stat.horizon;
-      row.rng = stat.rng;
-      row.scheduler = name->as_string();
-      row.slots_per_sec = slots->as_number();
-      if (const JsonValue* planner = sched.find("planner")) {
-        row.planner = planner->as_string();
-      }
-      if (const JsonValue* grid = sched.find("knapsack_grid")) {
-        row.grid = static_cast<std::int64_t>(grid->as_number());
-      }
-      if (const JsonValue* g_mode = sched.find("g_mode")) {
-        row.g_mode = g_mode->as_string();
-      }
-      if (const JsonValue* events = sched.find("events")) {
-        row.events = events->as_bool();
-      }
-      if (const JsonValue* churn = sched.find("churn_aware")) {
-        row.churn_aware = churn->as_bool();
-      }
+      std::vector<std::pair<std::string, std::string>> tags = fleet_tags;
+      collect_tags(sched, tags);
+      Entry row = entry_of(std::move(tags));
+      row.metric = slots->as_number();
       out.rows.push_back(std::move(row));
     }
   }
   return out;
 }
 
-const Row* match(const std::vector<Row>& rows, const Row& key) {
-  // Exact match first — since PR 7 a fleet can carry one online row per
-  // G(t) engine, so (users, horizon, scheduler, g_mode) identifies the
-  // row. The tag-blind fallback pairs pre-tag documents with tagged ones;
-  // the caller's g_mode check then reports those pairs as SKIP.
-  for (const Row& row : rows) {
-    if (row.users == key.users && row.horizon == key.horizon &&
-        row.scheduler == key.scheduler && row.g_mode == key.g_mode &&
-        row.events == key.events && row.churn_aware == key.churn_aware) {
-      return &row;
-    }
-  }
-  for (const Row& row : rows) {
-    if (row.users == key.users && row.horizon == key.horizon &&
-        row.scheduler == key.scheduler) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
-const FleetStat* match_fleet(const std::vector<FleetStat>& fleets,
-                             const FleetStat& key) {
-  for (const FleetStat& fleet : fleets) {
-    if (fleet.users == key.users && fleet.horizon == key.horizon) {
-      return &fleet;
-    }
+const Entry* match(const std::vector<Entry>& entries, const Entry& key) {
+  for (const Entry& entry : entries) {
+    if (entry.identity == key.identity) return &entry;
   }
   return nullptr;
 }
@@ -236,125 +195,52 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const Doc baseline_doc = rows_of(load(baseline_path), baseline_path);
-    const Doc candidate_doc = rows_of(load(candidate_path), candidate_path);
-    const std::vector<Row>& baseline = baseline_doc.rows;
-    const std::vector<Row>& candidate = candidate_doc.rows;
+    const Doc baseline = entries_of(load(baseline_path), baseline_path);
+    const Doc candidate = entries_of(load(candidate_path), candidate_path);
 
     std::size_t compared = 0;
     std::size_t regressions = 0;
-    for (const Row& base : baseline) {
-      const Row* cand = match(candidate, base);
+    for (const Entry& base : baseline.rows) {
+      const Entry* cand = match(candidate.rows, base);
       if (cand == nullptr) {
-        std::printf("SKIP  %s: not in candidate (grid change?)\n",
-                    row_name(base).c_str());
-        continue;
-      }
-      if (cand->rng != base.rng) {
-        // Legacy vs stream RNG layouts sample different arrival
-        // sequences: the row measures different simulated work, so a
-        // timing delta is a mode change, not a regression.
-        std::printf(
-            "SKIP  %s: rng layout changed (baseline %s -> candidate %s) — "
-            "mode change, not a regression\n",
-            row_name(base).c_str(),
-            base.rng.empty() ? "-" : base.rng.c_str(),
-            cand->rng.empty() ? "-" : cand->rng.c_str());
-        continue;
-      }
-      if (cand->planner != base.planner || cand->grid != base.grid) {
-        // A different planner mode or DP grid does different work per
-        // slot; a throughput delta there is a grid change, not a
-        // regression. Recapture the baseline to start tracking the row.
-        std::printf(
-            "SKIP  %s: planner/grid changed (baseline %s/%lld -> candidate "
-            "%s/%lld) — grid change, not a regression\n",
-            row_name(base).c_str(),
-            base.planner.empty() ? "-" : base.planner.c_str(),
-            static_cast<long long>(base.grid),
-            cand->planner.empty() ? "-" : cand->planner.c_str(),
-            static_cast<long long>(cand->grid));
-        continue;
-      }
-      if (cand->g_mode != base.g_mode) {
-        // Sweep vs folded G(t) engines differ by floating-point
-        // associativity, so their decision streams (and hence per-slot
-        // work) can legally diverge: a timing delta is a mode change,
-        // not a regression.
-        std::printf(
-            "SKIP  %s: G(t) engine changed (baseline %s -> candidate %s) — "
-            "mode change, not a regression\n",
-            row_name(base).c_str(),
-            base.g_mode.empty() ? "-" : base.g_mode.c_str(),
-            cand->g_mode.empty() ? "-" : cand->g_mode.c_str());
-        continue;
-      }
-      if (cand->events != base.events) {
-        // An events-on row pays per-slot serialization + I/O the
-        // events-off row does not; comparing across the tag measures the
-        // emitter, not the scheduler.
-        std::printf(
-            "SKIP  %s: event emitter changed (baseline %s -> candidate %s) "
-            "— mode change, not a regression\n",
-            row_name(base).c_str(), base.events ? "on" : "off",
-            cand->events ? "on" : "off");
-        continue;
-      }
-      if (cand->churn_aware != base.churn_aware) {
-        // The departure-aware mode runs a different decision rule (a
-        // feasibility pre-pass offline, an H(t)-discount online), so the
-        // row measures different work.
-        std::printf(
-            "SKIP  %s: churn-aware mode changed (baseline %s -> candidate "
-            "%s) — mode change, not a regression\n",
-            row_name(base).c_str(), base.churn_aware ? "on" : "off",
-            cand->churn_aware ? "on" : "off");
+        std::printf("SKIP  %s: no identical row in candidate (a changed tag "
+                    "is a mode change, not a regression)\n",
+                    base.name.c_str());
         continue;
       }
       ++compared;
       const double change_pct =
-          base.slots_per_sec > 0.0
-              ? (cand->slots_per_sec / base.slots_per_sec - 1.0) * 100.0
-              : 0.0;
+          base.metric > 0.0 ? (cand->metric / base.metric - 1.0) * 100.0 : 0.0;
       const bool regressed = change_pct < -max_regression_pct;
       std::printf("%s  %s: baseline %.0f -> candidate %.0f slots/s (%+.1f%%)\n",
-                  regressed ? "FAIL" : "OK  ", row_name(base).c_str(),
-                  base.slots_per_sec, cand->slots_per_sec, change_pct);
+                  regressed ? "FAIL" : "OK  ", base.name.c_str(), base.metric,
+                  cand->metric, change_pct);
       if (regressed) ++regressions;
     }
-    for (const Row& cand : candidate) {
-      if (match(baseline, cand) == nullptr) {
+    for (const Entry& cand : candidate.rows) {
+      if (match(baseline.rows, cand) == nullptr) {
         std::printf("NEW   %s: no baseline row (recapture the baseline to "
                     "start tracking it)\n",
-                    row_name(cand).c_str());
+                    cand.name.c_str());
       }
     }
-    // Memory gate: per-fleet peak-RSS growth. Rows without a measurement
-    // (platforms lacking getrusage report 0) and rng-layout changes SKIP
-    // like the timing rows do.
-    for (const FleetStat& base : baseline_doc.fleets) {
-      if (base.peak_rss_mib <= 0.0) continue;
-      const FleetStat* cand = match_fleet(candidate_doc.fleets, base);
-      if (cand == nullptr || cand->peak_rss_mib <= 0.0) {
-        std::printf("SKIP  %s: no candidate measurement\n",
-                    fleet_name(base).c_str());
-        continue;
-      }
-      if (cand->rng != base.rng) {
-        std::printf("SKIP  %s: rng layout changed (baseline %s -> candidate "
-                    "%s) — mode change, not a regression\n",
-                    fleet_name(base).c_str(),
-                    base.rng.empty() ? "-" : base.rng.c_str(),
-                    cand->rng.empty() ? "-" : cand->rng.c_str());
+    // Memory gate: per-fleet peak-RSS growth under the same identity rule.
+    // Fleets without a measurement (platforms lacking getrusage report 0)
+    // SKIP like rows without a partner.
+    for (const Entry& base : baseline.fleets) {
+      if (base.metric <= 0.0) continue;
+      const Entry* cand = match(candidate.fleets, base);
+      if (cand == nullptr || cand->metric <= 0.0) {
+        std::printf("SKIP  %s: no identical candidate measurement\n",
+                    base.name.c_str());
         continue;
       }
       ++compared;
-      const double growth_pct =
-          (cand->peak_rss_mib / base.peak_rss_mib - 1.0) * 100.0;
+      const double growth_pct = (cand->metric / base.metric - 1.0) * 100.0;
       const bool regressed = growth_pct > max_rss_growth_pct;
       std::printf("%s  %s: baseline %.1f -> candidate %.1f MiB (%+.1f%%)\n",
-                  regressed ? "FAIL" : "OK  ", fleet_name(base).c_str(),
-                  base.peak_rss_mib, cand->peak_rss_mib, growth_pct);
+                  regressed ? "FAIL" : "OK  ", base.name.c_str(), base.metric,
+                  cand->metric, growth_pct);
       if (regressed) ++regressions;
     }
     if (compared == 0) {
