@@ -23,7 +23,15 @@ DiurnalArrivals::DiurnalArrivals(double mean_probability, double swing,
     : mean_probability_(mean_probability),
       swing_(std::clamp(swing, 0.0, 1.0)),
       slot_seconds_(slot_seconds > 0.0 ? slot_seconds : 1.0),
-      peak_hour_(peak_hour) {}
+      peak_hour_(peak_hour),
+      // The envelope is exact under IEEE monotone rounding, so fires() may
+      // reject against it without changing a single outcome:
+      //   - swing_ is clamped to [0,1] and cos <= 1, so swing_*cos <= swing_,
+      //     then 1 + swing_*cos <= 1 + swing_, then p*f <= p*(1 + swing_)
+      //     for p >= 0 (each step is a monotone rounded operation);
+      //   - for p < 0 both sides clamp to 0;
+      //   - a NaN anywhere compares false on both sides.
+      peak_(std::clamp(mean_probability * (1.0 + swing_), 0.0, 1.0)) {}
 
 double DiurnalArrivals::probability_at(sim::Slot t) const noexcept {
   constexpr double kSecondsPerDay = 86400.0;
@@ -35,7 +43,7 @@ double DiurnalArrivals::probability_at(sim::Slot t) const noexcept {
 }
 
 std::optional<AppArrival> DiurnalArrivals::poll(sim::Slot t, util::Rng& rng) {
-  if (!rng.bernoulli(probability_at(t))) return std::nullopt;
+  if (!fires(t, rng.uniform())) return std::nullopt;
   return AppArrival{random_app(rng)};
 }
 

@@ -68,11 +68,24 @@ class DiurnalArrivals final : public ArrivalProcess {
   /// Instantaneous probability at slot `t` (exposed for tests).
   [[nodiscard]] double probability_at(sim::Slot t) const noexcept;
 
+  /// The peak of probability_at over all slots, clamped to [0,1]: no slot's
+  /// probability exceeds it (the envelope the legacy walk rejects against
+  /// and the stream path thins from).
+  [[nodiscard]] double peak_probability() const noexcept { return peak_; }
+
+  /// Whether a uniform `draw` in [0,1) is an arrival at slot `t` — exactly
+  /// `draw < probability_at(t)`, but the curve is evaluated only for draws
+  /// under peak_probability(). One draw per slot, like rng.bernoulli.
+  [[nodiscard]] bool fires(sim::Slot t, double draw) const noexcept {
+    return draw < peak_ && draw < probability_at(t);
+  }
+
  private:
   double mean_probability_;
   double swing_;
   double slot_seconds_;
   double peak_hour_;
+  double peak_;
 };
 
 /// Deterministic scripted arrivals for tests and the offline-oracle bench:

@@ -5,18 +5,18 @@
 
 namespace fedco::apps {
 
+// Both delegate to DiurnalArrivals so the instantaneous rate and its
+// envelope are the paper formula itself, not re-derivations that could drift.
 double ArrivalStreamParams::probability_at(sim::Slot t) const noexcept {
   if (!diurnal) return probability;
-  // Delegate to DiurnalArrivals so the instantaneous rate is the paper
-  // formula itself, not a re-derivation that could drift.
   return DiurnalArrivals{probability, swing, slot_seconds, peak_hour}
       .probability_at(t);
 }
 
 double ArrivalStreamParams::max_probability() const noexcept {
-  const double swing_clamped = std::clamp(swing, 0.0, 1.0);
-  const double peak = diurnal ? probability * (1.0 + swing_clamped) : probability;
-  return std::clamp(peak, 0.0, 1.0);
+  if (!diurnal) return std::clamp(probability, 0.0, 1.0);
+  return DiurnalArrivals{probability, swing, slot_seconds, peak_hour}
+      .peak_probability();
 }
 
 void stream_arrivals_next(const ArrivalStreamParams& params,

@@ -87,7 +87,8 @@ Scheduling:
 Workload:
   --users N            number of devices                     (default 25)
   --horizon N          simulation slots (1 s each)           (default 10800)
-  --arrival-p X        app arrival probability per slot      (default 0.001)
+  --arrival-p X        app arrival probability per slot, in [0, 1]
+                                                             (default 0.001)
   --diurnal            modulate arrivals over a 24 h cycle
   --arrival-trace F    replay a "slot,app" CSV usage log instead
   --arrival-trace-dir D  replay a directory of per-user "slot,app" CSV
@@ -134,9 +135,10 @@ Unknown options are reported to stderr and exit non-zero.
 }
 
 /// A --config or --scenario file that cannot be opened, parsed or
-/// validated: an input error (exit 2, like a misspelled option), not a
-/// crash. The loaders already name the file in the message.
-struct InputFileError : std::runtime_error {
+/// validated, or a flag value outside its range: an input error (exit 2,
+/// like a misspelled option), not a crash. The loaders already name the
+/// file in the message.
+struct InputError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
@@ -145,7 +147,7 @@ auto load_input(Loader load, const std::string& path) {
   try {
     return load(path);
   } catch (const std::exception& error) {
-    throw InputFileError{error.what()};
+    throw InputError{error.what()};
   }
 }
 
@@ -173,6 +175,10 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   if (args.has("arrival-p")) {
     cfg.arrival_probability =
         args.get_double("arrival-p", cfg.arrival_probability);
+    // The range a config file's arrival_probability must meet.
+    if (!(cfg.arrival_probability >= 0.0 && cfg.arrival_probability <= 1.0)) {
+      throw InputError{"--arrival-p must be in [0, 1]"};
+    }
   }
   if (args.has("diurnal")) cfg.diurnal = args.get_bool("diurnal", cfg.diurnal);
   if (args.has("arrival-trace")) {
@@ -529,7 +535,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     return run(args);
-  } catch (const InputFileError& error) {
+  } catch (const InputError& error) {
     std::cerr << "fedco_sim: " << error.what() << '\n';
     return 2;
   } catch (const std::exception& error) {

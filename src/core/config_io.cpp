@@ -45,6 +45,19 @@ std::int64_t read_int(const util::JsonValue& value, const std::string& key) {
   return util::json_read_int(value, key, kLoader);
 }
 
+[[noreturn]] void reject_field(const std::string& field,
+                               const std::string& why) {
+  throw std::invalid_argument{"config_io: '" + field + "' " + why};
+}
+
+// The arrival-law ranges scenario::validate enforces on a spec. Outside
+// them the arrival processes would clamp or substitute the value silently.
+constexpr const char* kUnitInterval = "must be in [0, 1]";
+
+bool in_unit_interval(double value) noexcept {
+  return value >= 0.0 && value <= 1.0;
+}
+
 template <typename Apply>
 void for_each_member(const util::JsonValue& object, const std::string& where,
                      Apply&& apply) {
@@ -126,8 +139,7 @@ void read_battery(const util::JsonValue& object, device::BatteryConfig& out) {
 void read_per_user_entry(const util::JsonValue& object, const std::string& where,
                          scenario::PerUserConfig& out) {
   const auto reject = [&](const std::string& field, const std::string& why) {
-    throw std::invalid_argument{"config_io: '" + where + "." + field + "' " +
-                                why};
+    reject_field(where + "." + field, why);
   };
   for_each_member(
       object, where,
@@ -137,12 +149,19 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
               scenario::parse_device_kind_token(read_string(value, key));
         } else if (key == "arrival_probability") {
           out.arrival_probability = read_double(value, key);
+          if (!in_unit_interval(*out.arrival_probability)) {
+            reject(key, kUnitInterval);
+          }
         } else if (key == "diurnal") {
           out.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
           out.diurnal_swing = read_double(value, key);
+          if (!in_unit_interval(*out.diurnal_swing)) reject(key, kUnitInterval);
         } else if (key == "diurnal_peak_hour") {
           out.diurnal_peak_hour = read_double(value, key);
+          if (!(out.diurnal_peak_hour >= 0.0 && out.diurnal_peak_hour < 24.0)) {
+            reject(key, "must be in [0, 24)");
+          }
         } else if (key == "use_lte") {
           out.use_lte = read_bool(value, key);
         } else if (key == "join_slot") {
@@ -491,14 +510,24 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.horizon_slots = read_int(value, key);
         } else if (key == "slot_seconds") {
           config.slot_seconds = read_double(value, key);
+          if (!std::isfinite(config.slot_seconds) ||
+              config.slot_seconds <= 0.0) {
+            reject_field(key, "must be positive and finite");
+          }
         } else if (key == "seed") {
           config.seed = read_uint(value, key);
         } else if (key == "arrival_probability") {
           config.arrival_probability = read_double(value, key);
+          if (!in_unit_interval(config.arrival_probability)) {
+            reject_field(key, kUnitInterval);
+          }
         } else if (key == "diurnal") {
           config.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
           config.diurnal_swing = read_double(value, key);
+          if (!in_unit_interval(config.diurnal_swing)) {
+            reject_field(key, kUnitInterval);
+          }
         } else if (key == "arrival_trace_path") {
           config.arrival_trace_path = read_string(value, key);
         } else if (key == "arrival_trace_dir") {

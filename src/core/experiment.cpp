@@ -743,9 +743,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       } else {
         generate_script(u, pu);
       }
+      // One positioning walk per user: a feed (script index or stream
+      // cursor) is a complete position, so the other two are copies.
       feed_init(u.live_sess.feed, u);
-      feed_init(u.replay_sess.feed, u);
-      feed_init(u.oracle, u);
+      u.replay_sess.feed = u.live_sess.feed;
+      u.oracle = u.live_sess.feed;
       u.oracle_win = u.next_window;
       u.oracle_end = u.arrivals_end;
       u.live_next_arrival = u.live_sess.feed.at;
@@ -822,9 +824,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       const apps::DiurnalArrivals diurnal{
           p, pu.diurnal_swing.value_or(cfg_.diurnal_swing), cfg_.slot_seconds,
           pu.diurnal_peak_hour};
+      // One uniform draw per slot, exactly rng.bernoulli's; the diurnal
+      // curve is evaluated only for draws under its peak (fires()).
       for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
-        const double prob = diurnal_on ? diurnal.probability_at(t) : p;
-        if (u.rng.bernoulli(prob)) {
+        const double draw = u.rng.uniform();
+        if (diurnal_on ? diurnal.fires(t, draw) : draw < p) {
           const device::AppKind app = apps::random_app(u.rng);
           if (in_any_window(t)) script_arena_.push_back({t, app});
         }
@@ -1087,7 +1091,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (u.stream_params != nullptr) {
       u.arrivals_end = std::min(cfg_.horizon_slots, u.leave);
       feed_init(u.live_sess.feed, u);
-      feed_init(u.replay_sess.feed, u);
+      u.replay_sess.feed = u.live_sess.feed;
       // The oracle is NOT re-initialized here: its look-ahead may already
       // be past this window, and the script-mode oracle (whose arena spans
       // every window) never rewinds either.

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <memory>
+#include <vector>
 
 #include "apps/arrival.hpp"
+#include "apps/arrival_stream.hpp"
 #include "apps/session.hpp"
 #include "util/rng.hpp"
 
@@ -95,6 +99,99 @@ TEST(DiurnalArrivalsTest, SubSecondSlotsKeepThePeriodAt24Hours) {
   DiurnalArrivals one_s{0.001, 0.8, 1.0};
   DiurnalArrivals half_s{0.001, 0.8, 0.5};
   EXPECT_DOUBLE_EQ(half_s.probability_at(2 * 7200), one_s.probability_at(7200));
+}
+
+// The diurnal grid the envelope tests sweep: rates from never to always,
+// swings up to (and past, clamped) full, peaks at and near midnight, and
+// slot lengths from a second to an hour.
+struct DiurnalCase {
+  double p;
+  double swing;
+  double peak_hour;
+  double slot_seconds;
+};
+
+std::vector<DiurnalCase> diurnal_grid() {
+  std::vector<DiurnalCase> grid;
+  for (const double p : {0.0, 1e-6, 0.002, 0.5, 1.0}) {
+    for (const double swing : {0.0, 0.8, 1.0, 1.5}) {
+      for (const double peak : {0.0, 7.25, 23.9}) {
+        for (const double slot_seconds : {1.0, 60.0, 3600.0}) {
+          grid.push_back({p, swing, peak, slot_seconds});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+/// Slots covering `days` simulated days (plus a few into the next one).
+sim::Slot slots_for_days(double days, double slot_seconds) {
+  return static_cast<sim::Slot>(days * 86400.0 / slot_seconds) + 7;
+}
+
+struct Emitted {
+  sim::Slot at;
+  device::AppKind app;
+  bool operator==(const Emitted&) const = default;
+};
+
+// fires() and poll() reject draws above the peak before evaluating the
+// curve; both must emit exactly what a per-slot Bernoulli walk over
+// probability_at does, and leave the generator at the same position.
+TEST(DiurnalArrivalsTest, EnvelopeWalkMatchesTheNaiveWalkDrawForDraw) {
+  std::uint64_t seed = 1;
+  for (const DiurnalCase& c : diurnal_grid()) {
+    DiurnalArrivals arrivals{c.p, c.swing, c.slot_seconds, c.peak_hour};
+    const sim::Slot horizon = slots_for_days(1.5, c.slot_seconds);
+    util::Rng naive_rng{seed};
+    util::Rng envelope_rng{seed};
+    util::Rng poll_rng{seed};
+    ++seed;
+    std::vector<Emitted> naive;
+    std::vector<Emitted> envelope;
+    std::vector<Emitted> polled;
+    for (sim::Slot t = 0; t < horizon; ++t) {
+      if (naive_rng.bernoulli(arrivals.probability_at(t))) {
+        naive.push_back({t, random_app(naive_rng)});
+      }
+      if (arrivals.fires(t, envelope_rng.uniform())) {
+        envelope.push_back({t, random_app(envelope_rng)});
+      }
+      if (const auto hit = arrivals.poll(t, poll_rng)) {
+        polled.push_back({t, hit->app});
+      }
+    }
+    const std::string where = "p " + std::to_string(c.p) + " swing " +
+                              std::to_string(c.swing) + " peak " +
+                              std::to_string(c.peak_hour) + " slot_s " +
+                              std::to_string(c.slot_seconds);
+    EXPECT_TRUE(envelope == naive) << where;
+    EXPECT_TRUE(polled == naive) << where;
+    const std::uint64_t next = naive_rng();
+    EXPECT_EQ(envelope_rng(), next) << where;
+    EXPECT_EQ(poll_rng(), next) << where;
+  }
+}
+
+// The bound the rejection rests on: no slot's probability exceeds the
+// peak, and the stream path's thinning envelope is the same number.
+TEST(DiurnalArrivalsTest, PeakProbabilityBoundsEverySlot) {
+  for (const DiurnalCase& c : diurnal_grid()) {
+    const DiurnalArrivals arrivals{c.p, c.swing, c.slot_seconds, c.peak_hour};
+    const double peak = arrivals.peak_probability();
+    const sim::Slot horizon = slots_for_days(2.0, c.slot_seconds);
+    sim::Slot violations = 0;
+    for (sim::Slot t = 0; t < horizon; ++t) {
+      violations += arrivals.probability_at(t) <= peak ? 0 : 1;
+    }
+    EXPECT_EQ(violations, 0) << "p " << c.p << " swing " << c.swing;
+    const ArrivalStreamParams params{c.p, true, c.swing, c.peak_hour,
+                                     c.slot_seconds};
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(params.max_probability()),
+              std::bit_cast<std::uint64_t>(peak))
+        << "p " << c.p << " swing " << c.swing;
+  }
 }
 
 TEST(ScriptedArrivalsTest, FiresExactlyAtScriptedSlots) {

@@ -18,7 +18,9 @@
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir is
 #      rejected up front with exit 2 and a path-bearing message.
 #   8. A malformed --config (a bad per_user entry) or --scenario file
-#      exits 2, and stderr names both the file and the field.
+#      exits 2, and stderr names both the file and the field (also for an
+#      out-of-range per_user arrival law); --arrival-p outside [0, 1]
+#      exits 2 naming the flag.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -271,8 +273,11 @@ file(WRITE ${work_dir}/bad_per_user.json
   "{\"num_users\":2,\"per_user\":[{},{\"priority\":-1.0}]}\n")
 file(WRITE ${work_dir}/bad_scenario.json
   "{\"num_users\":4,\"priority\":{\"vip_fraction\":1.5}}\n")
+file(WRITE ${work_dir}/bad_arrival_law.json
+  "{\"num_users\":3,\"per_user\":[{},{},{\"arrival_probability\":4}]}\n")
 foreach(bad "--config;bad_per_user.json;per_user\\[1\\]\\.priority"
-            "--scenario;bad_scenario.json;priority\\.vip_fraction")
+            "--scenario;bad_scenario.json;priority\\.vip_fraction"
+            "--config;bad_arrival_law.json;per_user\\[2\\]\\.arrival_probability")
   list(GET bad 0 flag)
   list(GET bad 1 file)
   list(GET bad 2 field)
@@ -288,5 +293,14 @@ foreach(bad "--config;bad_per_user.json;per_user\\[1\\]\\.priority"
       "malformed ${flag} error did not name file and field:\n${bad_err}")
   endif()
 endforeach()
+
+execute_process(
+  COMMAND ${FEDCO_SIM} --arrival-p 7 --horizon 60 --users 2
+  RESULT_VARIABLE bad_p_rc ERROR_VARIABLE bad_p_err OUTPUT_QUIET
+)
+if(NOT bad_p_rc EQUAL 2 OR NOT bad_p_err MATCHES "--arrival-p")
+  message(FATAL_ERROR
+    "--arrival-p 7 exited ${bad_p_rc} (want 2, naming the flag):\n${bad_p_err}")
+endif()
 
 message(STATUS "cli_smoke_test OK")

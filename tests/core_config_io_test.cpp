@@ -1,7 +1,7 @@
 // ExperimentConfig <-> JSON round-trip: equality after reload (arena
 // fleets included), identical seeded results, token vocabularies, strict
-// unknown-key handling, load-time per_user validation, and loading from a
-// full result document.
+// unknown-key handling, load-time per_user and arrival-law validation, and
+// loading from a full result document.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -188,18 +188,19 @@ TEST(ConfigIo, PerUserEntriesAreStrict) {
   EXPECT_EQ(cfg.fleet->user(1).leave_slot, 50);
 }
 
+void rejects(const char* json, const char* needle) {
+  try {
+    (void)config_from_json(json);
+    FAIL() << "accepted: " << json;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
 // Every per_user value the driver would reject mid-run, or silently
 // misread, fails at load time with the entry and field named.
 TEST(ConfigIo, MalformedPerUserEntriesAreNamedAtLoad) {
-  const auto rejects = [](const char* json, const char* needle) {
-    try {
-      (void)config_from_json(json);
-      FAIL() << "accepted: " << json;
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string{error.what()}.find(needle), std::string::npos)
-          << error.what();
-    }
-  };
   rejects(R"({"num_users":2,"per_user":[{},{"priority":-1.0}]})",
           "'per_user[1].priority' must be positive and finite");
   rejects(R"({"num_users":1,"per_user":[{"priority":0}]})",
@@ -220,12 +221,42 @@ TEST(ConfigIo, MalformedPerUserEntriesAreNamedAtLoad) {
              "extra_windows":[{"join":300,"leave":400},
                               {"join":200,"leave":250}]}]})",
           "'per_user[0].extra_windows[1]' must start after the previous");
+  // Arrival laws: the ranges scenario::validate enforces on a spec.
+  rejects(R"({"num_users":3,"per_user":[{},{},{"arrival_probability":-0.5}]})",
+          "'per_user[2].arrival_probability' must be in [0, 1]");
+  rejects(R"({"num_users":1,"per_user":[{"arrival_probability":4}]})",
+          "'per_user[0].arrival_probability' must be in [0, 1]");
+  rejects(R"({"num_users":1,"per_user":[{"diurnal_swing":-3}]})",
+          "'per_user[0].diurnal_swing' must be in [0, 1]");
+  rejects(R"({"num_users":1,"per_user":[{"diurnal_peak_hour":99}]})",
+          "'per_user[0].diurnal_peak_hour' must be in [0, 24)");
+  rejects(R"({"num_users":1,"per_user":[{"diurnal_peak_hour":24}]})",
+          "'per_user[0].diurnal_peak_hour' must be in [0, 24)");
   rejects(R"({"num_users":3,"per_user":[{},{}]})",
           "'per_user' holds 2 entries but num_users is 3");
   // The length check sees the whole document, whatever its key order.
   EXPECT_EQ(
       config_from_json(R"({"per_user":[{},{}],"num_users":2})").num_users,
       2u);
+}
+
+// The fleet-wide arrival law meets the same ranges as per_user entries;
+// the boundaries themselves load.
+TEST(ConfigIo, OutOfRangeArrivalLawsAreNamedAtLoad) {
+  rejects(R"({"arrival_probability":-0.5})",
+          "'arrival_probability' must be in [0, 1]");
+  rejects(R"({"arrival_probability":4})",
+          "'arrival_probability' must be in [0, 1]");
+  rejects(R"({"diurnal_swing":7})", "'diurnal_swing' must be in [0, 1]");
+  rejects(R"({"slot_seconds":0})", "'slot_seconds' must be positive and finite");
+  rejects(R"({"slot_seconds":-2})",
+          "'slot_seconds' must be positive and finite");
+  const ExperimentConfig edges = config_from_json(
+      R"({"arrival_probability":1,"diurnal_swing":0,"slot_seconds":0.5,
+          "num_users":1,"per_user":[{"arrival_probability":0,
+          "diurnal_swing":1,"diurnal_peak_hour":23.99}]})");
+  EXPECT_EQ(edges.arrival_probability, 1.0);
+  EXPECT_EQ(edges.fleet->user(0).diurnal_peak_hour, 23.99);
 }
 
 TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {
