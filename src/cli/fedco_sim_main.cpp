@@ -9,6 +9,7 @@
 //   fedco_sim --scheduler online --real-training --model lenet-small
 //             --csv-dir /tmp/out   (one line)
 //   fedco_sim --help
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -142,6 +143,11 @@ struct InputError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Reject a flag value outside the range config_io enforces on its field.
+void require_flag(bool in_range, const char* flag, const char* range) {
+  if (!in_range) throw InputError{std::string{flag} + " " + range};
+}
+
 template <typename Loader>
 auto load_input(Loader load, const std::string& path) {
   try {
@@ -171,14 +177,14 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("horizon")) {
     cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
+    require_flag(cfg.horizon_slots > 0, "--horizon", "must be positive");
   }
   if (args.has("arrival-p")) {
     cfg.arrival_probability =
         args.get_double("arrival-p", cfg.arrival_probability);
-    // The range a config file's arrival_probability must meet.
-    if (!(cfg.arrival_probability >= 0.0 && cfg.arrival_probability <= 1.0)) {
-      throw InputError{"--arrival-p must be in [0, 1]"};
-    }
+    require_flag(cfg.arrival_probability >= 0.0 &&
+                     cfg.arrival_probability <= 1.0,
+                 "--arrival-p", "must be in [0, 1]");
   }
   if (args.has("diurnal")) cfg.diurnal = args.get_bool("diurnal", cfg.diurnal);
   if (args.has("arrival-trace")) {
@@ -196,7 +202,11 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("V")) cfg.V = args.get_double("V", cfg.V);
   if (args.has("Lb")) cfg.lb = args.get_double("Lb", cfg.lb);
-  if (args.has("epsilon")) cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
+  if (args.has("epsilon")) {
+    cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
+    require_flag(std::isfinite(cfg.epsilon) && cfg.epsilon >= 0.0, "--epsilon",
+                 "must be non-negative and finite");
+  }
   if (args.has("decision-interval")) {
     cfg.decision_interval_slots =
         args.get_int("decision-interval", cfg.decision_interval_slots);
@@ -204,9 +214,13 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   if (args.has("offline-window")) {
     cfg.offline_window_slots =
         args.get_int("offline-window", cfg.offline_window_slots);
+    require_flag(cfg.offline_window_slots > 0, "--offline-window",
+                 "must be positive");
   }
   if (args.has("offline-Lb")) {
     cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
+    require_flag(std::isfinite(cfg.offline_lb) && cfg.offline_lb > 0.0,
+                 "--offline-Lb", "must be positive and finite");
   }
   if (args.has("scalar-decide")) {
     cfg.online_batch_decide = !args.get_bool("scalar-decide", false);

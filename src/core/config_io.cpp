@@ -53,6 +53,8 @@ std::int64_t read_int(const util::JsonValue& value, const std::string& key) {
 // The arrival-law ranges scenario::validate enforces on a spec. Outside
 // them the arrival processes would clamp or substitute the value silently.
 constexpr const char* kUnitInterval = "must be in [0, 1]";
+// Slot counts the driver divides by or iterates to.
+constexpr const char* kPositive = "must be positive";
 
 bool in_unit_interval(double value) noexcept {
   return value >= 0.0 && value <= 1.0;
@@ -508,6 +510,7 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.num_users = static_cast<std::size_t>(read_uint(value, key));
         } else if (key == "horizon_slots") {
           config.horizon_slots = read_int(value, key);
+          if (config.horizon_slots <= 0) reject_field(key, kPositive);
         } else if (key == "slot_seconds") {
           config.slot_seconds = read_double(value, key);
           if (!std::isfinite(config.slot_seconds) ||
@@ -544,10 +547,17 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.lb = read_double(value, key);
         } else if (key == "epsilon") {
           config.epsilon = read_double(value, key);
+          if (!(std::isfinite(config.epsilon) && config.epsilon >= 0.0)) {
+            reject_field(key, "must be non-negative and finite");
+          }
         } else if (key == "offline_window_slots") {
           config.offline_window_slots = read_int(value, key);
+          if (config.offline_window_slots <= 0) reject_field(key, kPositive);
         } else if (key == "offline_lb") {
           config.offline_lb = read_double(value, key);
+          if (!(std::isfinite(config.offline_lb) && config.offline_lb > 0.0)) {
+            reject_field(key, "must be positive and finite");
+          }
         } else if (key == "offline_incremental_replan" ||
                    key == "offline_parallel_plan" ||
                    key == "offline_adaptive_grid") {
@@ -617,6 +627,7 @@ ExperimentConfig config_from_json(const std::string& text) {
           read_thermal(value, config.thermal);
         } else if (key == "record_interval") {
           config.record_interval = read_int(value, key);
+          if (config.record_interval <= 0) reject_field(key, kPositive);
         } else if (key == "record_per_user_gaps") {
           config.record_per_user_gaps = read_bool(value, key);
         } else if (key == "per_user") {

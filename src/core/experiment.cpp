@@ -60,9 +60,8 @@ enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 
 
 /// Per-user gap bookkeeping, packed into one flags byte: the Eq. 12 mode in
 /// the low bits plus the lazy-accrual purity bit (an impure base — a dropped
-/// upload left a non-zero gap accruing — replays slot by slot instead of
-/// reading the shared epsilon-chain table). Packing the purity bit here
-/// frees gap_chain_ from its historical -1 sentinel, so chains fit int32.
+/// upload left a non-zero gap accruing — is advanced by sequential additions
+/// instead of reading the shared epsilon-chain table).
 enum GapFlags : unsigned char {
   kGapModeMask = 0x03,
   kGapImpure = 0x04,
@@ -128,8 +127,9 @@ struct UserState {
   SessionMachine live_sess;
   SessionMachine replay_sess;
 
-  /// Lazy-accrual watermark: energy/gap/battery/thermal state reflects every
-  /// slot through `synced` (-1 = nothing applied yet). Between events the
+  /// Lazy-accrual watermark: energy/battery/thermal state reflects every
+  /// slot through `synced` (-1 = nothing applied yet; gaps are read from
+  /// their anchors instead, see gap_at). Between events the
   /// per-slot accrual sequence is replayed verbatim when the user is next
   /// touched, so batched catch-up is bit-identical to the eager slot loop.
   sim::Slot synced = -1;
@@ -358,16 +358,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   [[nodiscard]] double user_gap(std::size_t user) override {
     // Gap state as of the end of slot t-1, exactly what the eager loop's
-    // decide/replan phase observed. Both lazy paths materialize into the
-    // gap column on read — which is why this accessor is non-const.
-    if (folded_) {
-      if ((gap_flags_[user] & kGapModeMask) == kGapAccrue) {
-        gap_[user] = fold_.eval(user, cur_ - 1);
-      }
-      return gap_[user];  // frozen/absent values are pinned in the column
-    }
-    if (!sweep_gaps_) catch_up(user, cur_ - 1);
-    return gap_[user];
+    // decide/replan phase observed (non-const: an impure chain read may
+    // rebase, see gap_at).
+    return gap_at(user, cur_ - 1);
   }
 
   [[nodiscard]] const double* gap_values() const noexcept override {
@@ -617,7 +610,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // fold columns only in folded mode — the other mode's bookkeeping is
     // never allocated (the 1M-row footprint lever, docs/performance.md §8).
     gap_flags_.assign(cfg_.num_users, kGapAbsent);
-    if (chain_mode_) gap_chain_.assign(cfg_.num_users, 0);
+    if (chain_mode_) gap_anchor_.assign(cfg_.num_users, 0);
     if (folded_) fold_.init(cfg_.num_users, cfg_.epsilon);
     data::Partition partition;
     if (cfg_.real_training) {
@@ -955,10 +948,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
     // 4. Gap accumulation (Eq. 12 idle branch) and queue updates. Only
     //    strategies consuming exact per-slot totals pay the fleet sweep;
-    //    otherwise gaps accrue lazily and G(t) is materialized at record
-    //    slots. Folded mode answers G(t) from the closed-form accumulators
-    //    in O(1) on either path. (Energy accrues lazily in every mode —
-    //    see catch_up.)
+    //    otherwise gaps accrue lazily and G(t) is read from the anchors at
+    //    record slots. Folded mode answers G(t) from the closed-form
+    //    accumulators in O(1) on either path. (Energy accrues lazily in
+    //    every mode — see catch_up.)
     double sum_gaps = 0.0;
     const bool record = t % cfg_.record_interval == 0;
     if (folded_) {
@@ -966,7 +959,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     } else if (sweep_gaps_) {
       sum_gaps = sweep_gap_slot();
     } else if (record) {
-      sum_gaps = materialize_gap_sum(t);
+      sum_gaps = chain_gap_sum(t);
     }
     scheduler_->on_slot_end(slot_arrivals_, slot_served_ + slot_departed_,
                             sum_gaps);
@@ -985,13 +978,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       result_.traces.record("G", now_s, sum_gaps);
       if (cfg_.record_per_user_gaps) {
         for (std::size_t i = 0; i < users_.size(); ++i) {
-          // Folded accruing gaps are evaluated on demand; end-of-slot-t
-          // values, matching what the sweep (or materialize) left behind.
-          if (folded_ && (gap_flags_[i] & kGapModeMask) == kGapAccrue) {
-            gap_[i] = fold_.eval(i, t);
-          }
+          // End-of-slot-t values, matching what the sweep left behind.
           result_.traces.record("gap_user" + std::to_string(i), now_s,
-                                gap_[i]);
+                                gap_at(i, t));
         }
       }
     }
@@ -1251,6 +1240,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
             ? kGapTraining
             : (present(u, t) ? kGapAccrue : kGapAbsent);
     if (folded_) fold_retag(i, t, mode);
+    if (chain_mode_) chain_retag(i, t, mode);
     gap_flags_[i] =
         static_cast<unsigned char>((gap_flags_[i] & ~kGapModeMask) | mode);
   }
@@ -1282,14 +1272,38 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
   }
 
+  /// Chain mode: move user i between Eq. 12 classes at slot t — the
+  /// counterpart of fold_retag on the lazy path. While a user accrues, its
+  /// anchor column holds the slot its chain is measured from (see gap_at);
+  /// otherwise it holds a pure user's chain position, pinned with the value
+  /// in gap_[i]. Both conversions are anchor = (t - 1) - position, the last
+  /// slot before t being the last one the old class accrued (or the first
+  /// the new one builds on). As with fold_retag, a training freeze arrives
+  /// with its gap already written and its chain reset (reset_chain).
+  void chain_retag(std::size_t i, sim::Slot t, unsigned char mode) {
+    const unsigned char flags = gap_flags_[i];
+    const unsigned char old = static_cast<unsigned char>(flags & kGapModeMask);
+    if (old == mode) return;
+    const bool pure = (flags & kGapImpure) == 0;
+    std::int32_t& anchor = gap_anchor_[i];
+    if (old == kGapAccrue && mode == kGapAbsent) {
+      gap_[i] = gap_at(i, t - 1);  // an impure read rebases to t - 1
+      if (pure) anchor = static_cast<std::int32_t>(t - 1) - anchor;
+    } else if (mode == kGapAccrue) {
+      anchor = static_cast<std::int32_t>(t - 1) - (pure ? anchor : 0);
+    }
+  }
+
   /// Reset a user's lazy-chain bookkeeping after its gap column was
-  /// rewritten: pure (a zero reset rejoins the shared epsilon chain) or
-  /// impure (a non-zero base must replay slot by slot). No-op outside
-  /// chain mode — the sweep and folded paths keep no chains.
+  /// rewritten: pure (a zero reset rejoins the shared epsilon chain at
+  /// position 0) or impure (a non-zero base advanced by sequential
+  /// additions). Only called while the user is not accruing, or right
+  /// before its training freeze. No-op outside chain mode — the sweep and
+  /// folded paths keep no chains.
   void reset_chain(std::size_t i, bool pure) {
     if (!chain_mode_) return;
     if (pure) {
-      gap_chain_[i] = 0;
+      gap_anchor_[i] = 0;
       gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] & ~kGapImpure);
     } else {
       gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] | kGapImpure);
@@ -1352,39 +1366,17 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   /// Replay the per-slot accrual sequence for every slot in (u.synced, upto]
-  /// — the bit-exact equivalent of the eager loop's energy/gap/battery/
-  /// thermal bookkeeping for a span in which the user's phase and presence
+  /// — the bit-exact equivalent of the eager loop's energy/battery/thermal
+  /// bookkeeping for a span in which the user's phase and presence
   /// are constant (guaranteed: both only change through events, which catch
   /// up before mutating). The session timeline segments the span; each
   /// segment accrues a constant per-slot energy quantum.
   void catch_up(std::size_t index, sim::Slot upto) {
     UserState& u = users_[index];
     if (u.synced >= upto) return;
-    const unsigned char flags = gap_flags_[index];
-    const unsigned char mode =
-        static_cast<unsigned char>(flags & kGapModeMask);
-    if (mode == kGapAbsent) {
+    if ((gap_flags_[index] & kGapModeMask) == kGapAbsent) {
       u.synced = upto;  // absent users burn nothing and never tick
       return;
-    }
-    if (chain_mode_ && mode == kGapAccrue) {
-      const sim::Slot slots = upto - u.synced;
-      if ((flags & kGapImpure) == 0) {
-        // The gap is a pure epsilon chain from 0.0 (the common case: every
-        // update settles the gap to zero) — the continuation of that chain
-        // is user-independent, so it is read from the shared prefix table
-        // instead of being re-added slot by slot. Bit-identical below the
-        // table's tail threshold: the table is built by the same
-        // sequential additions.
-        gap_chain_[index] += static_cast<std::int32_t>(slots);
-        gap_[index] = eps_chain_.value(gap_chain_[index]);
-      } else {
-        // Impure base (a dropped upload left a non-zero gap accruing):
-        // replay the additions verbatim.
-        double gap = gap_[index];
-        for (sim::Slot s = 0; s < slots; ++s) gap += cfg_.epsilon;
-        gap_[index] = gap;
-      }
     }
     const bool training = u.phase == Phase::kTraining;
     const device::Decision decision =
@@ -1451,14 +1443,37 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return sum;
   }
 
-  /// Lazy-mode G(t) at a record slot: materialize every present user's gap
-  /// (and, incidentally, energy) through slot t, summing in index order.
-  double materialize_gap_sum(sim::Slot t) {
+  /// Gap of user i at the end of slot s, for every gap read (user_gap,
+  /// G(t) at record slots, per-user traces). Non-accruing users and the
+  /// sweep keep the value in the column; folded mode evaluates its closed
+  /// form. The lazy chain reads its anchor (chain_retag) and never replays
+  /// energy: a pure chain (the common case — every update settles the gap
+  /// to zero) is the user-independent epsilon chain read from the shared
+  /// prefix table, bit-identical below its tail threshold because the table
+  /// is built by the same sequential additions; an impure base (a dropped
+  /// upload left a non-zero gap accruing) is advanced by those additions
+  /// verbatim and rebased to s, since sequential additions compose.
+  double gap_at(std::size_t i, sim::Slot s) {
+    const unsigned char flags = gap_flags_[i];
+    if (sweep_gaps_ || (flags & kGapModeMask) != kGapAccrue) return gap_[i];
+    if (folded_) return fold_.eval(i, s);
+    std::int32_t& anchor = gap_anchor_[i];
+    if ((flags & kGapImpure) == 0) return eps_chain_.value(s - anchor);
+    assert(s >= anchor);  // reads never move backwards in time
+    double gap = gap_[i];
+    for (sim::Slot k = anchor; k < s; ++k) gap += cfg_.epsilon;
+    gap_[i] = gap;
+    anchor = static_cast<std::int32_t>(s);
+    return gap;
+  }
+
+  /// Lazy-mode G(t) at a record slot: every present user's gap at the end
+  /// of slot t, summed in index order.
+  double chain_gap_sum(sim::Slot t) {
     double sum = 0.0;
     for (std::size_t i = 0; i < users_.size(); ++i) {
       if ((gap_flags_[i] & kGapModeMask) == kGapAbsent) continue;
-      catch_up(i, t);
-      sum += gap_[i];
+      sum += gap_at(i, t);
     }
     return sum;
   }
@@ -1825,12 +1840,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Packed GapFlags byte per user: the Eq. 12 mode in the low bits, the
   /// lazy purity bit above them.
   std::vector<unsigned char> gap_flags_;
-  /// Chain mode only (left unallocated otherwise): gap_[i] ==
-  /// eps_chain_.value(gap_chain_[i]) while kGapImpure is clear (pure chain
-  /// from a zero reset); impure bases replay slot by slot and ignore this
-  /// column. int32: chain lengths are bounded by the horizon, which the
-  /// ctor guards below 2^31.
-  std::vector<std::int32_t> gap_chain_;
+  /// Chain mode only (left unallocated otherwise). An accruing user's gap
+  /// at the end of slot s is eps_chain_.value(s - anchor) while kGapImpure
+  /// is clear (pure chain from a zero reset), else gap_[i] plus
+  /// (s - anchor) sequential epsilon additions. A non-accruing pure user
+  /// keeps its chain position here instead (see chain_retag). int32: slots
+  /// and chain lengths are bounded by the horizon, which the ctor guards
+  /// below 2^31.
+  std::vector<std::int32_t> gap_anchor_;
   /// Shared prefix table of the pure epsilon chain (chain-mode reads;
   /// bounded — see EpsChainTable).
   EpsChainTable eps_chain_{cfg_.epsilon};

@@ -117,7 +117,7 @@ struct ExperimentConfig {
   /// user's Eq. (12) gap in closed form (base + epsilon * elapsed) and
   /// maintain G(t) from scalar accumulators updated only at mode
   /// transitions, instead of the per-slot O(n) fleet sweep the online
-  /// scheme otherwise pays (and the lazy epsilon-chain replay everywhere
+  /// scheme otherwise pays (and the lazy epsilon-chain reads everywhere
   /// else). Divergence from the default mode is floating-point
   /// associativity only — a multiply replaces repeated additions — bounded
   /// by the FoldedGapInvariants parity suite; decisions at exact Eq. (21)

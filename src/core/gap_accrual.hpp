@@ -1,6 +1,6 @@
 // Gap-accrual bookkeeping components for the experiment driver's Eq. (12)
-// dynamics: the shared epsilon-chain prefix table the lazy-accrual replay
-// reads, and the folded-accrual accumulator engine behind the opt-in
+// dynamics: the shared epsilon-chain prefix table the lazy-accrual gap
+// reads use, and the folded-accrual accumulator engine behind the opt-in
 // `folded_gap_accrual` mode (docs/performance.md §8, docs/algorithms.md).
 // Both are driver-internal machinery, split out so they are directly
 // unit-testable (tests/gap_accrual_test.cpp) without running a full

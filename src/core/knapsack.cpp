@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,77 +12,54 @@ namespace {
 
 void validate_items(const std::vector<KnapsackItem>& items) {
   for (const auto& item : items) {
-    if (item.weight < 0.0 || item.value < 0.0) {
-      throw std::invalid_argument{"solve_knapsack: negative value/weight"};
+    // Non-finite weights would reach the size_t cast in weight_units, and
+    // a NaN value would break the monotonicity the row skip relies on.
+    if (!std::isfinite(item.weight) || !std::isfinite(item.value) ||
+        item.weight < 0.0 || item.value < 0.0) {
+      throw std::invalid_argument{
+          "knapsack: value/weight must be finite and non-negative"};
     }
   }
 }
 
 /// Discretize: weight w -> ceil(w / capacity * grid) units, so any DP
-/// solution respects the true (continuous) capacity.
+/// solution respects the true (continuous) capacity. Every quotient past
+/// the grid maps to grid + 1 (such an item never fits; the cast of a huge
+/// or overflowed quotient would be undefined).
 std::vector<std::size_t> weight_units(const std::vector<KnapsackItem>& items,
                                       double capacity, std::size_t grid) {
   const double unit = capacity / static_cast<double>(grid);
   std::vector<std::size_t> units(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    units[i] =
-        static_cast<std::size_t>(std::ceil(items[i].weight / unit - 1e-12));
+    const double q = std::ceil(items[i].weight / unit - 1e-12);
+    units[i] = q <= static_cast<double>(grid) ? static_cast<std::size_t>(q)
+                                              : grid + 1;
   }
   return units;
 }
 
-/// One Eq. (8) DP row update for item (units_i, value_i), rolled in place
-/// over `best`; `row` receives the take/skip bits for backtracking.
-void dp_item_row(std::vector<double>& best, std::vector<bool>& row,
-                 std::size_t units_i, double value_i, std::size_t grid) {
-  if (units_i > grid || value_i <= 0.0) return;  // cannot/no-gain
+/// One Eq. (8) DP row for item (units_i, value_i), rolled in place over
+/// `best`; take bits land in `bits` (zeroed by the caller). Returns whether
+/// any bit was set, i.e. whether the row changed the table.
+bool dp_item_row(double* best, std::uint64_t* bits, std::size_t units_i,
+                 double value_i, std::size_t grid) {
+  bool changed = false;
   for (std::size_t y = grid + 1; y-- > units_i;) {
     const double take = best[y - units_i] + value_i;
     if (take > best[y]) {
       best[y] = take;
-      row[y] = true;
+      bits[y / 64] |= std::uint64_t{1} << (y % 64);
+      changed = true;
     }
   }
-}
-
-/// Standard backtrack over the per-item choice rows from the full budget
-/// `grid`, accumulating the selected set and totals in decreasing item
-/// order (rows[i] is item i's take/skip row).
-void backtrack_rows(const std::vector<KnapsackItem>& items,
-                    const std::vector<std::size_t>& units,
-                    const std::vector<std::vector<bool>>& rows,
-                    std::size_t grid, KnapsackSolution& solution) {
-  std::size_t y = grid;
-  for (std::size_t i = items.size(); i-- > 0;) {
-    if (rows[i][y]) {
-      solution.selected[i] = true;
-      solution.total_value += items[i].value;
-      solution.total_weight += items[i].weight;
-      y -= units[i];
-    }
-  }
+  return changed;
 }
 
 }  // namespace
 
 KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                 double capacity, std::size_t grid) {
-  KnapsackSolution solution;
-  solution.selected.assign(items.size(), false);
-  if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
-  validate_items(items);
-  const std::vector<std::size_t> units = weight_units(items, capacity, grid);
-
-  // S_i(y): best value using items < i with weight budget y (Eq. 8), rolled
-  // into one row; `choice` keeps the take/skip bit for backtracking.
-  std::vector<double> best(grid + 1, 0.0);
-  std::vector<std::vector<bool>> choice(items.size(),
-                                        std::vector<bool>(grid + 1, false));
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    dp_item_row(best, choice[i], units[i], items[i].value, grid);
-  }
-  backtrack_rows(items, units, choice, grid, solution);
-  return solution;
+  return KnapsackSolver{}.solve(items, capacity, grid);
 }
 
 KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
@@ -93,7 +71,8 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
     // Degenerate calls cache nothing reusable.
     items_.clear();
     checkpoints_.clear();
-    choice_.clear();
+    row_items_.clear();
+    row_bits_.clear();
     capacity_ = 0.0;
     grid_ = 0;
     return solution;
@@ -111,8 +90,8 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
     }
   }
   // Resume from the last checkpointed DP row inside the prefix: the first
-  // `start` items' rows (and their choice bits) are exactly what the full
-  // DP would recompute, so they are reused verbatim.
+  // `start` items' rows (and their stored take bits) are exactly what the
+  // full DP would recompute, so they are reused verbatim.
   const std::size_t checkpoint =
       std::min(prefix / kCheckpointStride, checkpoints_.size());
   const std::size_t start = checkpoint * kCheckpointStride;
@@ -123,16 +102,60 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
                                  ? std::vector<double>(grid + 1, 0.0)
                                  : checkpoints_[checkpoint - 1];
   checkpoints_.resize(checkpoint);
-  choice_.resize(items.size());
+  const std::size_t words = grid / 64 + 1;  // grid + 1 bits per row
+  const std::size_t kept = static_cast<std::size_t>(
+      std::lower_bound(row_items_.begin(), row_items_.end(), start) -
+      row_items_.begin());
+  row_items_.resize(kept);
+  row_bits_.resize(kept * words);
+
+  // Skip certificates. cert_value[u] is the largest value v* whose row for
+  // weight u set no bit against the current table, valid while
+  // cert_epoch[u] == epoch. Such a row means fl(best[y-u] + v*) <= best[y]
+  // for every y >= u, and IEEE-754 addition is monotone in each operand,
+  // so for any v <= v*
+  //   fl(best[y-u] + v) <= fl(best[y-u] + v*) <= best[y]:
+  // row (u, v) would set no bit either and is skipped unevaluated. Only a
+  // row that sets a bit changes the table, and it bumps the epoch, which
+  // voids every certificate at once. A resumed solve starts with none.
+  std::vector<double> cert_value(grid + 1, 0.0);
+  std::vector<std::uint64_t> cert_epoch(grid + 1, 0);
+  std::uint64_t epoch = 1;
   for (std::size_t i = start; i < items.size(); ++i) {
-    choice_[i].assign(grid + 1, false);
-    dp_item_row(best, choice_[i], units[i], items[i].value, grid);
+    const std::size_t u = units[i];
+    const double v = items[i].value;
+    const bool evaluate = u <= grid && v > 0.0 &&  // else cannot fit/no gain
+                          !(cert_epoch[u] == epoch && v <= cert_value[u]);
+    if (evaluate) {
+      const std::size_t base = row_bits_.size();
+      row_bits_.resize(base + words, 0);
+      if (dp_item_row(best.data(), row_bits_.data() + base, u, v, grid)) {
+        row_items_.push_back(i);
+        ++epoch;
+      } else {
+        row_bits_.resize(base);
+        cert_epoch[u] = epoch;
+        cert_value[u] = v;
+      }
+    }
     if ((i + 1) % kCheckpointStride == 0) checkpoints_.push_back(best);
   }
   items_ = items;
   capacity_ = capacity;
   grid_ = grid;
-  backtrack_rows(items, units, choice_, grid, solution);
+
+  // Standard backtrack from the full budget in decreasing item order. Rows
+  // that were never stored are all-zero, so only stored rows can select.
+  std::size_t y = grid;
+  for (std::size_t r = row_items_.size(); r-- > 0;) {
+    if ((row_bits_[r * words + y / 64] >> (y % 64)) & 1U) {
+      const std::size_t i = row_items_[r];
+      solution.selected[i] = true;
+      solution.total_value += items[i].value;
+      solution.total_weight += items[i].weight;
+      y -= units[i];
+    }
+  }
   return solution;
 }
 

@@ -10,8 +10,8 @@
 //
 // OfflinePlanner is the one planning path: each plan() solves Algorithm 1
 // with the planner's own KnapsackSolver, which reuses the previous window's
-// DP rows for the unchanged item prefix — bit-identical to a cold
-// solve_knapsack (docs/algorithms.md §1).
+// DP rows for the unchanged item prefix and skips rows that provably change
+// nothing — bit-identical to the plain DP (docs/algorithms.md §1).
 #pragma once
 
 #include <cstdint>

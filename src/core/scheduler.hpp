@@ -81,15 +81,15 @@ class SchedulerContext {
   [[nodiscard]] virtual std::optional<device::AppKind> user_app(
       std::size_t user) = 0;
   /// Accumulated gradient gap g_i (Eq. 12) of the user, as of the end of
-  /// the previous slot. Non-const: reading a lazily-accrued (or folded
-  /// closed-form) gap materializes it into the driver's gap column.
+  /// the previous slot. Non-const: reading a lazily-accrued gap with a
+  /// non-zero base rebases its chain in the driver's gap column.
   [[nodiscard]] virtual double user_gap(std::size_t user) = 0;
   /// Flat per-user gap array behind user_gap() — the SoA view batched
   /// decide passes read instead of one virtual call per user. Only exact
   /// for strategies consuming per-slot totals (needs_slot_totals() true):
   /// the driver keeps their rows fresh, via the per-slot sweep or — in
   /// folded-accrual mode — by refreshing the due users' rows from the
-  /// closed form before each decide_batch. Lazy-accrual gaps materialize
+  /// closed form before each decide_batch. Lazy-accrual gaps are computed
   /// on access, so lazy-mode strategies must keep using user_gap().
   [[nodiscard]] virtual const double* gap_values() const noexcept = 0;
   /// Server-side momentum norm ||v_t|| (real or synthetic model).

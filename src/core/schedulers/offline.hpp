@@ -2,9 +2,9 @@
 // the Sec. IV knapsack planner over the ready users with oracle knowledge of
 // their in-window app arrivals, and caches one plan per user (its
 // scheme-owned state): schedule now, wait for the app and co-run, or defer
-// to the next window. The planner is the stateful OfflinePlanner, so the
-// config's batched-engine knobs (incremental DP reuse, the worker-sharded
-// parallel plan, the budget-scaled adaptive grid) apply per window replan.
+// to the next window. The planner is one stateful OfflinePlanner per
+// scheme instance, so each window replan reuses the previous window's DP
+// rows for the unchanged item prefix (see OfflinePlanner).
 #pragma once
 
 #include <vector>

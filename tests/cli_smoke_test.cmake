@@ -21,6 +21,10 @@
 #      exits 2, and stderr names both the file and the field (also for an
 #      out-of-range per_user arrival law); --arrival-p outside [0, 1]
 #      exits 2 naming the flag.
+#   9. Out-of-range run knobs (epsilon, record_interval,
+#      offline_window_slots, horizon_slots, offline_lb) exit 2 before the
+#      run starts: in a --config file naming file and field, as a flag
+#      naming the flag.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -302,5 +306,36 @@ if(NOT bad_p_rc EQUAL 2 OR NOT bad_p_err MATCHES "--arrival-p")
   message(FATAL_ERROR
     "--arrival-p 7 exited ${bad_p_rc} (want 2, naming the flag):\n${bad_p_err}")
 endif()
+
+# --- 9. out-of-range run knobs ---------------------------------------------
+foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
+            "horizon_slots;0" "offline_lb;-5")
+  list(GET bad 0 field)
+  list(GET bad 1 value)
+  file(WRITE ${work_dir}/bad_${field}.json
+    "{\"scheduler\":\"offline\",\"num_users\":2,\"${field}\":${value}}\n")
+  execute_process(
+    COMMAND ${FEDCO_SIM} --config ${work_dir}/bad_${field}.json
+    RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
+  )
+  if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "bad_${field}\\.json"
+     OR NOT knob_err MATCHES "'${field}'")
+    message(FATAL_ERROR
+      "${field}: ${value} in --config exited ${knob_rc} (want 2, naming file and field):\n${knob_err}")
+  endif()
+endforeach()
+
+foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --scheduler offline --users 2 ${flag} ${value}
+    RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
+  )
+  if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "${flag}")
+    message(FATAL_ERROR
+      "${flag} ${value} exited ${knob_rc} (want 2, naming the flag):\n${knob_err}")
+  endif()
+endforeach()
 
 message(STATUS "cli_smoke_test OK")

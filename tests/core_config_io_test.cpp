@@ -259,6 +259,26 @@ TEST(ConfigIo, OutOfRangeArrivalLawsAreNamedAtLoad) {
   EXPECT_EQ(edges.fleet->user(0).diurnal_peak_hour, 23.99);
 }
 
+// Run knobs the driver divides by, iterates to or hands to the knapsack
+// fail at load, named, instead of mid-run (or not at all: a negative
+// offline_lb used to plan nothing silently).
+TEST(ConfigIo, OutOfRangeRunKnobsAreNamedAtLoad) {
+  rejects(R"({"epsilon":-1})", "'epsilon' must be non-negative and finite");
+  rejects(R"({"record_interval":0})", "'record_interval' must be positive");
+  rejects(R"({"offline_window_slots":0})",
+          "'offline_window_slots' must be positive");
+  rejects(R"({"horizon_slots":0})", "'horizon_slots' must be positive");
+  rejects(R"({"offline_lb":-5})", "'offline_lb' must be positive and finite");
+  const ExperimentConfig edges = config_from_json(
+      R"({"epsilon":0,"record_interval":1,"offline_window_slots":1,
+          "horizon_slots":1,"offline_lb":1e-3})");
+  EXPECT_EQ(edges.epsilon, 0.0);
+  EXPECT_EQ(edges.record_interval, 1);
+  EXPECT_EQ(edges.offline_window_slots, 1);
+  EXPECT_EQ(edges.horizon_slots, 1);
+  EXPECT_EQ(edges.offline_lb, 1e-3);
+}
+
 TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {
   // Archives written before the planner collapse carry these keys.
   EXPECT_TRUE(config_from_json(R"({"offline_incremental_replan":true,

@@ -1,11 +1,13 @@
 // Offline knapsack (Algorithm 1): DP optimality vs exhaustive search,
 // capacity feasibility, greedy comparison, the Lemma 1 lag bound checked
 // against a brute-force enumeration of all decision combinations, and the
-// incremental KnapsackSolver the planner runs (bit-identical to the cold
-// solve_knapsack under arbitrary input mutations).
+// KnapsackSolver the planner runs (prefix reuse and row skipping, both
+// bit-identical to the plain row-by-row DP oracle below under arbitrary
+// input mutations).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
@@ -15,6 +17,52 @@
 namespace fedco::core {
 namespace {
 
+/// The oracle: the plain Eq. (8) DP, every item's row evaluated in full and
+/// kept as its own take/skip bit row, then the standard backtrack from the
+/// full budget. KnapsackSolver must reproduce it bit for bit.
+KnapsackSolution naive_knapsack(const std::vector<KnapsackItem>& items,
+                                double capacity, std::size_t grid) {
+  KnapsackSolution solution;
+  solution.selected.assign(items.size(), false);
+  if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
+  const double unit = capacity / static_cast<double>(grid);
+  std::vector<std::size_t> units(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    units[i] =
+        static_cast<std::size_t>(std::ceil(items[i].weight / unit - 1e-12));
+  }
+  std::vector<double> best(grid + 1, 0.0);
+  std::vector<std::vector<bool>> take(items.size(),
+                                      std::vector<bool>(grid + 1, false));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (units[i] > grid || items[i].value <= 0.0) continue;
+    for (std::size_t y = grid + 1; y-- > units[i];) {
+      const double candidate = best[y - units[i]] + items[i].value;
+      if (candidate > best[y]) {
+        best[y] = candidate;
+        take[i][y] = true;
+      }
+    }
+  }
+  std::size_t y = grid;
+  for (std::size_t i = items.size(); i-- > 0;) {
+    if (take[i][y]) {
+      solution.selected[i] = true;
+      solution.total_value += items[i].value;
+      solution.total_weight += items[i].weight;
+      y -= units[i];
+    }
+  }
+  return solution;
+}
+
+void expect_same_solution(const KnapsackSolution& got,
+                          const KnapsackSolution& want) {
+  ASSERT_EQ(got.selected, want.selected);
+  EXPECT_EQ(got.total_value, want.total_value);
+  EXPECT_EQ(got.total_weight, want.total_weight);
+}
+
 TEST(Knapsack, EmptyAndDegenerate) {
   EXPECT_EQ(solve_knapsack({}, 10.0).total_value, 0.0);
   const std::vector<KnapsackItem> items{{5.0, 2.0}};
@@ -22,6 +70,20 @@ TEST(Knapsack, EmptyAndDegenerate) {
   EXPECT_EQ(solve_knapsack(items, 10.0, 0).total_value, 0.0);
   EXPECT_THROW(solve_knapsack({{-1.0, 2.0}}, 10.0), std::invalid_argument);
   EXPECT_THROW(solve_knapsack({{1.0, -2.0}}, 10.0), std::invalid_argument);
+}
+
+TEST(Knapsack, NonFiniteItemsAreRejected) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const KnapsackItem bad : {KnapsackItem{1.0, kInf}, KnapsackItem{1.0, kNan},
+                                 KnapsackItem{kInf, 1.0}, KnapsackItem{kNan, 1.0}}) {
+    EXPECT_THROW((void)solve_knapsack({{2.0, 1.0}, bad}, 10.0),
+                 std::invalid_argument);
+  }
+  // A finite weight whose grid quotient overflows simply never fits.
+  const KnapsackSolution s =
+      solve_knapsack({{5.0, 1e308}, {1.0, 1.0}}, 1e-300, 2000);
+  EXPECT_FALSE(s.selected[0]);
 }
 
 TEST(Knapsack, TextbookInstance) {
@@ -96,8 +158,8 @@ std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n) {
 class IncrementalKnapsack : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
-  // The incremental solver must be indistinguishable from a cold
-  // solve_knapsack — identical selections and bitwise-identical totals —
+  // The incremental solver must be indistinguishable from the plain DP —
+  // identical selections and bitwise-identical totals —
   // no matter how the item list, capacity, or grid changed since the
   // previous call (prefix edits, suffix edits, growth, shrinkage).
   util::Rng rng{GetParam()};
@@ -107,7 +169,7 @@ TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
   double capacity = rng.uniform(5.0, 80.0);
   std::size_t grid = 200 + rng.uniform_int(std::uint64_t{400});
   for (int round = 0; round < 6; ++round) {
-    const KnapsackSolution full = solve_knapsack(items, capacity, grid);
+    const KnapsackSolution full = naive_knapsack(items, capacity, grid);
     const KnapsackSolution inc = solver.solve(items, capacity, grid);
     ASSERT_EQ(inc.selected, full.selected) << "seed=" << GetParam()
                                            << " round=" << round;
@@ -163,6 +225,87 @@ TEST(IncrementalKnapsackReuse, SuffixEditResumesFromACheckpoint) {
   // A capacity change invalidates the discretization entirely.
   (void)solver.solve(items, 41.0, 500);
   EXPECT_EQ(solver.last_prefix_reused(), 0u);
+}
+
+// Saturated, duplicate-heavy item sets: the planner's regime. A handful of
+// device/app profiles give few distinct values, weights span 11..98 units of
+// a 2000-unit grid, and the budget holds a small fraction of the total
+// weight, so almost every row provably changes nothing and is skipped. The
+// dyadic values make exact ties (take == best) common; zero values, zero
+// weights and items wider than the grid ride along.
+std::vector<KnapsackItem> saturated_items(util::Rng& rng, std::size_t n,
+                                          double unit) {
+  constexpr double kValues[] = {0.0, 12.5, 25.0, 37.5, 50.0, 100.0};
+  std::vector<KnapsackItem> items(n);
+  for (KnapsackItem& item : items) {
+    item.value = kValues[rng.uniform_int(std::uint64_t{6})];
+    const std::uint64_t kind = rng.uniform_int(std::uint64_t{1000});
+    if (kind == 0) {
+      item.weight = 0.0;
+    } else if (kind < 10) {
+      item.weight = 2500.0 * unit;  // wider than the grid: never fits
+    } else {
+      // ceil(weight / unit) lands exactly on 11..98 units.
+      const auto units = 11 + rng.uniform_int(std::uint64_t{88});
+      item.weight = (static_cast<double>(units) - 0.5) * unit;
+    }
+  }
+  return items;
+}
+
+TEST(PrunedKnapsack, SkippedRowsLeaveTheSolutionBitEqualToThePlainDp) {
+  constexpr std::size_t kGrid = 2000;
+  constexpr double kCapacity = 100.0;
+  constexpr double kUnit = kCapacity / static_cast<double>(kGrid);
+  util::Rng rng{17};
+  std::vector<KnapsackItem> items = saturated_items(rng, 24'000, kUnit);
+  double total_weight = 0.0;
+  for (const KnapsackItem& item : items) total_weight += item.weight;
+  ASSERT_GT(total_weight, 100.0 * kCapacity);  // capacity << sum of weights
+
+  KnapsackSolver solver;
+  expect_same_solution(solver.solve(items, kCapacity, kGrid),
+                       naive_knapsack(items, kCapacity, kGrid));
+  // The skip path carries the solve: under 5% of the rows change the table.
+  EXPECT_LT(solver.stored_rows(), items.size() / 20);
+  EXPECT_GT(solver.stored_rows(), 0u);
+
+  // Incremental solves resume from a checkpoint with no certificates and
+  // must still match the cold plain DP.
+  items[18'000].value = 100.0;  // suffix edit
+  expect_same_solution(solver.solve(items, kCapacity, kGrid),
+                       naive_knapsack(items, kCapacity, kGrid));
+  EXPECT_GT(solver.last_prefix_reused(), 17'000u);
+  const std::vector<KnapsackItem> grown = saturated_items(rng, 3'000, kUnit);
+  items.insert(items.end(), grown.begin(), grown.end());  // growth
+  expect_same_solution(solver.solve(items, kCapacity, kGrid),
+                       naive_knapsack(items, kCapacity, kGrid));
+  items[5].weight = 0.0;  // prefix edit: a cold re-solve
+  expect_same_solution(solver.solve(items, kCapacity, kGrid),
+                       naive_knapsack(items, kCapacity, kGrid));
+  EXPECT_LT(solver.last_prefix_reused(), KnapsackSolver::kCheckpointStride);
+}
+
+// Many tiny instances over a handful of integer values and widths: small
+// enough that certificates are issued, voided by a table change and
+// re-issued within a few items, so an off-by-one in the skip bound or a
+// stale certificate surfaces as a different selection.
+TEST(PrunedKnapsack, TinyDuplicateHeavyInstancesMatchThePlainDp) {
+  util::Rng rng{23};
+  for (int instance = 0; instance < 3000; ++instance) {
+    std::vector<KnapsackItem> items(2 + rng.uniform_int(std::uint64_t{40}));
+    for (KnapsackItem& item : items) {
+      item.value = static_cast<double>(rng.uniform_int(std::uint64_t{7}));
+      item.weight = static_cast<double>(rng.uniform_int(std::uint64_t{8}));
+    }
+    const std::size_t grid = 4 + rng.uniform_int(std::uint64_t{12});
+    const double capacity = static_cast<double>(grid);
+    KnapsackSolver solver;
+    const KnapsackSolution got = solver.solve(items, capacity, grid);
+    const KnapsackSolution want = naive_knapsack(items, capacity, grid);
+    ASSERT_EQ(got.selected, want.selected) << "instance " << instance;
+    ASSERT_EQ(got.total_value, want.total_value) << "instance " << instance;
+  }
 }
 
 // ------------------------------------------------------------- Lemma 1

@@ -2,14 +2,18 @@
 // bookkeeping (src/core/gap_accrual.hpp): the shared epsilon-chain prefix
 // table with its bounded closed-form tail, and the folded-accrual
 // accumulator engine of the opt-in folded_gap_accrual mode. A long-horizon
-// driver run at the end exercises both past the chain-table threshold,
-// where the tail formula is the only path.
+// driver run exercises both past the chain-table threshold, where the tail
+// formula is the only path, and a record-cadence battery checks that the
+// lazy chain's gap reads leave every outcome untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "core/config_io.hpp"
 #include "core/experiment.hpp"
 #include "core/gap_accrual.hpp"
+#include "scenario/spec.hpp"
 
 namespace fedco::core {
 namespace {
@@ -157,6 +161,94 @@ TEST(GapAccrualLongHorizon, ChainTailAndFoldedAgreeBeyondThreshold) {
     EXPECT_NEAR(final_gap, kEps * slots, 2.0 * kEps);
   }
 }
+
+// The lazy chain answers every gap read (replans, G(t) at record slots,
+// per-user traces) from its anchors without replaying energy, so how often
+// the run records must not move a single outcome. Churn (absent spans and
+// re-joins) and dropped uploads (impure chains, which rebase on read) make
+// every chain transition occur; the sync barrier's reliable uploads keep
+// its chains pure.
+class RecordCadence : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(RecordCadence, OutcomesDoNotDependOnTheRecordInterval) {
+  scenario::ScenarioSpec spec;
+  spec.num_users = 40;
+  spec.horizon_slots = 2400;
+  spec.arrival.mean_probability = 0.004;
+  spec.churn.churn_fraction = 0.5;
+  spec.churn.min_presence = 0.25;
+  spec.churn.max_presence = 0.75;
+  ExperimentConfig base;
+  base.scheduler = GetParam();
+  base.seed = 5;
+  base.upload_drop_probability = 0.3;
+  base.offline_window_slots = 150;
+  base.record_per_user_gaps = true;
+  ExperimentConfig cfg = apply_scenario_arena(spec, base);
+
+  cfg.record_interval = 1;  // every slot: the reference G(t) and gap traces
+  const ExperimentResult ref = run_experiment(cfg);
+  ASSERT_GT(ref.total_updates, 0u);
+  ASSERT_GT(ref.summary.leaves, 0u);
+  if (GetParam() != SchedulerKind::kSyncSgd) {
+    ASSERT_GT(ref.dropped_updates, 0u);
+  }
+  for (const sim::Slot interval : {7, 10}) {
+    SCOPED_TRACE("record_interval " + std::to_string(interval));
+    cfg.record_interval = interval;
+    const ExperimentResult r = run_experiment(cfg);
+    EXPECT_EQ(r.total_energy_j, ref.total_energy_j);
+    EXPECT_EQ(r.training_j, ref.training_j);
+    EXPECT_EQ(r.corun_j, ref.corun_j);
+    EXPECT_EQ(r.app_j, ref.app_j);
+    EXPECT_EQ(r.idle_j, ref.idle_j);
+    EXPECT_EQ(r.network_j, ref.network_j);
+    EXPECT_EQ(r.total_updates, ref.total_updates);
+    EXPECT_EQ(r.dropped_updates, ref.dropped_updates);
+    EXPECT_EQ(r.corun_sessions, ref.corun_sessions);
+    EXPECT_EQ(r.separate_sessions, ref.separate_sessions);
+    EXPECT_EQ(r.avg_lag, ref.avg_lag);
+    EXPECT_EQ(r.avg_gap, ref.avg_gap);
+    EXPECT_EQ(r.summary.decisions_scheduled, ref.summary.decisions_scheduled);
+    EXPECT_EQ(r.summary.decisions_idle, ref.summary.decisions_idle);
+    EXPECT_EQ(r.summary.parks, ref.summary.parks);
+    EXPECT_EQ(r.summary.joins, ref.summary.joins);
+    EXPECT_EQ(r.summary.leaves, ref.summary.leaves);
+    EXPECT_EQ(r.summary.replans, ref.summary.replans);
+    ASSERT_EQ(r.lag_gap_samples.size(), ref.lag_gap_samples.size());
+    for (std::size_t k = 0; k < r.lag_gap_samples.size(); ++k) {
+      const LagGapSample& a = r.lag_gap_samples[k];
+      const LagGapSample& b = ref.lag_gap_samples[k];
+      ASSERT_TRUE(a.time_s == b.time_s && a.lag == b.lag && a.gap == b.gap &&
+                  a.user == b.user)
+          << "lag/gap sample " << k;
+    }
+    // Every record slot of this run is also one of the reference's (slot
+    // t is reference sample t): G(t) and each user's gap must agree there.
+    std::vector<std::string> series{"G"};
+    for (std::size_t u = 0; u < cfg.num_users; ++u) {
+      series.push_back("gap_user" + std::to_string(u));
+    }
+    for (const std::string& name : series) {
+      const auto* got = r.traces.find(name);
+      const auto* want = ref.traces.find(name);
+      ASSERT_NE(got, nullptr) << name;
+      ASSERT_NE(want, nullptr) << name;
+      ASSERT_EQ(got->size(),
+                static_cast<std::size_t>((cfg.horizon_slots - 1) / interval + 1));
+      for (std::size_t k = 0; k < got->size(); ++k) {
+        const auto t = static_cast<std::size_t>(got->time_at(k));
+        ASSERT_EQ(want->time_at(t), got->time_at(k));
+        ASSERT_EQ(got->value_at(k), want->value_at(t)) << name << " at " << t;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LazySchemes, RecordCadence,
+                         ::testing::Values(SchedulerKind::kOffline,
+                                           SchedulerKind::kImmediate,
+                                           SchedulerKind::kSyncSgd));
 
 }  // namespace
 }  // namespace fedco::core
