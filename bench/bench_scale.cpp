@@ -15,7 +15,7 @@
 //
 //   bench_scale [--jobs N] [--smoke] [--out PATH] [--seed N]
 //               [--schedulers LIST] [--sizes LIST] [--repeat N]
-//               [--folded-g] [--events BOOL] [--churn-aware BOOL]
+//               [--events BOOL] [--churn-aware BOOL]
 //
 // Ad-hoc studies (ROADMAP campaign sweeps) can override the grid:
 //   --schedulers online,offline     comma-separated scheme names
@@ -26,14 +26,10 @@
 // wall time — the noise-robust throughput estimate the CI regression gate
 // compares (runs are deterministic, so repetition changes nothing else).
 //
-// Online rows carry a "g_mode" tag: by default each
-// fleet measures the Eq. (15/16) totals both ways — the per-slot fleet
-// sweep ("sweep") and the PR 7 folded closed-form accumulators ("folded",
-// config.folded_gap_accrual) — as two separate rows, and tools/bench_check
-// SKIPs rather than compares rows captured under different G(t) engines
-// (they differ by floating-point associativity, so decision streams can
-// legally diverge). --folded-g drops the sweep rows and measures online
-// fleets in folded mode only (ad-hoc studies).
+// Online rows carry a "g_mode":"folded" tag naming the G(t) engine (the
+// folded closed-form accumulators, the only one). Older baselines also
+// hold "sweep" rows from the retired per-slot fleet sweep; tools/bench_check
+// SKIPs rather than compares rows whose tags differ, so those rows SKIP.
 //
 // --events (default true) additionally re-measures every scheduler row
 // with the PR 8 JSONL event emitter attached at stride 1 (every slot) and
@@ -198,9 +194,8 @@ struct SchedulerRow {
   double user_slots_per_sec = 0.0;
   std::uint64_t updates = 0;
   double energy_kj = 0.0;
-  /// Online rows only: the G(t) engine the row was measured under —
-  /// "sweep" (per-slot fleet sweep) or "folded" (closed-form
-  /// accumulators). bench_check SKIPs cross-engine comparisons.
+  /// Online rows only: the G(t) engine tag, always "folded" (see the file
+  /// comment); bench_check SKIPs cross-engine comparisons.
   const char* g_mode = nullptr;
   /// True on rows re-measured with the JSONL event emitter attached
   /// (stride 1). Emitted in the JSON only when true, so pre-tag baselines
@@ -227,7 +222,7 @@ struct FleetRow {
 FleetRow run_fleet(const FleetSize& size,
                    const std::vector<core::SchedulerKind>& schedulers,
                    std::uint64_t seed, std::size_t jobs, std::size_t repeat,
-                   bool folded_g, bool churn_rows,
+                   bool churn_rows,
                    const std::string& events_tmp_path,
                    bench::CampaignTotals& totals) {
   core::ExperimentConfig base;
@@ -239,44 +234,18 @@ FleetRow run_fleet(const FleetSize& size,
   base = core::apply_scenario_arena(spec, base);
 
   std::vector<core::ExperimentConfig> configs;
-  std::vector<const char*> g_modes;  // parallel to configs; null off-online
   std::vector<std::uint8_t> churn_flags;  // parallel to configs
   for (const core::SchedulerKind kind : schedulers) {
     core::ExperimentConfig config = base;
     config.scheduler = kind;
-    if (kind == core::SchedulerKind::kOnline) {
-      // Measure the online row under both G(t) engines (sweep + folded)
-      // by default; --folded-g keeps only the folded measurement.
-      if (!folded_g) {
-        core::ExperimentConfig sweep = config;
-        configs.push_back(std::move(sweep));
-        g_modes.push_back("sweep");
-        churn_flags.push_back(0);
-      }
-      config.folded_gap_accrual = true;
-      configs.push_back(config);
-      g_modes.push_back("folded");
-      churn_flags.push_back(0);
-      if (churn_rows) {
-        // Departure-aware online row, measured under the production
-        // (folded) G(t) engine.
-        config.online_churn_aware = true;
-        configs.push_back(std::move(config));
-        g_modes.push_back("folded");
-        churn_flags.push_back(1);
-      }
-    } else if (kind == core::SchedulerKind::kOffline && churn_rows) {
-      configs.push_back(config);
-      g_modes.push_back(nullptr);
-      churn_flags.push_back(0);
-      config.offline_churn_aware = true;
+    configs.push_back(config);
+    churn_flags.push_back(0);
+    if (churn_rows && (kind == core::SchedulerKind::kOnline ||
+                       kind == core::SchedulerKind::kOffline)) {
+      config.online_churn_aware = kind == core::SchedulerKind::kOnline;
+      config.offline_churn_aware = kind == core::SchedulerKind::kOffline;
       configs.push_back(std::move(config));
-      g_modes.push_back(nullptr);
       churn_flags.push_back(1);
-    } else {
-      configs.push_back(std::move(config));
-      g_modes.push_back(nullptr);
-      churn_flags.push_back(0);
     }
   }
   core::CampaignReport report = core::run_campaign(configs, jobs);
@@ -309,7 +278,9 @@ FleetRow run_fleet(const FleetSize& size,
         sched.slots_per_sec * static_cast<double>(size.users);
     sched.updates = report.results[k].total_updates;
     sched.energy_kj = report.results[k].total_energy_j / 1000.0;
-    sched.g_mode = g_modes[k];
+    if (configs[k].scheduler == core::SchedulerKind::kOnline) {
+      sched.g_mode = "folded";
+    }
     sched.churn_aware = churn_flags[k] != 0;
     row.schedulers.push_back(sched);
   }
@@ -435,7 +406,6 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto repeat =
         static_cast<std::size_t>(std::max<std::int64_t>(args.get_int("repeat", 1), 1));
-    const bool folded_g = args.get_bool("folded-g", false);
     const bool events = args.get_bool("events", true);
     const bool churn_rows = args.get_bool("churn-aware", true);
     const std::string events_tmp_path =
@@ -472,8 +442,8 @@ int main(int argc, char** argv) {
     bench::CampaignTotals totals;
     std::vector<FleetRow> rows;
     for (const FleetSize& size : sizes) {
-      rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat, folded_g,
-                               churn_rows, events_tmp_path, totals));
+      rows.push_back(run_fleet(size, schedulers, seed, jobs, repeat, churn_rows,
+                               events_tmp_path, totals));
       print_fleet(rows.back());
     }
     bench::log_campaign(totals);

@@ -72,11 +72,6 @@ Scheduling:
   --scalar-decide      force the per-user scalar decide() path (the
                        batched one-pass evaluation is the default and is
                        bit-identical; this exists for A/B verification)
-  --folded-g           folded gap accrual: maintain G(t) from closed-form
-                       accumulators updated only at mode transitions, O(1)
-                       per slot instead of the per-slot fleet sweep.
-                       Diverges from the default only by floating-point
-                       associativity (see docs/performance.md section 8)
   --churn-aware        departure-aware scheduling: the offline planner
                        drops co-runs that cannot finish before a user's
                        leave slot and deweights deferred work near
@@ -172,8 +167,10 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.scheduler = core::parse_scheduler_token(args.get("scheduler"));
   }
   if (args.has("users")) {
-    cfg.num_users = static_cast<std::size_t>(
-        args.get_int("users", static_cast<std::int64_t>(cfg.num_users)));
+    const std::int64_t users =
+        args.get_int("users", static_cast<std::int64_t>(cfg.num_users));
+    require_flag(users >= 1, "--users", "must be positive");
+    cfg.num_users = static_cast<std::size_t>(users);
   }
   if (args.has("horizon")) {
     cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
@@ -200,8 +197,16 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.seed = static_cast<std::uint64_t>(
         args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
   }
-  if (args.has("V")) cfg.V = args.get_double("V", cfg.V);
-  if (args.has("Lb")) cfg.lb = args.get_double("Lb", cfg.lb);
+  if (args.has("V")) {
+    cfg.V = args.get_double("V", cfg.V);
+    require_flag(std::isfinite(cfg.V) && cfg.V >= 0.0, "--V",
+                 "must be non-negative and finite");
+  }
+  if (args.has("Lb")) {
+    cfg.lb = args.get_double("Lb", cfg.lb);
+    require_flag(std::isfinite(cfg.lb) && cfg.lb >= 0.0, "--Lb",
+                 "must be non-negative and finite");
+  }
   if (args.has("epsilon")) {
     cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
     require_flag(std::isfinite(cfg.epsilon) && cfg.epsilon >= 0.0, "--epsilon",
@@ -224,9 +229,6 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("scalar-decide")) {
     cfg.online_batch_decide = !args.get_bool("scalar-decide", false);
-  }
-  if (args.has("folded-g")) {
-    cfg.folded_gap_accrual = args.get_bool("folded-g", cfg.folded_gap_accrual);
   }
   if (args.has("churn-aware")) {
     // One switch for both schemes: the flag pair exists so configs can
@@ -256,10 +258,15 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   }
   if (args.has("min-soc")) {
     cfg.min_soc_to_train = args.get_double("min-soc", cfg.min_soc_to_train);
+    require_flag(cfg.min_soc_to_train >= 0.0 && cfg.min_soc_to_train <= 1.0,
+                 "--min-soc", "must be in [0, 1]");
   }
   if (args.has("drop-p")) {
     cfg.upload_drop_probability =
         args.get_double("drop-p", cfg.upload_drop_probability);
+    require_flag(cfg.upload_drop_probability >= 0.0 &&
+                     cfg.upload_drop_probability <= 1.0,
+                 "--drop-p", "must be in [0, 1]");
   }
   if (cfg.min_soc_to_train > 0.0) cfg.track_battery = true;
   // The CLI's small-image default for real LeNet-small runs; scenario files

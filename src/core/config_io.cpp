@@ -365,7 +365,6 @@ void write_config_members(util::JsonWriter& json,
               static_cast<std::int64_t>(config.offline_window_slots));
   json.member("offline_lb", config.offline_lb);
   json.member("online_batch_decide", config.online_batch_decide);
-  json.member("folded_gap_accrual", config.folded_gap_accrual);
   json.member("offline_churn_aware", config.offline_churn_aware);
   json.member("online_churn_aware", config.online_churn_aware);
   json.member("eta", config.eta);
@@ -508,6 +507,7 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.scheduler = parse_scheduler_token(read_string(value, key));
         } else if (key == "num_users") {
           config.num_users = static_cast<std::size_t>(read_uint(value, key));
+          if (config.num_users == 0) reject_field(key, kPositive);
         } else if (key == "horizon_slots") {
           config.horizon_slots = read_int(value, key);
           if (config.horizon_slots <= 0) reject_field(key, kPositive);
@@ -543,8 +543,14 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.fixed_device = parse_device_token(read_string(value, key));
         } else if (key == "V") {
           config.V = read_double(value, key);
+          if (!(std::isfinite(config.V) && config.V >= 0.0)) {
+            reject_field(key, "must be non-negative and finite");
+          }
         } else if (key == "lb" || key == "Lb") {
           config.lb = read_double(value, key);
+          if (!(std::isfinite(config.lb) && config.lb >= 0.0)) {
+            reject_field(key, "must be non-negative and finite");
+          }
         } else if (key == "epsilon") {
           config.epsilon = read_double(value, key);
           if (!(std::isfinite(config.epsilon) && config.epsilon >= 0.0)) {
@@ -572,7 +578,11 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "online_batch_decide") {
           config.online_batch_decide = read_bool(value, key);
         } else if (key == "folded_gap_accrual") {
-          config.folded_gap_accrual = read_bool(value, key);
+          // Retired G(t) engine switch. Archives written with it carry
+          // false (the per-slot sweep and the lazy chain); the folded
+          // engine, now the only one, reproduces those runs up to
+          // floating-point associativity, so either value loads.
+          (void)read_bool(value, key);
         } else if (key == "offline_churn_aware") {
           config.offline_churn_aware = read_bool(value, key);
         } else if (key == "online_churn_aware") {
@@ -615,12 +625,18 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.decision_interval_slots = read_int(value, key);
         } else if (key == "upload_drop_probability") {
           config.upload_drop_probability = read_double(value, key);
+          if (!in_unit_interval(config.upload_drop_probability)) {
+            reject_field(key, kUnitInterval);
+          }
         } else if (key == "track_battery") {
           config.track_battery = read_bool(value, key);
         } else if (key == "battery") {
           read_battery(value, config.battery);
         } else if (key == "min_soc_to_train") {
           config.min_soc_to_train = read_double(value, key);
+          if (!in_unit_interval(config.min_soc_to_train)) {
+            reject_field(key, kUnitInterval);
+          }
         } else if (key == "enable_thermal") {
           config.enable_thermal = read_bool(value, key);
         } else if (key == "thermal") {

@@ -58,15 +58,6 @@ enum class Phase { kReady, kTraining, kBarrier, kTransferring };
 /// contribute their (frozen) gap, everyone else accrues epsilon first.
 enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 };
 
-/// Per-user gap bookkeeping, packed into one flags byte: the Eq. 12 mode in
-/// the low bits plus the lazy-accrual purity bit (an impure base — a dropped
-/// upload left a non-zero gap accruing — is advanced by sequential additions
-/// instead of reading the shared epsilon-chain table).
-enum GapFlags : unsigned char {
-  kGapModeMask = 0x03,
-  kGapImpure = 0x04,
-};
-
 /// One independent reader over a user's arrival sequence. The driver runs
 /// three per user (live session, replay session, scheduler oracle), each at
 /// its own position. `at` is the next unconsumed arrival (the kNoArrival
@@ -128,8 +119,8 @@ struct UserState {
   SessionMachine replay_sess;
 
   /// Lazy-accrual watermark: energy/battery/thermal state reflects every
-  /// slot through `synced` (-1 = nothing applied yet; gaps are read from
-  /// their anchors instead, see gap_at). Between events the
+  /// slot through `synced` (-1 = nothing applied yet; gaps are evaluated in
+  /// closed form instead, see gap_at). Between events the
   /// per-slot accrual sequence is replayed verbatim when the user is next
   /// touched, so batched catch-up is bit-identical to the eager slot loop.
   sim::Slot synced = -1;
@@ -231,11 +222,13 @@ nn::Network make_model(ModelKind kind, const data::SynthCifarConfig& data_cfg,
 /// the driver keeps a min-heap of per-user next-event slots (session/phase
 /// ends, arrival cursors, presence-window joins/leaves) and only touches a
 /// user when its state can actually change. Idle-state quantities (energy,
-/// gap, battery, thermal) are accrued lazily from the per-user `synced`
+/// battery, thermal) are accrued lazily from the per-user `synced`
 /// watermark: when an event or a read touches a user, the elapsed slots are
 /// replayed with exactly the per-slot operation sequence of the eager loop,
 /// so every observable stays bit-identical (the golden FNV fingerprint
-/// suites pin this). See docs/performance.md for the full model.
+/// suites pin this). Gaps and G(t) come from the folded closed-form engine
+/// (FoldedGapAccrual), touched only at Eq. 12 class transitions. See
+/// docs/performance.md for the full model.
 class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
  public:
   Driver(const ExperimentConfig& cfg, const RunHooks& hooks)
@@ -254,9 +247,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       throw std::invalid_argument{"run_experiment: empty horizon"};
     }
     if (cfg.horizon_slots > std::numeric_limits<std::int32_t>::max()) {
-      // The per-user gap-chain lengths and folded-accrual anchors are int32
-      // columns (they are bounded by the horizon); a 2^31-slot horizon is
-      // 68 years of 1 s slots, far past any meaningful run.
+      // The folded-accrual anchors are an int32 column (bounded by the
+      // horizon); a 2^31-slot horizon is 68 years of 1 s slots, far past
+      // any meaningful run.
       throw std::invalid_argument{"run_experiment: horizon exceeds 2^31 slots"};
     }
     if (cfg.record_interval <= 0) {
@@ -271,15 +264,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // arena read per user instead of a second full pass).
     model_bytes_ = cfg.model_bytes;
     scheduler_ = make_scheduler(cfg_);
-    // Gap-accounting mode. Default: strategies consuming exact per-slot
-    // totals (the Lyapunov queue updates) pay the per-slot fleet sweep;
-    // everything else accrues lazily on the shared epsilon chain. Folded
-    // mode (config.folded_gap_accrual) replaces both with the closed-form
-    // accumulator engine: G(t) in O(1), per-user reads evaluated on demand.
-    needs_totals_ = scheduler_->needs_slot_totals();
-    folded_ = cfg_.folded_gap_accrual;
-    sweep_gaps_ = needs_totals_ && !folded_;
-    chain_mode_ = !needs_totals_ && !folded_;
     charges_overhead_ = scheduler_->charges_decision_overhead();
     // The battery gate is evaluated (and counted) per ready user per slot,
     // so when it can fire, ready users cannot be parked.
@@ -356,17 +340,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                   : std::nullopt;
   }
 
-  [[nodiscard]] double user_gap(std::size_t user) override {
+  [[nodiscard]] double user_gap(std::size_t user) const override {
     // Gap state as of the end of slot t-1, exactly what the eager loop's
-    // decide/replan phase observed (non-const: an impure chain read may
-    // rebase, see gap_at).
+    // decide/replan phase observed.
     return gap_at(user, cur_ - 1);
   }
 
   [[nodiscard]] const double* gap_values() const noexcept override {
-    // Exact only for per-slot-total strategies (see the interface comment):
-    // the sweep keeps every row fresh; folded mode refreshes the due rows
-    // from the closed form before each decide_batch (decide_ready).
+    // Accruing rows are refreshed from the closed form for each due batch
+    // (fill_decide_inputs); every other row holds its value.
     return gap_.data();
   }
 
@@ -427,12 +409,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                      : device::kAppKinds;
       app_column[k] = static_cast<unsigned char>(column);
       end_slot[k] = t + lag_slots_[h.dev_kind][column];
-      if (folded_) {
-        // Due users are ready and present, hence accruing: refresh their
-        // rows from the closed form so gap_values() honours its flat-array
-        // contract for the batched Eq. (21) decide.
-        gap_[i] = fold_.eval(i, t - 1);
-      }
+      // Due users are ready and present, hence accruing: refresh their rows
+      // from the closed form so gap_values() honours its flat-array
+      // contract for the batched Eq. (21) decide.
+      gap_[i] = fold_.eval(i, t - 1);
     }
   }
 
@@ -604,14 +584,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     users_.resize(cfg_.num_users);
     decide_hot_.assign(cfg_.num_users, DecideHot{});
     gap_.assign(cfg_.num_users, 0.0);
-    // Everyone starts absent/pure; the set_mode(i, 0) below performs the
-    // real slot-0 classification (and, in folded mode, the initial
-    // accumulator attach). Chain columns exist only on the lazy path, the
-    // fold columns only in folded mode — the other mode's bookkeeping is
-    // never allocated (the 1M-row footprint lever, docs/performance.md §8).
-    gap_flags_.assign(cfg_.num_users, kGapAbsent);
-    if (chain_mode_) gap_anchor_.assign(cfg_.num_users, 0);
-    if (folded_) fold_.init(cfg_.num_users, cfg_.epsilon);
+    // Everyone starts absent; the set_mode(i, 0) below performs the real
+    // slot-0 classification and the initial accumulator attach.
+    gap_mode_.assign(cfg_.num_users, kGapAbsent);
+    fold_.init(cfg_.num_users, cfg_.epsilon);
     data::Partition partition;
     if (cfg_.real_training) {
       util::Rng part_rng = master_rng_.fork();
@@ -946,21 +922,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     decide_ready(t);
     result_.summary.timing.decide_s += watch_.lap_s();
 
-    // 4. Gap accumulation (Eq. 12 idle branch) and queue updates. Only
-    //    strategies consuming exact per-slot totals pay the fleet sweep;
-    //    otherwise gaps accrue lazily and G(t) is read from the anchors at
-    //    record slots. Folded mode answers G(t) from the closed-form
-    //    accumulators in O(1) on either path. (Energy accrues lazily in
-    //    every mode — see catch_up.)
-    double sum_gaps = 0.0;
-    const bool record = t % cfg_.record_interval == 0;
-    if (folded_) {
-      if (needs_totals_ || record) sum_gaps = fold_.sum(t);
-    } else if (sweep_gaps_) {
-      sum_gaps = sweep_gap_slot();
-    } else if (record) {
-      sum_gaps = chain_gap_sum(t);
-    }
+    // 4. Gap accumulation (Eq. 12 idle branch) and queue updates: G(t) from
+    //    the folded accumulators, O(1) per slot whatever the fleet size.
+    //    (Energy accrues lazily — see catch_up.)
+    const double sum_gaps = fold_.sum(t);
     scheduler_->on_slot_end(slot_arrivals_, slot_served_ + slot_departed_,
                             sum_gaps);
     queue_q_stats_.add(scheduler_->queue_q());
@@ -971,14 +936,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     queue_h_samples_.push_back(scheduler_->queue_h());
 
     // 5. Traces.
-    if (record) {
+    if (t % cfg_.record_interval == 0) {
       const double now_s = static_cast<double>(t) * cfg_.slot_seconds;
       result_.traces.record("Q", now_s, scheduler_->queue_q());
       result_.traces.record("H", now_s, scheduler_->queue_h());
       result_.traces.record("G", now_s, sum_gaps);
       if (cfg_.record_per_user_gaps) {
         for (std::size_t i = 0; i < users_.size(); ++i) {
-          // End-of-slot-t values, matching what the sweep left behind.
+          // End-of-slot-t values, the ones G(t) summed.
           result_.traces.record("gap_user" + std::to_string(i), now_s,
                                 gap_at(i, t));
         }
@@ -1239,22 +1204,22 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         u.phase == Phase::kTraining
             ? kGapTraining
             : (present(u, t) ? kGapAccrue : kGapAbsent);
-    if (folded_) fold_retag(i, t, mode);
-    if (chain_mode_) chain_retag(i, t, mode);
-    gap_flags_[i] =
-        static_cast<unsigned char>((gap_flags_[i] & ~kGapModeMask) | mode);
+    fold_retag(i, t, mode);
+    gap_mode_[i] = mode;
   }
 
-  /// Folded mode: move user i between Eq. 12 accumulator classes at slot t
-  /// — the only place the G(t) accumulators are touched, which is what
-  /// makes the folded slot O(transitions). The caller has already written
-  /// the transition's gap value into gap_[i] (the frozen gradient gap
-  /// before a training freeze, 0.0 after an applied update); accrue
-  /// attachments start their closed form from it.
+  /// Move user i between Eq. 12 accumulator classes at slot t — the only
+  /// place the G(t) accumulators are touched, which is what makes the slot
+  /// O(transitions). The caller has already written the transition's gap
+  /// value into gap_[i] (the frozen gradient gap before a training freeze,
+  /// 0.0 after an applied update, the surviving gap after a dropped
+  /// upload); accrue attachments start their closed form from it. A
+  /// training user is re-frozen on every retag, so its contribution is
+  /// always the gap column as it stands, even when a second start_training
+  /// in the same session rewrote it.
   void fold_retag(std::size_t i, sim::Slot t, unsigned char mode) {
-    const unsigned char old =
-        static_cast<unsigned char>(gap_flags_[i] & kGapModeMask);
-    if (old == mode) return;
+    const unsigned char old = gap_mode_[i];
+    if (old == mode && mode != kGapTraining) return;
     if (old == kGapAccrue) {
       if (mode == kGapAbsent) {
         // Pin the departing user's final value: absent rows are read
@@ -1269,44 +1234,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       fold_.attach_accrue(i, gap_[i], t);
     } else if (mode == kGapTraining) {
       fold_.attach_frozen(i, gap_[i]);
-    }
-  }
-
-  /// Chain mode: move user i between Eq. 12 classes at slot t — the
-  /// counterpart of fold_retag on the lazy path. While a user accrues, its
-  /// anchor column holds the slot its chain is measured from (see gap_at);
-  /// otherwise it holds a pure user's chain position, pinned with the value
-  /// in gap_[i]. Both conversions are anchor = (t - 1) - position, the last
-  /// slot before t being the last one the old class accrued (or the first
-  /// the new one builds on). As with fold_retag, a training freeze arrives
-  /// with its gap already written and its chain reset (reset_chain).
-  void chain_retag(std::size_t i, sim::Slot t, unsigned char mode) {
-    const unsigned char flags = gap_flags_[i];
-    const unsigned char old = static_cast<unsigned char>(flags & kGapModeMask);
-    if (old == mode) return;
-    const bool pure = (flags & kGapImpure) == 0;
-    std::int32_t& anchor = gap_anchor_[i];
-    if (old == kGapAccrue && mode == kGapAbsent) {
-      gap_[i] = gap_at(i, t - 1);  // an impure read rebases to t - 1
-      if (pure) anchor = static_cast<std::int32_t>(t - 1) - anchor;
-    } else if (mode == kGapAccrue) {
-      anchor = static_cast<std::int32_t>(t - 1) - (pure ? anchor : 0);
-    }
-  }
-
-  /// Reset a user's lazy-chain bookkeeping after its gap column was
-  /// rewritten: pure (a zero reset rejoins the shared epsilon chain at
-  /// position 0) or impure (a non-zero base advanced by sequential
-  /// additions). Only called while the user is not accruing, or right
-  /// before its training freeze. No-op outside chain mode — the sweep and
-  /// folded paths keep no chains.
-  void reset_chain(std::size_t i, bool pure) {
-    if (!chain_mode_) return;
-    if (pure) {
-      gap_anchor_[i] = 0;
-      gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] & ~kGapImpure);
-    } else {
-      gap_flags_[i] = static_cast<unsigned char>(gap_flags_[i] | kGapImpure);
     }
   }
 
@@ -1374,7 +1301,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   void catch_up(std::size_t index, sim::Slot upto) {
     UserState& u = users_[index];
     if (u.synced >= upto) return;
-    if ((gap_flags_[index] & kGapModeMask) == kGapAbsent) {
+    if (gap_mode_[index] == kGapAbsent) {
       u.synced = upto;  // absent users burn nothing and never tick
       return;
     }
@@ -1427,55 +1354,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     u.synced = upto;
   }
 
-  /// The per-slot gap sweep (strategies consuming exact slot totals): the
-  /// eager loop's Eq. 12 accrual + G(t) summation in user-index order.
-  double sweep_gap_slot() {
-    double sum = 0.0;
-    const double epsilon = cfg_.epsilon;
-    const std::size_t n = users_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned char mode =
-          static_cast<unsigned char>(gap_flags_[i] & kGapModeMask);
-      if (mode == kGapAbsent) continue;
-      if (mode == kGapAccrue) gap_[i] += epsilon;
-      sum += gap_[i];
-    }
-    return sum;
-  }
-
   /// Gap of user i at the end of slot s, for every gap read (user_gap,
-  /// G(t) at record slots, per-user traces). Non-accruing users and the
-  /// sweep keep the value in the column; folded mode evaluates its closed
-  /// form. The lazy chain reads its anchor (chain_retag) and never replays
-  /// energy: a pure chain (the common case — every update settles the gap
-  /// to zero) is the user-independent epsilon chain read from the shared
-  /// prefix table, bit-identical below its tail threshold because the table
-  /// is built by the same sequential additions; an impure base (a dropped
-  /// upload left a non-zero gap accruing) is advanced by those additions
-  /// verbatim and rebased to s, since sequential additions compose.
-  double gap_at(std::size_t i, sim::Slot s) {
-    const unsigned char flags = gap_flags_[i];
-    if (sweep_gaps_ || (flags & kGapModeMask) != kGapAccrue) return gap_[i];
-    if (folded_) return fold_.eval(i, s);
-    std::int32_t& anchor = gap_anchor_[i];
-    if ((flags & kGapImpure) == 0) return eps_chain_.value(s - anchor);
-    assert(s >= anchor);  // reads never move backwards in time
-    double gap = gap_[i];
-    for (sim::Slot k = anchor; k < s; ++k) gap += cfg_.epsilon;
-    gap_[i] = gap;
-    anchor = static_cast<std::int32_t>(s);
-    return gap;
-  }
-
-  /// Lazy-mode G(t) at a record slot: every present user's gap at the end
-  /// of slot t, summed in index order.
-  double chain_gap_sum(sim::Slot t) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      if ((gap_flags_[i] & kGapModeMask) == kGapAbsent) continue;
-      sum += gap_at(i, t);
-    }
-    return sum;
+  /// per-user traces): accruing users evaluate their closed form, everyone
+  /// else holds the value in the column.
+  [[nodiscard]] double gap_at(std::size_t i, sim::Slot s) const {
+    return gap_mode_[i] == kGapAccrue ? fold_.eval(i, s) : gap_[i];
   }
 
   // ------------------------------------------------------------- decisions
@@ -1567,7 +1450,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     gap_[index] = fl::gradient_gap(
         cfg_.eta, cfg_.beta, expected_lag(u, status, u.train_app, t),
         momentum_norm());
-    reset_chain(index, gap_[index] == 0.0);
     u.phase = Phase::kTraining;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(duration), 1);
     if (cfg_.real_training) {
@@ -1652,7 +1534,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       record_update(index, now_s, lag, gap);
     }
     gap_[index] = 0.0;
-    reset_chain(index, true);
     scheduler_->on_update_applied(index, t);
     begin_transfer(index, t);
   }
@@ -1660,7 +1541,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   void park_at_barrier(std::size_t index, sim::Slot t) {
     UserState& u = users_[index];
     gap_[index] = 0.0;
-    reset_chain(index, true);
     scheduler_->on_update_applied(index, t);
     u.phase = Phase::kBarrier;
     ++barrier_count_;
@@ -1834,25 +1714,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Per-user scheduling weights (VIP classes). Left unallocated for the
   /// common all-1.0 fleet — user_priority answers 1.0 without a table.
   std::vector<double> priority_;
-  /// Per-user gap values g_i (Eq. 12) and their per-slot classification —
-  /// flat arrays so the sweep walks them cache-linearly.
+  /// Per-user gap values g_i (Eq. 12): exact for non-accruing users; an
+  /// accruing row is refreshed from fold_ only when a due batch reads it.
   std::vector<double> gap_;
-  /// Packed GapFlags byte per user: the Eq. 12 mode in the low bits, the
-  /// lazy purity bit above them.
-  std::vector<unsigned char> gap_flags_;
-  /// Chain mode only (left unallocated otherwise). An accruing user's gap
-  /// at the end of slot s is eps_chain_.value(s - anchor) while kGapImpure
-  /// is clear (pure chain from a zero reset), else gap_[i] plus
-  /// (s - anchor) sequential epsilon additions. A non-accruing pure user
-  /// keeps its chain position here instead (see chain_retag). int32: slots
-  /// and chain lengths are bounded by the horizon, which the ctor guards
-  /// below 2^31.
-  std::vector<std::int32_t> gap_anchor_;
-  /// Shared prefix table of the pure epsilon chain (chain-mode reads;
-  /// bounded — see EpsChainTable).
-  EpsChainTable eps_chain_{cfg_.epsilon};
+  /// GapMode byte per user: its Eq. 12 accumulator class.
+  std::vector<unsigned char> gap_mode_;
   /// Folded-accrual engine: closed-form per-user gaps and the O(1) G(t)
-  /// accumulators (folded mode only; empty otherwise).
+  /// accumulators.
   FoldedGapAccrual fold_;
   std::vector<apps::ScriptedArrivals::Event> trace_events_;  ///< CSV replay
   /// Trace-driven fleet (cfg.arrival_trace_dir): loaded once on first use.
@@ -1888,12 +1756,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::vector<std::uint32_t> left_ready_;      ///< ready users that left this slot
   std::size_t barrier_count_ = 0;    ///< users parked at the sync barrier
   std::size_t active_present_ = 0;   ///< present users not at the barrier
-  // Gap-accounting mode flags, resolved once in the ctor (see the comment
-  // there): exactly one of sweep_gaps_ / chain_mode_ / folded_ is active.
-  bool needs_totals_ = false;  ///< scheduler consumes exact per-slot G(t)
-  bool folded_ = false;        ///< cfg.folded_gap_accrual
-  bool chain_mode_ = false;    ///< lazy epsilon-chain accrual
-  bool sweep_gaps_ = true;
   bool charges_overhead_ = false;
   bool gate_ready_hot_ = false;
   sim::Slot cur_ = 0;

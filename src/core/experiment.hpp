@@ -1,7 +1,9 @@
 // Full-system experiment driver: devices + app arrivals + federated training
 // + one of four schedulers, advanced slot by slot. Every evaluation figure
 // and table in the paper is regenerated by configuring and running this
-// driver (see DESIGN.md §4 for the index).
+// driver (see DESIGN.md §4 for the index). The Eq. (12) gaps and their sum
+// G(t) come from one engine for every scheduler: the folded closed-form
+// accumulators of core/gap_accrual.hpp, O(1) per slot.
 #pragma once
 
 #include <cstdint>
@@ -112,18 +114,6 @@ struct ExperimentConfig {
   /// same arithmetic in the same order), so it defaults on; turn off to
   /// force the scalar reference (tests compare the two fingerprints).
   bool online_batch_decide = true;
-
-  /// Folded gap accrual (docs/performance.md §8): represent each accruing
-  /// user's Eq. (12) gap in closed form (base + epsilon * elapsed) and
-  /// maintain G(t) from scalar accumulators updated only at mode
-  /// transitions, instead of the per-slot O(n) fleet sweep the online
-  /// scheme otherwise pays (and the lazy epsilon-chain reads everywhere
-  /// else). Divergence from the default mode is floating-point
-  /// associativity only — a multiply replaces repeated additions — bounded
-  /// by the FoldedGapInvariants parity suite; decisions at exact Eq. (21)
-  /// cost ties may legally flip. Off by default: every committed golden
-  /// fingerprint is captured with the sweep/replay path.
-  bool folded_gap_accrual = false;
 
   /// Churn-aware online rule: discount the Eq. (21) H(t)·gap pressure by a
   /// remaining-presence factor — a user whose departure precedes the end of

@@ -81,16 +81,13 @@ class SchedulerContext {
   [[nodiscard]] virtual std::optional<device::AppKind> user_app(
       std::size_t user) = 0;
   /// Accumulated gradient gap g_i (Eq. 12) of the user, as of the end of
-  /// the previous slot. Non-const: reading a lazily-accrued gap with a
-  /// non-zero base rebases its chain in the driver's gap column.
-  [[nodiscard]] virtual double user_gap(std::size_t user) = 0;
+  /// the previous slot.
+  [[nodiscard]] virtual double user_gap(std::size_t user) const = 0;
   /// Flat per-user gap array behind user_gap() — the SoA view batched
-  /// decide passes read instead of one virtual call per user. Only exact
-  /// for strategies consuming per-slot totals (needs_slot_totals() true):
-  /// the driver keeps their rows fresh, via the per-slot sweep or — in
-  /// folded-accrual mode — by refreshing the due users' rows from the
-  /// closed form before each decide_batch. Lazy-accrual gaps are computed
-  /// on access, so lazy-mode strategies must keep using user_gap().
+  /// decide passes read instead of one virtual call per user. The rows of
+  /// a due batch are exact once fill_decide_inputs has run for it (the
+  /// driver refreshes them from its closed-form gap engine); other rows of
+  /// accruing users may be stale, so reads outside a batch use user_gap().
   [[nodiscard]] virtual const double* gap_values() const noexcept = 0;
   /// Server-side momentum norm ||v_t|| (real or synthetic model).
   [[nodiscard]] virtual double momentum_norm() const = 0;
@@ -263,7 +260,8 @@ class Scheduler {
   }
 
   /// End-of-slot bookkeeping: A(t) users became ready, b(t) were scheduled,
-  /// G(t) is the summed per-user gap (the Eq. 15/16 inputs).
+  /// G(t) is the summed per-user gap (the Eq. 15/16 inputs). Called every
+  /// slot with the exact G(t), whatever the strategy.
   virtual void on_slot_end(double arrivals, double served, double sum_gaps) {
     (void)arrivals;
     (void)served;
@@ -271,19 +269,6 @@ class Scheduler {
   }
 
   // ------------------------------------------------------ policy traits
-
-  /// Does on_slot_end consume exact per-slot totals — in particular the
-  /// summed fleet gap G(t)? True (the safe default) makes the driver run a
-  /// per-slot O(n) gap sweep; strategies that ignore the argument (no
-  /// Lyapunov queues) return false, and the driver then accrues gaps
-  /// lazily, materializing G(t) only at trace-record slots. When false,
-  /// on_slot_end may receive 0 for sum_gaps between record slots. Under
-  /// config.folded_gap_accrual the sweep is replaced by the O(1)
-  /// folded-accrual accumulators (core/gap_accrual.hpp) and G(t) stays
-  /// exact per slot up to floating-point associativity.
-  [[nodiscard]] virtual bool needs_slot_totals() const noexcept {
-    return true;
-  }
 
   /// Parking promise for the event-driven driver. Called after decide()
   /// returned kIdle for a ready `user` at slot `t`: the strategy guarantees

@@ -14,12 +14,6 @@ class ImmediateScheduler final : public Scheduler {
 
   [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
                                         SchedulerContext& ctx) override;
-
-  /// No Lyapunov queues: on_slot_end is ignored, so the driver can skip
-  /// the per-slot fleet gap sweep and accrue lazily.
-  [[nodiscard]] bool needs_slot_totals() const noexcept override {
-    return false;
-  }
 };
 
 }  // namespace fedco::core

@@ -35,12 +35,6 @@ class OfflineScheduler final : public Scheduler {
   [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
                                         SchedulerContext& ctx) override;
 
-  /// No Lyapunov queues: on_slot_end is ignored, so the driver can skip
-  /// the per-slot fleet gap sweep and accrue lazily.
-  [[nodiscard]] bool needs_slot_totals() const noexcept override {
-    return false;
-  }
-
   /// A cached window plan pins the decision stream: a deferred user idles
   /// until the next window boundary, a wait-for-app user until its planned
   /// start slot — so the driver can park ready users instead of

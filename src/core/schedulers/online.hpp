@@ -94,14 +94,6 @@ class OnlineLyapunovScheduler final : public Scheduler {
     online_.update_queues(arrivals, served, sum_gaps);
   }
 
-  /// The Eq. (15)/(16) queue updates consume exact per-slot A(t), b(t),
-  /// G(t) — the driver must run its per-slot gap sweep (or, under
-  /// config.folded_gap_accrual, answer G(t) from the O(1) closed-form
-  /// accumulators; exact up to floating-point associativity).
-  [[nodiscard]] bool needs_slot_totals() const noexcept override {
-    return true;
-  }
-
   /// Coarsened scheduling granularity: between evaluation slots decide()
   /// returns kIdle without reading any state, so ready users can be parked
   /// until the next multiple of the decision interval.

@@ -20,12 +20,6 @@ class SyncSgdScheduler final : public Scheduler {
   [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
                                         SchedulerContext& ctx) override;
 
-  /// No Lyapunov queues: on_slot_end is ignored, so the driver can skip
-  /// the per-slot fleet gap sweep and accrue lazily.
-  [[nodiscard]] bool needs_slot_totals() const noexcept override {
-    return false;
-  }
-
   [[nodiscard]] bool uses_round_barrier() const noexcept override {
     return true;
   }

@@ -22,8 +22,9 @@
 #      out-of-range per_user arrival law); --arrival-p outside [0, 1]
 #      exits 2 naming the flag.
 #   9. Out-of-range run knobs (epsilon, record_interval,
-#      offline_window_slots, horizon_slots, offline_lb) exit 2 before the
-#      run starts: in a --config file naming file and field, as a flag
+#      offline_window_slots, horizon_slots, offline_lb, V, lb,
+#      upload_drop_probability, min_soc_to_train, num_users) exit 2 before
+#      the run starts: in a --config file naming file and field, as a flag
 #      naming the flag.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
@@ -309,11 +310,12 @@ endif()
 
 # --- 9. out-of-range run knobs ---------------------------------------------
 foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
-            "horizon_slots;0" "offline_lb;-5")
+            "horizon_slots;0" "offline_lb;-5" "V;-1" "lb;-5"
+            "upload_drop_probability;2" "min_soc_to_train;5" "num_users;0")
   list(GET bad 0 field)
   list(GET bad 1 value)
   file(WRITE ${work_dir}/bad_${field}.json
-    "{\"scheduler\":\"offline\",\"num_users\":2,\"${field}\":${value}}\n")
+    "{\"scheduler\":\"offline\",\"horizon_slots\":60,\"${field}\":${value}}\n")
   execute_process(
     COMMAND ${FEDCO_SIM} --config ${work_dir}/bad_${field}.json
     RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
@@ -325,11 +327,13 @@ foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
   endif()
 endforeach()
 
-foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5")
+foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5"
+            "--V;nan" "--V;-1" "--Lb;-5" "--Lb;nan" "--drop-p;2" "--drop-p;-1"
+            "--min-soc;5;--battery" "--users;-5")
   list(GET bad 0 flag)
-  list(GET bad 1 value)
+  list(SUBLIST bad 1 -1 value)
   execute_process(
-    COMMAND ${FEDCO_SIM} --scheduler offline --users 2 ${flag} ${value}
+    COMMAND ${FEDCO_SIM} --scheduler offline --horizon 60 ${flag} ${value}
     RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
   )
   if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "${flag}")

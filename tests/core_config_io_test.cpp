@@ -279,6 +279,41 @@ TEST(ConfigIo, OutOfRangeRunKnobsAreNamedAtLoad) {
   EXPECT_EQ(edges.offline_lb, 1e-3);
 }
 
+// The Eq. (16) queue knobs and the environment probabilities meet their
+// ranges at load, named; the boundaries themselves load.
+TEST(ConfigIo, OutOfRangeQueueAndEnvironmentKnobsAreNamedAtLoad) {
+  rejects(R"({"V":-1})", "'V' must be non-negative and finite");
+  rejects(R"({"lb":-5})", "'lb' must be non-negative and finite");
+  rejects(R"({"Lb":-0.5})", "'Lb' must be non-negative and finite");
+  rejects(R"({"upload_drop_probability":2})",
+          "'upload_drop_probability' must be in [0, 1]");
+  rejects(R"({"upload_drop_probability":-1})",
+          "'upload_drop_probability' must be in [0, 1]");
+  rejects(R"({"min_soc_to_train":5})", "'min_soc_to_train' must be in [0, 1]");
+  rejects(R"({"num_users":0})", "'num_users' must be positive");
+  const ExperimentConfig edges = config_from_json(
+      R"({"V":0,"lb":0,"upload_drop_probability":1,"min_soc_to_train":1,
+          "num_users":1})");
+  EXPECT_EQ(edges.V, 0.0);
+  EXPECT_EQ(edges.lb, 0.0);
+  EXPECT_EQ(edges.upload_drop_probability, 1.0);
+  EXPECT_EQ(edges.min_soc_to_train, 1.0);
+  EXPECT_EQ(edges.num_users, 1u);
+}
+
+TEST(ConfigIo, RetiredGapEngineKeyLoadsAtEitherValueAndIsNotWritten) {
+  // Every archive written before the folded engine became the only one
+  // carries folded_gap_accrual (false); it selects nothing now.
+  EXPECT_TRUE(config_from_json(R"({"folded_gap_accrual":false})") ==
+              ExperimentConfig{});
+  EXPECT_TRUE(config_from_json(R"({"folded_gap_accrual":true})") ==
+              ExperimentConfig{});
+  EXPECT_THROW((void)config_from_json(R"({"folded_gap_accrual":1})"),
+               std::invalid_argument);
+  EXPECT_EQ(config_to_json(ExperimentConfig{}).find("folded_gap_accrual"),
+            std::string::npos);
+}
+
 TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {
   // Archives written before the planner collapse carry these keys.
   EXPECT_TRUE(config_from_json(R"({"offline_incremental_replan":true,

@@ -181,26 +181,17 @@ TEST(StreamModeInvariants, ConservationHoldsUnderArrivalStreams) {
 }
 
 // ------------------------------------------------------------------------
-// Folded-accrual invariants (PR 7, config.folded_gap_accrual): the
-// closed-form G(t) engine must uphold the physical invariants of the
-// default sweep, reproduce its G(t)/H(t) trajectories up to floating-point
-// associativity, and leave the decision stream untouched on every regime
-// the gap dynamics exercise (availability churn, diurnal arrivals, LTE).
-// The divergence tolerance below is the quantified contract of
-// docs/performance.md section 8: the two engines compute the same sum in a
-// different association order, so their G(t) may differ by a few ulps of
-// the summands — never by a decision-visible amount on these fleets.
+// Folded-accrual invariants: the closed-form G(t) engine (the driver's
+// only one) must uphold the physical invariants on every regime the gap
+// dynamics exercise (availability churn, diurnal arrivals, LTE): the
+// Eq. (10) energy sums, the exact Eq. (16) recurrence on the recorded
+// G(t)/H(t), and batched ≡ scalar decide. Agreement with a per-slot sweep
+// is checked against the oracle in gap_accrual_test.cpp.
 
 struct FoldedCase {
   SchedulerKind scheduler;
   const char* regime;  // "churn" | "diurnal" | "lte"
 };
-
-/// Pinned |G_folded(t) - G_sweep(t)| (and H) bound. G on these fleets
-/// stays under ~2e3, so this allows ~1e12 ulps of slack over the measured
-/// drift (~1e-10 at worst) while still catching any real re-association
-/// bug, which shows up slots-times-epsilon sized (>= 5e-2).
-constexpr double kFoldedGTolerance = 1e-6;
 
 ExperimentConfig folded_case_config(const FoldedCase& param) {
   ExperimentConfig cfg;
@@ -231,46 +222,21 @@ ExperimentConfig folded_case_config(const FoldedCase& param) {
 
 class FoldedGapInvariants : public ::testing::TestWithParam<FoldedCase> {};
 
-TEST_P(FoldedGapInvariants, MatchesSweepUpToAssociativity) {
+TEST_P(FoldedGapInvariants, HoldOnEveryRegime) {
   const FoldedCase param = GetParam();
-  ExperimentConfig cfg = folded_case_config(param);
-  const ExperimentResult sweep = run_experiment(cfg);
-  cfg.folded_gap_accrual = true;
+  const ExperimentConfig cfg = folded_case_config(param);
   const ExperimentResult folded = run_experiment(cfg);
 
-  // Physical invariants hold in folded mode on their own.
   const double parts = folded.training_j + folded.corun_j + folded.app_j +
                        folded.idle_j + folded.network_j + folded.overhead_j;
   EXPECT_NEAR(folded.total_energy_j, parts, 1e-6);
   EXPECT_GT(folded.total_updates + folded.dropped_updates, 0u);
 
-  // The G(t) engines differ only by summation order, which on these
-  // fleets never crosses an Eq. (21) decision threshold: the decision
-  // stream — and with it every energy joule — is identical, bit for bit.
-  EXPECT_EQ(folded.total_updates, sweep.total_updates);
-  EXPECT_EQ(folded.dropped_updates, sweep.dropped_updates);
-  EXPECT_EQ(folded.total_energy_j, sweep.total_energy_j);
-
-  // Quantified associativity drift: per-slot G(t) and H(t) trajectories
-  // agree within the pinned tolerance.
-  const auto* g_sweep = sweep.traces.find("G");
   const auto* g_folded = folded.traces.find("G");
-  const auto* h_sweep = sweep.traces.find("H");
   const auto* h_folded = folded.traces.find("H");
-  ASSERT_NE(g_sweep, nullptr);
   ASSERT_NE(g_folded, nullptr);
-  ASSERT_EQ(g_sweep->size(), g_folded->size());
-  ASSERT_EQ(h_sweep->size(), h_folded->size());
-  double max_g_drift = 0.0;
-  double max_h_drift = 0.0;
-  for (std::size_t k = 0; k < g_sweep->size(); ++k) {
-    max_g_drift = std::max(
-        max_g_drift, std::abs(g_sweep->value_at(k) - g_folded->value_at(k)));
-    max_h_drift = std::max(
-        max_h_drift, std::abs(h_sweep->value_at(k) - h_folded->value_at(k)));
-  }
-  EXPECT_LE(max_g_drift, kFoldedGTolerance) << "G(t) drift beyond contract";
-  EXPECT_LE(max_h_drift, kFoldedGTolerance) << "H(t) drift beyond contract";
+  ASSERT_NE(h_folded, nullptr);
+  ASSERT_EQ(g_folded->size(), h_folded->size());
 
   if (param.scheduler == SchedulerKind::kOnline) {
     // Eq. (16) holds exactly on the recorded folded trajectory:
@@ -317,13 +283,6 @@ INSTANTIATE_TEST_SUITE_P(
         FoldedCase{SchedulerKind::kOnline, "diurnal"},
         FoldedCase{SchedulerKind::kOnline, "lte"}),
     folded_case_name);
-
-// The golden-fingerprint suites (core_scheduler_parity_test and friends)
-// pin default-flag behaviour bit for bit; that contract only covers the
-// sweep engine while folded accrual stays opt-in. Guard the default.
-TEST(FoldedGapInvariants, FoldedAccrualIsOptIn) {
-  EXPECT_FALSE(ExperimentConfig{}.folded_gap_accrual);
-}
 
 // ------------------------------------------------------------------------
 // Fault-injection invariants (PR 9): outage and recovery windows split a

@@ -1,66 +1,26 @@
-// Unit tests for the gap-accrual components behind the driver's Eq. (12)
-// bookkeeping (src/core/gap_accrual.hpp): the shared epsilon-chain prefix
-// table with its bounded closed-form tail, and the folded-accrual
-// accumulator engine of the opt-in folded_gap_accrual mode. A long-horizon
-// driver run exercises both past the chain-table threshold, where the tail
-// formula is the only path, and a record-cadence battery checks that the
-// lazy chain's gap reads leave every outcome untouched.
+// Unit tests for the driver's Eq. (12) gap engine (src/core/gap_accrual.hpp):
+// the folded-accrual accumulators, checked against a per-slot sweep oracle
+// (every accruing gap += epsilon, then an index-order sum) over a long
+// random sequence of Eq. (12) class transitions, plus a record-cadence
+// battery checking that gap reads leave every outcome untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
 #include "core/gap_accrual.hpp"
 #include "scenario/spec.hpp"
+#include "util/rng.hpp"
 
 namespace fedco::core {
 namespace {
 
 constexpr double kEps = 0.05;
-
-TEST(EpsChainTable, BitIdenticalToSequentialAdditionsBelowThreshold) {
-  EpsChainTable table{kEps};
-  EXPECT_EQ(table.value(0), 0.0);
-  // value(k) must reproduce the exact addition chain the eager per-slot
-  // loop performs — bit for bit, not just approximately — because chain
-  // replay feeds the golden-fingerprint contract.
-  double chain = 0.0;
-  for (std::int64_t k = 1; k <= 4096; ++k) {
-    chain += kEps;
-    ASSERT_EQ(table.value(k), chain) << "chain length " << k;
-  }
-  // Random access after sequential growth reads the same entries.
-  double seventeen = 0.0;
-  for (int i = 0; i < 17; ++i) seventeen += kEps;
-  EXPECT_EQ(table.value(17), seventeen);
-}
-
-TEST(EpsChainTable, ClosedFormTailBeyondThreshold) {
-  EpsChainTable table{kEps};
-  // The literal sequential chain at k = 300000, for reference.
-  const std::int64_t k = 300000;
-  double chain = 0.0;
-  for (std::int64_t i = 0; i < k; ++i) chain += kEps;
-  // Past kTailThreshold the table switches to threshold-entry +
-  // closed-form multiply: equal to the sequential chain up to
-  // floating-point associativity.
-  const double tail = table.value(k);
-  EXPECT_NEAR(tail, chain, 1e-9 * chain);
-  EXPECT_NE(tail, 0.0);
-
-  // The tail is continuous and strictly increasing across the boundary.
-  const std::int64_t th = EpsChainTable::kTailThreshold;
-  EXPECT_LT(table.value(th - 1), table.value(th));
-  EXPECT_LT(table.value(th), table.value(th + 1));
-  EXPECT_NEAR(table.value(th) - table.value(th - 1), kEps, 1e-12);
-
-  // Storage stays bounded by the threshold no matter how far we read.
-  EXPECT_LE(table.stored(), static_cast<std::size_t>(th));
-  (void)table.value(10'000'000);
-  EXPECT_LE(table.stored(), static_cast<std::size_t>(th));
-}
 
 TEST(FoldedGapAccrual, SumIsTheSumOfClosedForms) {
   FoldedGapAccrual fold;
@@ -107,67 +67,129 @@ TEST(FoldedGapAccrual, ReattachAfterResetRestartsTheClosedForm) {
   EXPECT_DOUBLE_EQ(fold.sum(150), fold.eval(0, 150));
 }
 
-// Long-horizon driver integration: with the battery gate pinned above any
-// reachable state of charge nobody ever trains, so every user accrues one
-// pure epsilon chain for the whole horizon — past
-// EpsChainTable::kTailThreshold, onto the closed-form tail (the satellite
-// contract: bounded table, associativity-only divergence). The folded
-// engine computes the same gaps from its own closed form; both runs must
-// agree on the recorded per-user gap traces to within tight
-// floating-point tolerance, and on the decision stream (no updates at
-// all) exactly.
-TEST(GapAccrualLongHorizon, ChainTailAndFoldedAgreeBeyondThreshold) {
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kImmediate;  // chain mode (no slot totals)
-  cfg.track_battery = true;
-  cfg.min_soc_to_train = 2.0;  // unreachable: every ready slot stays gated
-  cfg.num_users = 3;
-  cfg.horizon_slots = EpsChainTable::kTailThreshold + 8000;
-  cfg.arrival_probability = 0.001;
-  cfg.seed = 9;
-  cfg.record_per_user_gaps = true;
-  cfg.record_interval = 8192;
+enum class Mode { kAbsent, kTraining, kAccrue };
 
-  const ExperimentResult chain = run_experiment(cfg);
-  cfg.folded_gap_accrual = true;
-  const ExperimentResult folded = run_experiment(cfg);
+/// The per-slot gap sweep the driver ran before the folded engine became
+/// its only path, kept as the Eq. (12) oracle: every accruing user adds
+/// epsilon, then G(t) sums every present user's gap in user-index order.
+struct SweepOracle {
+  std::vector<double> gap;
+  std::vector<Mode> mode;
 
-  EXPECT_EQ(chain.total_updates, 0u);
-  EXPECT_EQ(folded.total_updates, 0u);
-  EXPECT_EQ(folded.total_energy_j, chain.total_energy_j);
-
-  for (std::size_t u = 0; u < cfg.num_users; ++u) {
-    const auto* a = chain.traces.find("gap_user" + std::to_string(u));
-    const auto* b = folded.traces.find("gap_user" + std::to_string(u));
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    ASSERT_EQ(a->size(), b->size());
-    double final_gap = 0.0;
-    for (std::size_t k = 0; k < a->size(); ++k) {
-      ASSERT_NEAR(a->value_at(k), b->value_at(k),
-                  1e-9 * std::max(1.0, a->value_at(k)))
-          << "user " << u << " record " << k;
-      final_gap = a->value_at(k);
+  double slot(double epsilon) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < gap.size(); ++i) {
+      if (mode[i] == Mode::kAbsent) continue;
+      if (mode[i] == Mode::kAccrue) gap[i] += epsilon;
+      sum += gap[i];
     }
-    // The final record sits past the chain-table threshold, so the value
-    // came through the closed-form tail — epsilon * (accrued slots), up
-    // to the boundary-slot convention (the cross-mode check above is the
-    // precise one; this pins the magnitude, i.e. that accrual never
-    // stopped or wrapped).
-    const double slots =
-        static_cast<double>((cfg.horizon_slots - 1) / cfg.record_interval *
-                            cfg.record_interval);
-    EXPECT_GE(slots, static_cast<double>(EpsChainTable::kTailThreshold));
-    EXPECT_NEAR(final_gap, kEps * slots, 2.0 * kEps);
+    return sum;
   }
+};
+
+// The folded engine against the sweep oracle on a seeded random sequence of
+// every Eq. (12) class transition the driver makes — training freeze, zero
+// reset after an applied update, non-zero base after a dropped upload,
+// leave and rejoin — over more than 2^16 slots, with transition rates from
+// every few dozen slots to never (a chain accruing the whole run). The
+// fold side mirrors the driver's fold_retag: a departing user's value is
+// pinned from the closed form, and an accrue attachment starts from the
+// value the driver's gap column holds.
+TEST(FoldedGapAccrual, MatchesThePerSlotSweepOracle) {
+  constexpr std::size_t kUsers = 200;
+  constexpr std::int64_t kSlots = 70'000;
+  constexpr double kTolerance = 1e-6;
+  util::Rng rng{2024};
+
+  SweepOracle sweep;
+  sweep.gap.assign(kUsers, 0.0);
+  sweep.mode.assign(kUsers, Mode::kAbsent);
+  FoldedGapAccrual fold;
+  fold.init(kUsers, kEps);
+  std::vector<double> column(kUsers, 0.0);  // the driver's gap column
+  std::vector<double> rate(kUsers);
+  const double rates[] = {1.0 / 40, 1.0 / 400, 1.0 / 4000, 1.0 / 40000};
+  for (std::size_t i = 0; i < kUsers; ++i) {
+    rate[i] = i % 50 == 1 ? 0.0 : rates[i % 4];
+    if (i % 5 != 0) {  // every fifth user joins later
+      sweep.mode[i] = Mode::kAccrue;
+      fold.attach_accrue(i, 0.0, 0);
+    }
+  }
+
+  std::int64_t freezes = 0, resets = 0, drops = 0, leaves = 0, joins = 0;
+  double max_drift = 0.0;
+  for (std::int64_t t = 0; t < kSlots; ++t) {
+    // Transitions land before slot t accrues, as driver events do.
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      if (rate[i] == 0.0 || !rng.bernoulli(rate[i])) continue;
+      const bool coin = rng.bernoulli(0.5);
+      switch (sweep.mode[i]) {
+        case Mode::kAccrue:
+          if (coin) {  // training freeze at a fresh gradient gap
+            const double frozen = rng.uniform(0.0, 5.0);
+            fold.detach_accrue(i);
+            fold.attach_frozen(i, frozen);
+            column[i] = frozen;
+            sweep.gap[i] = frozen;
+            sweep.mode[i] = Mode::kTraining;
+            ++freezes;
+          } else {  // leave: pin the departing value
+            column[i] = fold.eval(i, t - 1);
+            ASSERT_NEAR(column[i], sweep.gap[i], kTolerance) << "user " << i;
+            fold.detach_accrue(i);
+            sweep.mode[i] = Mode::kAbsent;
+            ++leaves;
+          }
+          break;
+        case Mode::kTraining:
+          fold.detach_frozen(i);
+          if (coin) {  // applied update: accrue again from zero
+            column[i] = 0.0;
+            sweep.gap[i] = 0.0;
+            ++resets;
+          } else {  // dropped upload: the frozen gap keeps accruing
+            ++drops;
+          }
+          fold.attach_accrue(i, column[i], t);
+          sweep.mode[i] = Mode::kAccrue;
+          break;
+        case Mode::kAbsent:  // rejoin from the pinned value
+          fold.attach_accrue(i, column[i], t);
+          sweep.mode[i] = Mode::kAccrue;
+          ++joins;
+          break;
+      }
+    }
+    const double want = sweep.slot(kEps);
+    const double got = fold.sum(t);
+    ASSERT_NEAR(got, want, kTolerance) << "G at slot " << t;
+    max_drift = std::max(max_drift, std::abs(got - want));
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      if (sweep.mode[i] != Mode::kAccrue) continue;
+      ASSERT_NEAR(fold.eval(i, t), sweep.gap[i], kTolerance)
+          << "user " << i << " at slot " << t;
+    }
+  }
+  // Every transition kind occurred many times, and the run crossed 2^16
+  // slots with chains that never reset.
+  EXPECT_GT(freezes, 1000);
+  EXPECT_GT(resets, 1000);
+  EXPECT_GT(drops, 1000);
+  EXPECT_GT(leaves, 1000);
+  EXPECT_GT(joins, 1000);
+  EXPECT_GT(sweep.gap[1], kEps * 65'536);
+  // The engines differ by association order only: non-zero, far below the
+  // tolerance.
+  EXPECT_GT(max_drift, 0.0);
+  EXPECT_LT(max_drift, kTolerance / 10);
 }
 
-// The lazy chain answers every gap read (replans, G(t) at record slots,
-// per-user traces) from its anchors without replaying energy, so how often
-// the run records must not move a single outcome. Churn (absent spans and
-// re-joins) and dropped uploads (impure chains, which rebase on read) make
-// every chain transition occur; the sync barrier's reliable uploads keep
-// its chains pure.
+// The folded engine answers every gap read (replans, G(t), per-user traces)
+// in closed form, so how often the run records must not move a single
+// outcome. Churn (absent spans and re-joins) and dropped uploads (non-zero
+// accrual bases) make every class transition occur; the sync barrier's
+// reliable uploads never drop.
 class RecordCadence : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(RecordCadence, OutcomesDoNotDependOnTheRecordInterval) {
@@ -209,6 +231,7 @@ TEST_P(RecordCadence, OutcomesDoNotDependOnTheRecordInterval) {
     EXPECT_EQ(r.separate_sessions, ref.separate_sessions);
     EXPECT_EQ(r.avg_lag, ref.avg_lag);
     EXPECT_EQ(r.avg_gap, ref.avg_gap);
+    EXPECT_EQ(r.avg_queue_h, ref.avg_queue_h);
     EXPECT_EQ(r.summary.decisions_scheduled, ref.summary.decisions_scheduled);
     EXPECT_EQ(r.summary.decisions_idle, ref.summary.decisions_idle);
     EXPECT_EQ(r.summary.parks, ref.summary.parks);
@@ -245,10 +268,11 @@ TEST_P(RecordCadence, OutcomesDoNotDependOnTheRecordInterval) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(LazySchemes, RecordCadence,
+INSTANTIATE_TEST_SUITE_P(AllSchemes, RecordCadence,
                          ::testing::Values(SchedulerKind::kOffline,
                                            SchedulerKind::kImmediate,
-                                           SchedulerKind::kSyncSgd));
+                                           SchedulerKind::kSyncSgd,
+                                           SchedulerKind::kOnline));
 
 }  // namespace
 }  // namespace fedco::core
