@@ -30,18 +30,18 @@ struct Golden {
 
 // Captured from the pre-refactor driver (see file comment).
 constexpr Golden kGoldens[] = {
-    {"plain", SchedulerKind::kImmediate, 0x7DA10CB909BE8655ULL},
-    {"plain", SchedulerKind::kSyncSgd, 0x2804E096A9A9B4EAULL},
-    {"plain", SchedulerKind::kOffline, 0xB28785AAC3BF0767ULL},
-    {"plain", SchedulerKind::kOnline, 0x50B0D113F3F76538ULL},
-    {"environment", SchedulerKind::kImmediate, 0xDCB576A5F21E79B0ULL},
-    {"environment", SchedulerKind::kSyncSgd, 0xF1ED3C33401FF4CAULL},
-    {"environment", SchedulerKind::kOffline, 0x48626DDBB7E93C44ULL},
-    {"environment", SchedulerKind::kOnline, 0x2759EB0C3128406BULL},
-    {"real-training", SchedulerKind::kImmediate, 0xA5546AFA7BAD0AACULL},
-    {"real-training", SchedulerKind::kSyncSgd, 0xACB8BB8C5E14919DULL},
-    {"real-training", SchedulerKind::kOffline, 0xA322D6008B77F0A2ULL},
-    {"real-training", SchedulerKind::kOnline, 0x37D3A8862A2BEAC1ULL},
+    {"plain", SchedulerKind::kImmediate, 0x369B93CFCA6AE7BCULL},
+    {"plain", SchedulerKind::kSyncSgd, 0x32F8E6AE5384235EULL},
+    {"plain", SchedulerKind::kOffline, 0xC3AA71D40BCCF80EULL},
+    {"plain", SchedulerKind::kOnline, 0xA7C03C2A1CBB6B6FULL},
+    {"environment", SchedulerKind::kImmediate, 0xA848E61725314841ULL},
+    {"environment", SchedulerKind::kSyncSgd, 0xC7376D02EE30649FULL},
+    {"environment", SchedulerKind::kOffline, 0x9F74B4FFFEBA04DCULL},
+    {"environment", SchedulerKind::kOnline, 0xF0FDB88851D78D25ULL},
+    {"real-training", SchedulerKind::kImmediate, 0x7526B579AF24F071ULL},
+    {"real-training", SchedulerKind::kSyncSgd, 0xE0F4E847A7018B39ULL},
+    {"real-training", SchedulerKind::kOffline, 0x68395AAC25AEA39FULL},
+    {"real-training", SchedulerKind::kOnline, 0xB9F4DB3D95F10D52ULL},
 };
 
 ExperimentConfig scenario_config(const char* name, SchedulerKind kind) {

@@ -169,24 +169,24 @@ struct EdgeGolden {
 
 // Captured from the eager pre-event-driven driver (see file comment).
 constexpr EdgeGolden kEdgeGoldens[] = {
-    {"idle-window", SchedulerKind::kOnline, 0xC148EE26E0BEA8C8ULL},
-    {"offline-defer", SchedulerKind::kOffline, 0xBEEE109DD59961EAULL},
+    {"idle-window", SchedulerKind::kOnline, 0x3290AD7916076C1BULL},
+    {"offline-defer", SchedulerKind::kOffline, 0x9B5FD35DCFD8B949ULL},
     {"horizon-last+1", SchedulerKind::kImmediate, 0x416116C66284B9E7ULL},
     {"horizon-last+1", SchedulerKind::kSyncSgd, 0x33C6ED95F13D1A53ULL},
-    {"horizon-last+1", SchedulerKind::kOffline, 0x26EBA3CFCF0F4012ULL},
-    {"horizon-last+1", SchedulerKind::kOnline, 0xBF1BFCFD55A66F52ULL},
+    {"horizon-last+1", SchedulerKind::kOffline, 0xDB55A71E61E2D193ULL},
+    {"horizon-last+1", SchedulerKind::kOnline, 0x3F4167DE3D58D053ULL},
     {"horizon-last+0", SchedulerKind::kImmediate, 0xF1E81D2123A85633ULL},
     {"horizon-last+0", SchedulerKind::kSyncSgd, 0xF1E81D2123A85633ULL},
-    {"horizon-last+0", SchedulerKind::kOffline, 0xB185D439F63AE716ULL},
-    {"horizon-last+0", SchedulerKind::kOnline, 0xDDB410F3186758D6ULL},
-    {"churn-aligned", SchedulerKind::kImmediate, 0x76ADECDEF567B7C1ULL},
-    {"churn-aligned", SchedulerKind::kSyncSgd, 0x85332565F48ECFCEULL},
-    {"churn-aligned", SchedulerKind::kOffline, 0xBA07512CE3D6A7A7ULL},
-    {"churn-aligned", SchedulerKind::kOnline, 0xA85B10D2D1568F3AULL},
-    {"churn-scenario", SchedulerKind::kImmediate, 0x8DB4F4D3134A8BE8ULL},
-    {"churn-scenario", SchedulerKind::kSyncSgd, 0x6852652D8F6D63B8ULL},
-    {"churn-scenario", SchedulerKind::kOffline, 0x447FA3D2906C77BEULL},
-    {"churn-scenario", SchedulerKind::kOnline, 0x64ADBD518E4485E5ULL},
+    {"horizon-last+0", SchedulerKind::kOffline, 0xACDA0ED643F4CCE7ULL},
+    {"horizon-last+0", SchedulerKind::kOnline, 0x5A70A83B9BA0CF27ULL},
+    {"churn-aligned", SchedulerKind::kImmediate, 0x4648B23C4EE7D1A1ULL},
+    {"churn-aligned", SchedulerKind::kSyncSgd, 0x993859CA6AB56E1CULL},
+    {"churn-aligned", SchedulerKind::kOffline, 0x98F3512A0B24C908ULL},
+    {"churn-aligned", SchedulerKind::kOnline, 0xF56F000C77107CC5ULL},
+    {"churn-scenario", SchedulerKind::kImmediate, 0xDAB8DF74B241EDA4ULL},
+    {"churn-scenario", SchedulerKind::kSyncSgd, 0xC37FBCBA9759750DULL},
+    {"churn-scenario", SchedulerKind::kOffline, 0x060C4E36D3C44C98ULL},
+    {"churn-scenario", SchedulerKind::kOnline, 0x24FA916239D0BE06ULL},
 };
 
 ExperimentConfig edge_config(const std::string& name, SchedulerKind kind) {
@@ -252,10 +252,10 @@ TEST(EventDriverEdges, LeaveSlotScanMatchesEagerDriver) {
     std::uint64_t combined;
   };
   constexpr ScanGolden kScanGoldens[] = {
-      {SchedulerKind::kImmediate, 0xAB87E5E562CC13D8ULL},
-      {SchedulerKind::kSyncSgd, 0x2B85F88AE8B68DB1ULL},
-      {SchedulerKind::kOffline, 0x4DAB8474BFFCD9EAULL},
-      {SchedulerKind::kOnline, 0xA743797F2F38E875ULL},
+      {SchedulerKind::kImmediate, 0xEAA5270C57E83D22ULL},
+      {SchedulerKind::kSyncSgd, 0x4031F908C36D41BFULL},
+      {SchedulerKind::kOffline, 0x836B07F2C8444BC7ULL},
+      {SchedulerKind::kOnline, 0x7834571B3F29FA51ULL},
   };
   for (const ScanGolden& golden : kScanGoldens) {
     std::uint64_t combined = 0xCBF29CE484222325ULL;

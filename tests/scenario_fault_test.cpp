@@ -146,22 +146,22 @@ struct FaultGolden {
 // Captured from the initial fault-subsystem implementation (PR 9) with
 // FEDCO_REGEN_GOLDENS=1.
 constexpr FaultGolden kFaultGoldens[] = {
-    {"fault-outage", SchedulerKind::kImmediate, 0x1D34F8EE31D5CC81ULL},
-    {"fault-outage", SchedulerKind::kSyncSgd, 0x474EB8F0EA3BF222ULL},
-    {"fault-outage", SchedulerKind::kOffline, 0xC463F4267F660CC1ULL},
-    {"fault-outage", SchedulerKind::kOnline, 0xF1780DCA792F068EULL},
-    {"fault-degrade", SchedulerKind::kImmediate, 0x421FCE78FAFDCC07ULL},
-    {"fault-degrade", SchedulerKind::kSyncSgd, 0x6B3921BC3C4FCE5EULL},
-    {"fault-degrade", SchedulerKind::kOffline, 0x6FEA6F03B18C4E5BULL},
-    {"fault-degrade", SchedulerKind::kOnline, 0x7B30367D207D06D2ULL},
-    {"fault-commute", SchedulerKind::kImmediate, 0xB4BD11BE58968941ULL},
-    {"fault-commute", SchedulerKind::kSyncSgd, 0x84AC246BA8441AE7ULL},
-    {"fault-commute", SchedulerKind::kOffline, 0xCF6C8DE98C1211B0ULL},
-    {"fault-commute", SchedulerKind::kOnline, 0xA4F144761550965CULL},
-    {"fault-trace", SchedulerKind::kImmediate, 0x07B82992D8589A9DULL},
-    {"fault-trace", SchedulerKind::kSyncSgd, 0xCA9B2ED67EAE6FD3ULL},
-    {"fault-trace", SchedulerKind::kOffline, 0x3CC78059EDF93792ULL},
-    {"fault-trace", SchedulerKind::kOnline, 0x901B3758524EC9FCULL},
+    {"fault-outage", SchedulerKind::kImmediate, 0x2C8A7D67396331A7ULL},
+    {"fault-outage", SchedulerKind::kSyncSgd, 0xC4DB6DEE058275B2ULL},
+    {"fault-outage", SchedulerKind::kOffline, 0x5768CE7FFEA4811AULL},
+    {"fault-outage", SchedulerKind::kOnline, 0xEBF82833084F8372ULL},
+    {"fault-degrade", SchedulerKind::kImmediate, 0x022837E60A322D43ULL},
+    {"fault-degrade", SchedulerKind::kSyncSgd, 0x858761A7A811FB2FULL},
+    {"fault-degrade", SchedulerKind::kOffline, 0xA4DACA873F05F461ULL},
+    {"fault-degrade", SchedulerKind::kOnline, 0xFCCEFD9A6E8B338FULL},
+    {"fault-commute", SchedulerKind::kImmediate, 0x01C52570BEF40A87ULL},
+    {"fault-commute", SchedulerKind::kSyncSgd, 0x0190480DEFFA78BAULL},
+    {"fault-commute", SchedulerKind::kOffline, 0x6309C64E00201095ULL},
+    {"fault-commute", SchedulerKind::kOnline, 0x9DB471B899FD38E2ULL},
+    {"fault-trace", SchedulerKind::kImmediate, 0x6C90B3E99B7F3935ULL},
+    {"fault-trace", SchedulerKind::kSyncSgd, 0x4D94E7F6A43A2B79ULL},
+    {"fault-trace", SchedulerKind::kOffline, 0x7C5967B960D3DBC2ULL},
+    {"fault-trace", SchedulerKind::kOnline, 0x704C45883DCE6852ULL},
 };
 
 TEST(FaultGoldens, EveryFaultFeatureIsPinned) {
@@ -211,10 +211,10 @@ TEST(FaultFree, SpecWithoutFaultsMatchesPreFaultGoldens) {
   const FaultGolden pre_fault[] = {
       // Pinned constants copied verbatim from kStreamGoldens in
       // tests/scenario_stream_parity_test.cpp (captured in PR 6).
-      {"stream-churn", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-      {"stream-churn", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-      {"stream-churn", SchedulerKind::kOffline, 0xD30BEF1711CFECEEULL},
-      {"stream-churn", SchedulerKind::kOnline, 0xBF46427C5B8E3663ULL},
+      {"stream-churn", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+      {"stream-churn", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+      {"stream-churn", SchedulerKind::kOffline, 0xB6C6307825615535ULL},
+      {"stream-churn", SchedulerKind::kOnline, 0xE99F24234EB9FA40ULL},
   };
   for (const FaultGolden& golden : pre_fault) {
     const ExperimentConfig cfg = fault_free_churn_config(golden.kind);

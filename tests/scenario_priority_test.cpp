@@ -105,18 +105,18 @@ struct PriorityGolden {
 // in every mode — the PriorityInvariance suite below pins that coincidence
 // as a contract rather than an accident.
 constexpr PriorityGolden kPriorityGoldens[] = {
-    {"churn-aware", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-    {"churn-aware", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-    {"churn-aware", SchedulerKind::kOffline, 0xE7E4F1B6307EEA37ULL},
-    {"churn-aware", SchedulerKind::kOnline, 0x24F584B29960874FULL},
-    {"vip", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-    {"vip", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-    {"vip", SchedulerKind::kOffline, 0x2B75067486392A16ULL},
-    {"vip", SchedulerKind::kOnline, 0x4DC329BA6E7D1489ULL},
-    {"vip-churn-aware", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-    {"vip-churn-aware", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-    {"vip-churn-aware", SchedulerKind::kOffline, 0xC0D1B0C52B2D10FAULL},
-    {"vip-churn-aware", SchedulerKind::kOnline, 0x82944919365BF5DAULL},
+    {"churn-aware", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+    {"churn-aware", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+    {"churn-aware", SchedulerKind::kOffline, 0x3D64BA616CF8F5B0ULL},
+    {"churn-aware", SchedulerKind::kOnline, 0x58D1B41AF6BF42C6ULL},
+    {"vip", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+    {"vip", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+    {"vip", SchedulerKind::kOffline, 0xBFCC286633B4090FULL},
+    {"vip", SchedulerKind::kOnline, 0x5B2C94EC2432DA6CULL},
+    {"vip-churn-aware", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+    {"vip-churn-aware", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+    {"vip-churn-aware", SchedulerKind::kOffline, 0xD4353DB7C3D3C732ULL},
+    {"vip-churn-aware", SchedulerKind::kOnline, 0x89C0F41600A4787CULL},
 };
 
 TEST(PriorityGoldens, EveryModeIsPinned) {
@@ -145,10 +145,10 @@ TEST(PriorityGoldens, EveryModeIsPinned) {
 // tests/scenario_stream_parity_test.cpp (captured in PR 6, four releases
 // before the churn-aware modes existed).
 constexpr PriorityGolden kPreChurnAwareGoldens[] = {
-    {"stream-churn", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-    {"stream-churn", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-    {"stream-churn", SchedulerKind::kOffline, 0xD30BEF1711CFECEEULL},
-    {"stream-churn", SchedulerKind::kOnline, 0xBF46427C5B8E3663ULL},
+    {"stream-churn", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+    {"stream-churn", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+    {"stream-churn", SchedulerKind::kOffline, 0xB6C6307825615535ULL},
+    {"stream-churn", SchedulerKind::kOnline, 0xE99F24234EB9FA40ULL},
 };
 
 TEST(Oblivious, DefaultFlagsMatchPreChurnAwareGoldens) {

@@ -309,22 +309,22 @@ struct StreamGolden {
 // FEDCO_REGEN_GOLDENS=1; every row is the fingerprint of BOTH the lazy and
 // the pregenerated run (the test asserts they agree before comparing).
 constexpr StreamGolden kStreamGoldens[] = {
-    {"stream-churn", SchedulerKind::kImmediate, 0x14B38C4C2CC976BDULL},
-    {"stream-churn", SchedulerKind::kSyncSgd, 0x97EE79FA3F7016A8ULL},
-    {"stream-churn", SchedulerKind::kOffline, 0xD30BEF1711CFECEEULL},
-    {"stream-churn", SchedulerKind::kOnline, 0xBF46427C5B8E3663ULL},
-    {"stream-diurnal", SchedulerKind::kImmediate, 0xAC5F024A4CB9F004ULL},
-    {"stream-diurnal", SchedulerKind::kSyncSgd, 0x1D8B0AD67F2D9821ULL},
-    {"stream-diurnal", SchedulerKind::kOffline, 0x11F7D8943079F962ULL},
-    {"stream-diurnal", SchedulerKind::kOnline, 0x30B7B990F13E2DFFULL},
-    {"stream-lte", SchedulerKind::kImmediate, 0x7CEA8DD98D6E94D7ULL},
-    {"stream-lte", SchedulerKind::kSyncSgd, 0x8559050F8EA55482ULL},
-    {"stream-lte", SchedulerKind::kOffline, 0x06F2732888983CC2ULL},
-    {"stream-lte", SchedulerKind::kOnline, 0xFEFB40D95464A7EDULL},
-    {"stream-overrides", SchedulerKind::kImmediate, 0x031E1659BA2B43F6ULL},
-    {"stream-overrides", SchedulerKind::kSyncSgd, 0x4D711A0CE625FF89ULL},
-    {"stream-overrides", SchedulerKind::kOffline, 0xD04F0902CE6524FAULL},
-    {"stream-overrides", SchedulerKind::kOnline, 0xB472497E014D0F39ULL},
+    {"stream-churn", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
+    {"stream-churn", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
+    {"stream-churn", SchedulerKind::kOffline, 0xB6C6307825615535ULL},
+    {"stream-churn", SchedulerKind::kOnline, 0xE99F24234EB9FA40ULL},
+    {"stream-diurnal", SchedulerKind::kImmediate, 0xE0D36541C6022907ULL},
+    {"stream-diurnal", SchedulerKind::kSyncSgd, 0x70B60F25770A2BB6ULL},
+    {"stream-diurnal", SchedulerKind::kOffline, 0x6550A5FAED48D171ULL},
+    {"stream-diurnal", SchedulerKind::kOnline, 0x243CB224A31F1C8FULL},
+    {"stream-lte", SchedulerKind::kImmediate, 0xC522F063FF7C5F6CULL},
+    {"stream-lte", SchedulerKind::kSyncSgd, 0x7C32F7CBEE131BEAULL},
+    {"stream-lte", SchedulerKind::kOffline, 0xBF08C714497A83F7ULL},
+    {"stream-lte", SchedulerKind::kOnline, 0x20F408A36A3E39A7ULL},
+    {"stream-overrides", SchedulerKind::kImmediate, 0x0D7F3A0754F1722DULL},
+    {"stream-overrides", SchedulerKind::kSyncSgd, 0x66FFB34D54FAB582ULL},
+    {"stream-overrides", SchedulerKind::kOffline, 0xC968DB51941BFDBDULL},
+    {"stream-overrides", SchedulerKind::kOnline, 0x200264372E7838B7ULL},
 };
 
 TEST(StreamParity, LazyStreamsMatchPregeneratedScriptsAndGoldens) {
