@@ -1198,26 +1198,21 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
            u.phase == Phase::kTransferring;
   }
 
+  /// Move user i to its Eq. 12 accumulator class at slot t — the only
+  /// place the G(t) accumulators are touched, which is what makes the slot
+  /// O(transitions). The caller has already written the transition's gap
+  /// value into gap_[i] (the frozen gradient gap before a training freeze,
+  /// 0.0 after an applied update, the surviving gap after a dropped
+  /// upload); accrue attachments start their closed form from it. A
+  /// training user is re-frozen on every call, so its contribution is
+  /// always the gap column as it stands, even when a second start_training
+  /// in the same session rewrote it.
   void set_mode(std::size_t i, sim::Slot t) {
     const UserState& u = users_[i];
     const unsigned char mode =
         u.phase == Phase::kTraining
             ? kGapTraining
             : (present(u, t) ? kGapAccrue : kGapAbsent);
-    fold_retag(i, t, mode);
-    gap_mode_[i] = mode;
-  }
-
-  /// Move user i between Eq. 12 accumulator classes at slot t — the only
-  /// place the G(t) accumulators are touched, which is what makes the slot
-  /// O(transitions). The caller has already written the transition's gap
-  /// value into gap_[i] (the frozen gradient gap before a training freeze,
-  /// 0.0 after an applied update, the surviving gap after a dropped
-  /// upload); accrue attachments start their closed form from it. A
-  /// training user is re-frozen on every retag, so its contribution is
-  /// always the gap column as it stands, even when a second start_training
-  /// in the same session rewrote it.
-  void fold_retag(std::size_t i, sim::Slot t, unsigned char mode) {
     const unsigned char old = gap_mode_[i];
     if (old == mode && mode != kGapTraining) return;
     if (old == kGapAccrue) {
@@ -1235,6 +1230,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     } else if (mode == kGapTraining) {
       fold_.attach_frozen(i, gap_[i]);
     }
+    gap_mode_[i] = mode;
   }
 
   /// Reconcile the user's membership in active_present_ (present users not

@@ -24,7 +24,7 @@ namespace fedco::core {
 /// tests/gap_accrual_test.cpp) is floating-point associativity: one
 /// multiply replaces (s - anchor) sequential additions, and detaching a
 /// contribution subtracts the exact double that was added. The driver owns
-/// when to attach/detach (experiment.cpp fold_retag); this class owns the
+/// when to attach/detach (experiment.cpp set_mode); this class owns the
 /// arithmetic.
 ///
 /// Per-user state is two flat columns: the base (which doubles as the

@@ -1,8 +1,10 @@
 // Unit tests for the driver's Eq. (12) gap engine (src/core/gap_accrual.hpp):
 // the folded-accrual accumulators, checked against a per-slot sweep oracle
 // (every accruing gap += epsilon, then an index-order sum) over a long
-// random sequence of Eq. (12) class transitions, plus a record-cadence
-// battery checking that gap reads leave every outcome untouched.
+// random sequence of Eq. (12) class transitions; a driver run whose gaps
+// are known in closed form across absences and rejoins; and a
+// record-cadence battery checking that gap reads leave every outcome
+// untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,7 +94,7 @@ struct SweepOracle {
 // reset after an applied update, non-zero base after a dropped upload,
 // leave and rejoin — over more than 2^16 slots, with transition rates from
 // every few dozen slots to never (a chain accruing the whole run). The
-// fold side mirrors the driver's fold_retag: a departing user's value is
+// fold side mirrors the driver's set_mode: a departing user's value is
 // pinned from the closed form, and an accrue attachment starts from the
 // value the driver's gap column holds.
 TEST(FoldedGapAccrual, MatchesThePerSlotSweepOracle) {
@@ -183,6 +185,68 @@ TEST(FoldedGapAccrual, MatchesThePerSlotSweepOracle) {
   // tolerance.
   EXPECT_GT(max_drift, 0.0);
   EXPECT_LT(max_drift, kTolerance / 10);
+}
+
+// Eq. (12) through the driver on multi-window presence: with training
+// gated off (state of charge held below the gate), a user's gap at the end
+// of slot t is epsilon times its present slots through t — it must hold
+// its value across every absence and resume from it on rejoin — and G(t)
+// is the sum over present users.
+TEST(FoldedGapDriver, AbsentUsersKeepTheirGapUntilTheyRejoin) {
+  scenario::ScenarioSpec spec;
+  spec.num_users = 20;
+  spec.horizon_slots = 3000;
+  spec.arrival.mean_probability = 0.004;
+  spec.churn.churn_fraction = 0.3;
+  spec.churn.min_presence = 0.3;
+  spec.churn.max_presence = 0.8;
+  spec.faults.commute.fraction = 0.7;
+  spec.faults.commute.period_slots = 400;
+  spec.faults.commute.on_slots = 250;
+  ExperimentConfig base;
+  base.scheduler = SchedulerKind::kImmediate;
+  base.seed = 11;
+  base.track_battery = true;
+  base.battery.initial_soc = 0.99;
+  base.min_soc_to_train = 1.0;  // never reached: every ready slot is gated
+  base.record_interval = 1;
+  base.record_per_user_gaps = true;
+  const ExperimentConfig cfg = apply_scenario_arena(spec, base);
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_EQ(r.total_updates, 0u);
+  ASSERT_GT(r.summary.joins, 0u);
+
+  const auto* g_trace = r.traces.find("G");
+  ASSERT_NE(g_trace, nullptr);
+  std::vector<double> want_g(static_cast<std::size_t>(cfg.horizon_slots), 0.0);
+  std::size_t rejoins = 0;
+  for (std::size_t u = 0; u < cfg.num_users; ++u) {
+    const scenario::PerUserConfig pu = cfg.fleet->user(u);
+    std::vector<scenario::PresenceWindow> windows{{pu.join_slot, pu.leave_slot}};
+    windows.insert(windows.end(), pu.extra_windows.begin(),
+                   pu.extra_windows.end());
+    rejoins += windows.size() - 1;
+    const auto* trace = r.traces.find("gap_user" + std::to_string(u));
+    ASSERT_NE(trace, nullptr);
+    double gap = 0.0;
+    for (sim::Slot t = 0; t < cfg.horizon_slots; ++t) {
+      const bool present =
+          std::any_of(windows.begin(), windows.end(),
+                      [t](const scenario::PresenceWindow& w) {
+                        return t >= w.join && t < w.leave;
+                      });
+      if (present) {
+        gap += kEps;
+        want_g[static_cast<std::size_t>(t)] += gap;
+      }
+      ASSERT_NEAR(trace->value_at(static_cast<std::size_t>(t)), gap, 1e-9)
+          << "user " << u << " at slot " << t;
+    }
+  }
+  EXPECT_GT(rejoins, cfg.num_users / 2);
+  for (std::size_t t = 0; t < want_g.size(); ++t) {
+    ASSERT_NEAR(g_trace->value_at(t), want_g[t], 1e-6) << "G at slot " << t;
+  }
 }
 
 // The folded engine answers every gap read (replans, G(t), per-user traces)
