@@ -215,6 +215,8 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   if (args.has("decision-interval")) {
     cfg.decision_interval_slots =
         args.get_int("decision-interval", cfg.decision_interval_slots);
+    require_flag(cfg.decision_interval_slots >= 1, "--decision-interval",
+                 "must be positive");
   }
   if (args.has("offline-window")) {
     cfg.offline_window_slots =

@@ -621,8 +621,13 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.use_lte = read_bool(value, key);
         } else if (key == "decision_eval_seconds") {
           config.decision_eval_seconds = read_double(value, key);
+          if (!(std::isfinite(config.decision_eval_seconds) &&
+                config.decision_eval_seconds >= 0.0)) {
+            reject_field(key, "must be non-negative and finite");
+          }
         } else if (key == "decision_interval_slots") {
           config.decision_interval_slots = read_int(value, key);
+          if (config.decision_interval_slots < 1) reject_field(key, kPositive);
         } else if (key == "upload_drop_probability") {
           config.upload_drop_probability = read_double(value, key);
           if (!in_unit_interval(config.upload_drop_probability)) {

@@ -346,12 +346,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return gap_at(user, cur_ - 1);
   }
 
-  [[nodiscard]] const double* gap_values() const noexcept override {
-    // Accruing rows are refreshed from the closed form for each due batch
-    // (fill_decide_inputs); every other row holds its value.
-    return gap_.data();
-  }
-
   [[nodiscard]] double momentum_norm() const override {
     return cfg_.real_training ? server_->momentum_norm()
                               : momentum_model_.momentum_norm();
@@ -377,8 +371,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                             device::AppKind app,
                                             sim::Slot t) const override {
     // Same duration table (and the same indexing) the expected_lag lookahead
-    // and fill_decide_inputs use, so the scalar and batched churn-aware
-    // paths see one end-slot arithmetic.
+    // uses, so the scalar and batched paths see one end-slot arithmetic.
     const UserState& u = users_[user];
     return t + lag_slots_[static_cast<std::size_t>(u.dev_kind)]
                          [status == device::AppStatus::kApp
@@ -386,38 +379,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                               : device::kAppKinds];
   }
 
-  void fill_decide_inputs(const std::uint32_t* users, std::size_t count,
-                          sim::Slot t, unsigned char* app_column,
-                          sim::Slot* end_slot) override {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (k + 8 < count) {
-        // The batch visits users at a stride the hardware prefetcher does
-        // not cover (ascending but sparse); hinting ahead hides the
-        // dominant cache-miss latency of this pass.
-        __builtin_prefetch(&decide_hot_[users[k + 8]]);
-      }
-      const std::uint32_t i = users[k];
-      DecideHot& h = decide_hot_[i];
-      if (t >= h.next_arrival) {
-        // Arrival due: run the real session machine (which re-syncs the
-        // mirror). Slots with no pending arrival — the vast majority —
-        // never touch the multi-line UserState.
-        advance_live(users_[i], t);  // exactly the user_app materialization
-      }
-      const std::size_t column = t < h.sess_end
-                                     ? static_cast<std::size_t>(h.app)
-                                     : device::kAppKinds;
-      app_column[k] = static_cast<unsigned char>(column);
-      end_slot[k] = t + lag_slots_[h.dev_kind][column];
-      // Due users are ready and present, hence accruing: refresh their rows
-      // from the closed form so gap_values() honours its flat-array
-      // contract for the batched Eq. (21) decide.
-      gap_[i] = fold_.eval(i, t - 1);
-    }
-  }
-
   [[nodiscard]] double lag_count_at(sim::Slot end_slot) const override {
     return cached_lag_count(end_slot, cur_);
+  }
+
+  double recheck_gap(std::uint32_t user) override {
+    // A due entry's gap is the previous slot's closed form, written to the
+    // record, unless this user's schedule earlier in the batch rewrote it.
+    if (user == last_scheduled_) return gap_[user];
+    gap_[user] = fold_.eval(user, cur_ - 1);
+    return gap_[user];
   }
 
   [[nodiscard]] std::optional<apps::ScriptedArrivals::Event>
@@ -582,7 +553,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   void setup_users() {
     users_.resize(cfg_.num_users);
-    decide_hot_.assign(cfg_.num_users, DecideHot{});
+    hot_.reserve(cfg_.num_users);  // untouched capacity costs no memory
     gap_.assign(cfg_.num_users, 0.0);
     // Everyone starts absent; the set_mode(i, 0) below performs the real
     // slot-0 classification and the initial accumulator attach.
@@ -720,7 +691,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       u.oracle_win = u.next_window;
       u.oracle_end = u.arrivals_end;
       u.live_next_arrival = u.live_sess.feed.at;
-      sync_decide_hot(i);
       u.phase = Phase::kReady;
       u.in_backlog = u.join == 0;
       set_mode(i, 0);
@@ -729,7 +699,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       if (u.join == 0) {
         u.active_counted = true;
         ++active_present_;
-        hot_ready_.push_back(static_cast<std::uint32_t>(i));
+        hot_.push_back(make_row(static_cast<std::uint32_t>(i), 0));
       }
       if (cfg_.real_training) {
         std::vector<std::size_t> shard = partition[i];
@@ -896,7 +866,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     std::vector<Event>& bucket = event_buckets_[static_cast<std::size_t>(t)];
     const std::size_t due_events = bucket.size();
     std::sort(bucket.begin(), bucket.end(), EventBefore{});
-    for (std::size_t k = 0; k < due_events; ++k) dispatch(bucket[k], t);
+    for (std::size_t k = 0; k < due_events; ++k) {
+      // A sparse ascending stride; every event but a wake transitions.
+      if (k + 4 < due_events && bucket[k + 4].type != EventType::kWake) {
+        prefetch_user(bucket[k + 4].user);
+      }
+      dispatch(bucket[k], t);
+    }
     assert(bucket.size() == due_events);
     std::vector<Event>().swap(bucket);
 
@@ -1050,7 +1026,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       // be past this window, and the script-mode oracle (whose arena spans
       // every window) never rewinds either.
       u.live_next_arrival = u.live_sess.feed.at;
-      sync_decide_hot(index);
     }
     push_event(u.join, index, EventType::kJoin);
     if (u.leave < cfg_.horizon_slots) {
@@ -1075,62 +1050,80 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Consult the strategy for every due ready user in ascending user order
   /// — exactly the users the eager per-slot decision loop would have
   /// touched with a non-idle outcome possible. The consult is one
-  /// decide_batch() call: the driver screens the candidates (phase,
+  /// decide_batch() call over ReadyRows: the driver merges the hot rows
+  /// with users that became ready, joined, or woke, screens them (phase,
   /// presence, battery gate) into `due_`, the strategy evaluates them in
   /// order, and each outcome comes back through the DecisionSink (a
-  /// schedule is applied before the next user is evaluated, preserving the
+  /// schedule is applied before the next row is evaluated, preserving the
   /// scalar loop's intra-slot expected_lag coupling bit for bit). Users
   /// whose strategy promises kIdle until a future slot are parked on a
   /// kWake event instead of being re-consulted every slot.
   void decide_ready(sim::Slot t) {
-    if (hot_ready_.empty() && decide_scratch_.empty()) return;
-    next_hot_.clear();
+    if (hot_.empty() && decide_scratch_.empty()) return;
     due_.clear();
+    gated_.clear();
+    // Sized up front: a push_back reallocation would hold two copies.
+    due_.reserve(hot_.size() + decide_scratch_.size());
+    constexpr std::size_t kAhead = 8;
+    const std::size_t hot_count = hot_.size();
     std::size_t a = 0;
     std::size_t b = 0;
     std::size_t gone = 0;
-    while (a < hot_ready_.size() || b < decide_scratch_.size()) {
-      std::uint32_t i;
+    while (a < hot_count || b < decide_scratch_.size()) {
       if (b >= decide_scratch_.size() ||
-          (a < hot_ready_.size() && hot_ready_[a] < decide_scratch_[b])) {
-        i = hot_ready_[a++];
-        if (!gate_ready_hot_) {
-          // Hot fast path: a hot member was ready and in-window last slot
-          // and can only have lost either through its leave event this
-          // slot (recorded in left_ready_, ascending) — nothing else
-          // flips a ready user before the decide phase. Screening via
-          // that list skips the per-user state touch, keeping this merge
-          // a pure index pass (the batch is the slot's single sweep over
-          // user state).
-          while (gone < left_ready_.size() && left_ready_[gone] < i) ++gone;
-          if (gone < left_ready_.size() && left_ready_[gone] == i) continue;
-          due_.push_back(i);
+          (a < hot_count && hot_[a].user < decide_scratch_[b])) {
+        if (a + kAhead < hot_count && t >= hot_[a + kAhead].app_until) {
+          prefetch_user(hot_[a + kAhead].user);
+        }
+        ReadyRow& row = hot_[a++];
+        // Hot fast path: a hot member was ready and in-window last slot
+        // and can only have lost either through its leave event this slot
+        // (recorded in left_ready_, ascending) — nothing else flips a
+        // ready user before the decide phase. Screening via that list
+        // skips the per-user state touch: the row carries what the batch
+        // reads, and its session fields are re-derived only once the slot
+        // reaches app_until. The battery gate screens every member.
+        while (gone < left_ready_.size() && left_ready_[gone] < row.user) ++gone;
+        if (gate_ready_hot_ ? !admit(row.user, t)
+                            : gone < left_ready_.size() &&
+                                  left_ready_[gone] == row.user) {
           continue;
         }
+        if (t >= row.app_until) refresh_row(row, t);
+        route(row);
       } else {
-        i = decide_scratch_[b++];
+        // Wakes touch nothing before this merge (joins and transfers did).
+        if (b + kAhead < decide_scratch_.size()) {
+          prefetch_user(decide_scratch_[b + kAhead]);
+        }
+        const std::uint32_t i = decide_scratch_[b++];
+        if (admit(i, t)) route(make_row(i, t));
       }
-      screen(i, t);
     }
+    hot_.clear();  // fully merged; the batch's idle rows refill it
+    last_scheduled_ = std::numeric_limits<std::uint32_t>::max();
     if (!due_.empty()) {
       scheduler_->decide_batch(due_.data(), due_.size(), t, *this, *this);
     }
-    // Screening pushes gated users to next_hot_ before the batch pushes
-    // idle ones, so with the gate armed the two runs must be re-merged
-    // into the ascending order the next slot's merge loop assumes (the
-    // scalar loop produced it by interleaving).
-    if (gate_ready_hot_) std::sort(next_hot_.begin(), next_hot_.end());
-    hot_ready_.swap(next_hot_);
+    // Gated rows stay hot, re-sorted into the ascending order the next
+    // slot's merge assumes (the scalar loop produced it by interleaving).
+    if (!gated_.empty()) {
+      hot_.insert(hot_.end(), gated_.begin(), gated_.end());
+      std::sort(hot_.begin(), hot_.end(),
+                [](const auto& x, const auto& y) { return x.user < y.user; });
+    }
   }
 
-  /// The scheme-agnostic pre-decide guards, applied per candidate before
+  [[nodiscard]] bool admit(std::uint32_t i, sim::Slot t) const {
+    return users_[i].phase == Phase::kReady && in_window(users_[i], t);
+  }
+
+  /// The scheme-agnostic battery guard, applied per admitted row before
   /// the strategy sees the batch. Screening user B ahead of applying user
   /// A's decision is order-safe: the gate reads only B's own (independent)
   /// accrual state, and the shared statistics it touches are commutative
   /// counts/maxima.
-  void screen(std::uint32_t i, sim::Slot t) {
-    UserState& u = users_[i];
-    if (u.phase != Phase::kReady || !in_window(u, t)) return;
+  void route(const ReadyRow& row) {
     // JobScheduler battery condition (Sec. VI): no training below the
     // configured state of charge. Scheme-agnostic, so gated in the driver
     // before the strategy is consulted — and re-checked every slot, so
@@ -1138,19 +1131,59 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // without the gate armed, ready users skip the per-slot catch-up
     // entirely and their idle span replays in one batch at schedule time.
     if (gate_ready_hot_) {
-      catch_up(i, t - 1);
-      if (u.battery.soc() < cfg_.min_soc_to_train) {
+      catch_up(row.user, cur_ - 1);
+      if (users_[row.user].battery.soc() < cfg_.min_soc_to_train) {
         ++result_.battery_gated_slots;
-        next_hot_.push_back(i);
+        gated_.push_back(row);
         return;
       }
     }
-    due_.push_back(i);
+    // A user hot and woken by a stale wake reaches the batch twice
+    // (ROADMAP's double-schedule bug), as adjacent copies: both are flagged
+    // kRecheck for good, as after the first outcome the gap fields may not
+    // describe the user.
+    due_.push_back(row);
+    if (due_.size() > 1 && due_[due_.size() - 2].user == row.user) {
+      due_[due_.size() - 2].flags |= ReadyRow::kRecheck;
+      due_.back().flags |= ReadyRow::kRecheck;
+    }
+  }
+
+  /// A fresh row for user i at slot t. A user outside the accruing class
+  /// (reachable only through a double entry) is flagged kRecheck.
+  [[nodiscard]] ReadyRow make_row(std::uint32_t i, sim::Slot t) {
+    ReadyRow row{fold_.base(i), fold_.anchor(i), i, 0,
+                 static_cast<std::uint8_t>(users_[i].dev_kind), 0, 0};
+    if (gap_mode_[i] != kGapAccrue) row.flags = ReadyRow::kRecheck;
+    refresh_row(row, t);
+    return row;
+  }
+
+  /// Re-derive a row's session fields at slot t, as user_app does. Slots
+  /// clamp to int32: all reachable ones are below the bounded horizon.
+  void refresh_row(ReadyRow& row, sim::Slot t) {
+    UserState& u = users_[row.user];
+    advance_live(u, t);
+    const bool app_on = t < u.live_sess.end;
+    row.app = static_cast<std::uint8_t>(
+        app_on ? static_cast<std::size_t>(u.live_sess.app) : device::kAppKinds);
+    row.app_until = static_cast<std::int32_t>(
+        std::min<sim::Slot>(app_on ? u.live_sess.end : u.live_next_arrival,
+                            std::numeric_limits<std::int32_t>::max()));
+  }
+
+  /// Prefetch the UserState lines a transition of user i touches: the
+  /// first 8 (phase, both session machines, watermark, meter). Prefetching
+  /// all ~10 plus the gap-engine cells measured slower on the 1M fleet.
+  void prefetch_user(std::uint32_t i) const {
+    const char* p = reinterpret_cast<const char*>(&users_[i]);
+    for (int line = 0; line < 8; ++line) __builtin_prefetch(p + 64 * line);
   }
 
   // ------------------------------------------------------ DecisionSink
 
-  void schedule(std::uint32_t i) override {
+  void schedule(std::size_t k) override {
+    const std::uint32_t i = due_[k].user;
     UserState& u = users_[i];
     catch_up(i, cur_ - 1);
     // Materialize the live session through the decision slot (the scalar
@@ -1161,25 +1194,28 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     slot_served_ += 1.0;
     u.in_backlog = false;
     ++result_.summary.decisions_scheduled;
+    last_scheduled_ = i;
     if (slot_sampled_) {
       events_->emit(obs::Event::decision(cur_, i, u.training_corun));
     }
   }
 
-  void idle(std::uint32_t i) override {
-    idle_until(i, scheduler_->ready_parked_until(i, cur_));
-  }
-
-  void idle_until(std::uint32_t i, sim::Slot until) override {
-    ++result_.summary.decisions_idle;
+  void idle(std::size_t from, std::size_t to, sim::Slot until) override {
+    result_.summary.decisions_idle += to - from;
     if (!gate_ready_hot_ && until > cur_ + 1) {
-      push_event(until, i, EventType::kWake);  // parked
-      ++result_.summary.parks;
-      if (slot_sampled_) events_->emit(obs::Event::park(cur_, i, until));
+      for (std::size_t k = from; k < to; ++k) {
+        const std::uint32_t i = due_[k].user;
+        push_event(until, i, EventType::kWake);  // parked
+        ++result_.summary.parks;
+        if (slot_sampled_) events_->emit(obs::Event::park(cur_, i, until));
+      }
     } else {
-      next_hot_.push_back(i);
+      hot_.insert(hot_.end(), due_.begin() + static_cast<std::ptrdiff_t>(from),
+                  due_.begin() + static_cast<std::ptrdiff_t>(to));
     }
   }
+
+  void prefetch(std::size_t k) override { prefetch_user(due_[k].user); }
 
   // ------------------------------------------------------------- presence
 
@@ -1258,17 +1294,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (t < u.live_next_arrival) return;
     advance_session(u.live_sess, u, t);
     u.live_next_arrival = u.live_sess.feed.at;
-    sync_decide_hot(static_cast<std::size_t>(&u - users_.data()));
-  }
-
-  /// Re-copy user i's live-session snapshot into the decide-hot mirror.
-  void sync_decide_hot(std::size_t i) {
-    const UserState& u = users_[i];
-    DecideHot& h = decide_hot_[i];
-    h.next_arrival = u.live_next_arrival;
-    h.sess_end = u.live_sess.end;
-    h.app = static_cast<unsigned char>(u.live_sess.app);
-    h.dev_kind = static_cast<unsigned char>(u.dev_kind);
   }
 
   /// Advance one of the user's foreground-session machines through slot
@@ -1438,7 +1463,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       const sim::Slot needed = clock_.slots_for_seconds(duration);
       if (needed > u.live_sess.end - t) u.live_sess.end = t + needed;
       u.replay_sess.end = u.live_sess.end;
-      decide_hot_[index].sess_end = u.live_sess.end;
       ++result_.corun_sessions;
     } else {
       ++result_.separate_sessions;
@@ -1694,24 +1718,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::size_t model_bytes_ = 2'500'000;
 
   std::vector<UserState> users_;
-  /// Packed mirror of the four UserState fields the batched decide prefill
-  /// reads for every due user on every evaluation slot. UserState spans
-  /// several cache lines; this 24-byte column turns the common no-arrival
-  /// read into a single-line touch. Kept coherent at the three places the
-  /// source fields move: setup_users, advance_live, and the co-run session
-  /// extension in start_training.
-  struct DecideHot {
-    sim::Slot next_arrival = std::numeric_limits<sim::Slot>::max();
-    sim::Slot sess_end = 0;
-    unsigned char app = 0;
-    unsigned char dev_kind = 0;
-  };
-  std::vector<DecideHot> decide_hot_;
   /// Per-user scheduling weights (VIP classes). Left unallocated for the
   /// common all-1.0 fleet — user_priority answers 1.0 without a table.
   std::vector<double> priority_;
-  /// Per-user gap values g_i (Eq. 12): exact for non-accruing users; an
-  /// accruing row is refreshed from fold_ only when a due batch reads it.
+  /// Per-user gap values g_i (Eq. 12): exact for non-accruing users;
+  /// accruing users read fold_ instead.
   std::vector<double> gap_;
   /// GapMode byte per user: its Eq. 12 accumulator class.
   std::vector<unsigned char> gap_mode_;
@@ -1745,11 +1756,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Calendar event queue: one bucket per slot (push_event drops slots past
   /// the horizon, so the index is always in range). See the step() drain.
   std::vector<std::vector<Event>> event_buckets_;
-  std::vector<std::uint32_t> hot_ready_;       ///< ready users consulted every slot
-  std::vector<std::uint32_t> next_hot_;        ///< scratch for the rebuild
+  /// Rows of the ready users consulted every slot (ascending user). The
+  /// merge consumes them into due_; the batch's idle outcomes refill it.
+  std::vector<ReadyRow> hot_;
+  std::vector<ReadyRow> due_;     ///< this slot's batch for decide_batch
+  std::vector<ReadyRow> gated_;   ///< battery-gated rows (stay in hot_)
   std::vector<std::uint32_t> decide_scratch_;  ///< became ready/woke this slot
-  std::vector<std::uint32_t> due_;             ///< screened batch for decide_batch
   std::vector<std::uint32_t> left_ready_;      ///< ready users that left this slot
+  /// User of the batch's latest schedule() (recheck_gap); reset per batch.
+  std::uint32_t last_scheduled_ = 0;
   std::size_t barrier_count_ = 0;    ///< users parked at the sync barrier
   std::size_t active_present_ = 0;   ///< present users not at the barrier
   bool charges_overhead_ = false;

@@ -11,6 +11,13 @@
 
 namespace fedco::core {
 
+/// gap(s) = base + epsilon * (s - anchor): the one expression behind
+/// FoldedGapAccrual::eval and ReadyRow::gap, so both read the same double.
+[[nodiscard]] inline double folded_gap(double base, std::int32_t anchor,
+                                       std::int64_t s, double epsilon) noexcept {
+  return base + epsilon * static_cast<double>(s - anchor);
+}
+
 /// Folded-accrual engine: each accruing user's gap is the closed form
 /// gap_i(s) = base_i + epsilon * (s - anchor_i), so the fleet sum
 ///
@@ -43,7 +50,13 @@ class FoldedGapAccrual {
 
   /// Closed-form gap of an accruing user at the end of slot `s`.
   [[nodiscard]] double eval(std::size_t i, std::int64_t s) const noexcept {
-    return base_[i] + epsilon_ * static_cast<double>(s - anchor_[i]);
+    return folded_gap(base_[i], anchor_[i], s, epsilon_);
+  }
+
+  /// The closed form's two cells, copied into the driver's ready rows.
+  [[nodiscard]] double base(std::size_t i) const noexcept { return base_[i]; }
+  [[nodiscard]] std::int32_t anchor(std::size_t i) const noexcept {
+    return anchor_[i];
   }
 
   /// Start accruing at slot `t` from `base` (the value at the end of slot

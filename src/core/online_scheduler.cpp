@@ -20,9 +20,8 @@ std::vector<OnlineDecisionOutcome> OnlineScheduler::decide_all(
 }
 
 double OnlineScheduler::amplification(double lag) const {
-  constexpr double kMaxCached = 1 << 20;  // ~8 MiB ceiling, far above any fleet
   const auto index = static_cast<std::size_t>(lag);
-  if (lag >= 0.0 && lag < kMaxCached && static_cast<double>(index) == lag) {
+  if (lag >= 0.0 && lag < kMaxCachedLag && static_cast<double>(index) == lag) {
     if (index >= amp_cache_.size()) {
       // Let push_back grow geometrically: an exact-fit reserve here would
       // reallocate (and copy) the whole memo every time the observed lag
@@ -30,8 +29,14 @@ double OnlineScheduler::amplification(double lag) const {
       // whose lag reaches L, which at 100k users dominated the decide
       // path. The cached values are unchanged either way.
       for (std::size_t l = amp_cache_.size(); l <= index; ++l) {
-        amp_cache_.push_back(
-            fl::momentum_amplification(config_.beta, static_cast<double>(l)));
+        const double amp =
+            fl::momentum_amplification(config_.beta, static_cast<double>(l));
+        // The idle screen's precondition, checked per new entry (no step
+        // down seen through 2^20 for beta 0.5-0.9999; nothing relies on it).
+        if (amp_checked_ == l && (l == 0 || amp >= amp_cache_.back())) {
+          amp_checked_ = l + 1;
+        }
+        amp_cache_.push_back(amp);
       }
     }
     return amp_cache_[index];

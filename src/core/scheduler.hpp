@@ -18,8 +18,9 @@
 //  * Hooks are invoked in a fixed per-slot order: completions (including
 //    `on_user_ready` for users finishing their transfer) -> `on_slot_begin`
 //    -> one `decide` per due ready user in user-index order (delivered as
-//    a single `decide_batch` call whose default implementation is exactly
-//    that scalar loop) -> energy/gap accounting -> `on_slot_end`.
+//    a single `decide_batch` call over ReadyRows whose default
+//    implementation is exactly that scalar loop) -> energy/gap accounting
+//    -> `on_slot_end`.
 //  * `queue_q`/`queue_h` are sampled once per slot after `on_slot_end` and
 //    must be cheap; schemes without Lyapunov queues report 0.
 //  * The driver is event-driven (DESIGN.md §9): per-user state read through
@@ -39,11 +40,38 @@
 
 #include "apps/arrival.hpp"
 #include "core/experiment.hpp"
+#include "core/gap_accrual.hpp"
 #include "device/power_model.hpp"
 #include "device/profiles.hpp"
 #include "sim/clock.hpp"
 
 namespace fedco::core {
+
+/// One due ready user as the decide batch receives it: a packed copy of
+/// everything Eq. (21) reads, kept by the driver across slots (the gap
+/// fields never move while the user stays ready; the session fields are
+/// re-derived at `app_until`). 24 bytes: ~800k rows at slot 0 of 1M users.
+struct ReadyRow {
+  double gap_base = 0.0;        ///< folded-gap base (FoldedGapAccrual)
+  std::int32_t gap_anchor = 0;  ///< folded-gap anchor slot
+  std::uint32_t user = 0;
+  /// First slot `app` may stop holding (int32-clamped): the session end
+  /// while an app is on screen (arrivals absorbed), else the next arrival.
+  std::int32_t app_until = 0;
+  std::uint8_t device = 0;  ///< device::DeviceKind
+  std::uint8_t app = 0;     ///< AppKind on screen, or kAppKinds for none
+  /// kRecheck: the gap fields may not describe the user (it reached the
+  /// batch twice, or is not accruing): evaluate exactly, with recheck_gap.
+  std::uint8_t flags = 0;
+  static constexpr std::uint8_t kRecheck = 1;
+
+  /// Gap g_i (Eq. 12) at the end of slot `s`: FoldedGapAccrual::eval's
+  /// closed form on the row's copy of its columns.
+  [[nodiscard]] double gap(std::int64_t s, double epsilon) const noexcept {
+    return folded_gap(gap_base, gap_anchor, s, epsilon);
+  }
+};
+static_assert(sizeof(ReadyRow) == 24, "ReadyRow must stay 24 bytes");
 
 /// The driver-side view a strategy sees. Implemented by the experiment
 /// driver; exposes read access to per-user simulation state plus the two
@@ -83,12 +111,6 @@ class SchedulerContext {
   /// Accumulated gradient gap g_i (Eq. 12) of the user, as of the end of
   /// the previous slot.
   [[nodiscard]] virtual double user_gap(std::size_t user) const = 0;
-  /// Flat per-user gap array behind user_gap() — the SoA view batched
-  /// decide passes read instead of one virtual call per user. The rows of
-  /// a due batch are exact once fill_decide_inputs has run for it (the
-  /// driver refreshes them from its closed-form gap engine); other rows of
-  /// accruing users may be stale, so reads outside a batch use user_gap().
-  [[nodiscard]] virtual const double* gap_values() const noexcept = 0;
   /// Server-side momentum norm ||v_t|| (real or synthetic model).
   [[nodiscard]] virtual double momentum_norm() const = 0;
   /// Server lag estimate l_{d_i} (Algorithm 2, line 4): currently-training
@@ -117,9 +139,9 @@ class SchedulerContext {
     return 1.0;
   }
   /// End slot of a training session started at `t` in the given app
-  /// context — t + the user's Table II duration in slots, the same
-  /// arithmetic fill_decide_inputs writes into end_slot[]. Defaulted (no
-  /// duration known -> t) so only churn-aware consumers need an answer.
+  /// context — t + the user's Table II duration in slots, the expected_lag
+  /// query point. Defaulted (no duration known -> t) so only the
+  /// churn-aware and batched online consumers need an answer.
   [[nodiscard]] virtual sim::Slot training_end_slot(std::size_t user,
                                                     device::AppStatus status,
                                                     device::AppKind app,
@@ -130,26 +152,20 @@ class SchedulerContext {
     return t;
   }
 
-  /// Batched decide-input prefill for a due batch at slot `t` (ascending
-  /// user order — the decide_batch hot path). For each users[k] the driver
-  /// materializes the live session through t (exactly user_app) and writes
-  /// the co-run column — the app kind, or device::kAppKinds for no app —
-  /// into app_column[k], and the end slot of a training session started now
-  /// in that context (t + the user's Table II duration in slots, the
-  /// expected_lag query point) into end_slot[k]. Gap rows behind
-  /// gap_values() are refreshed as by user_gap(). One tight pass over
-  /// driver state instead of two virtual consults per user.
-  virtual void fill_decide_inputs(const std::uint32_t* users,
-                                  std::size_t count, sim::Slot t,
-                                  unsigned char* app_column,
-                                  sim::Slot* end_slot) = 0;
-
-  /// The expected_lag answer for a prefilled end slot: the memoized count
-  /// of in-flight training sessions ending at or before `end_slot`. Must be
-  /// read per user AFTER earlier users' schedule() outcomes were applied —
-  /// the same intra-slot coupling expected_lag documents (a schedule
-  /// invalidates the memo).
+  /// The expected_lag answer for a training_end_slot() end slot: the
+  /// memoized count of in-flight training sessions ending at or before
+  /// `end_slot`. Must be read per user AFTER earlier users' schedule()
+  /// outcomes were applied — the same intra-slot coupling expected_lag
+  /// documents (a schedule invalidates the memo). Within one decide batch
+  /// the count never decreases: schedules only add training ends, and
+  /// completions run in the events phase.
   [[nodiscard]] virtual double lag_count_at(sim::Slot end_slot) const = 0;
+
+  /// Gap of a ReadyRow::kRecheck row's user when the batch evaluates it:
+  /// the previous slot's closed form from the gap engine's current columns
+  /// (also written to the user's record), or the recorded gap if this user
+  /// was scheduled earlier in the batch — a double entry's decisions hold.
+  [[nodiscard]] virtual double recheck_gap(std::uint32_t user) = 0;
 
   /// Offline-oracle service: the user's first scripted app arrival in
   /// [from, until), advancing the oracle cursor past stale entries.
@@ -211,43 +227,42 @@ class Scheduler {
   [[nodiscard]] virtual device::Decision decide(std::size_t user, sim::Slot t,
                                                 SchedulerContext& ctx) = 0;
 
-  /// Driver-owned outcome sink for decide_batch(): the strategy reports
-  /// each user's decision through it, in the order evaluated.
+  /// Driver-owned outcome sink for decide_batch(). Rows are addressed by
+  /// batch position; every row is reported exactly once, in order.
   class DecisionSink {
    public:
     virtual ~DecisionSink() = default;
-    /// Apply a kSchedule decision now: the driver starts the training
-    /// session before the strategy evaluates the next user, so later
-    /// evaluations observe it through expected_lag — exactly the scalar
-    /// loop's intra-slot coupling.
-    virtual void schedule(std::uint32_t user) = 0;
-    /// Record a kIdle decision; the driver parks or keeps the user hot via
-    /// ready_parked_until().
-    virtual void idle(std::uint32_t user) = 0;
-    /// Record a kIdle decision with the parking promise supplied inline —
-    /// the batched strategies' fast path: `until` must be exactly what
-    /// ready_parked_until(user, t) would return, so the driver skips that
-    /// per-user virtual consult.
-    virtual void idle_until(std::uint32_t user, sim::Slot until) = 0;
+    /// Apply a kSchedule decision for rows[k] now: the driver starts the
+    /// training session before the strategy evaluates the next row, so
+    /// later evaluations observe it through lag_count_at — exactly the
+    /// scalar loop's intra-slot coupling.
+    virtual void schedule(std::size_t k) = 0;
+    /// Record kIdle for rows[from, to), parked until `until` — exactly what
+    /// ready_parked_until(row.user, t) returns (t + 1 keeps the row hot).
+    /// One call per run of idle rows: screened rows cost no call.
+    virtual void idle(std::size_t from, std::size_t to, sim::Slot until) = 0;
+    /// Hint that rows[k] is about to be evaluated exactly (and likely
+    /// scheduled): the driver may prefetch its state. Changes no outcome.
+    virtual void prefetch(std::size_t k) { (void)k; }
   };
 
   /// Batched decision pass: one call per slot covering every due ready
-  /// user (ascending user order, already driver-gated), replacing the
+  /// user as a ReadyRow (ascending user order, already driver-gated; a
+  /// user may appear twice, as adjacent kRecheck rows), replacing the
   /// per-user decide() consult. The contract is strict sequential
   /// equivalence — the sink must receive exactly the decisions the scalar
   /// decide() loop would produce, with sink.schedule() invoked before the
-  /// next user is evaluated (intra-slot expected_lag coupling). The
-  /// default implementation IS that scalar loop, so strategies that don't
-  /// override it (immediate, sync_sgd) are untouched; the online scheme
-  /// overrides it with the one-pass Sec. V-A evaluation over flat arrays.
-  virtual void decide_batch(const std::uint32_t* users, std::size_t count,
+  /// next row is evaluated. The default implementation IS that scalar
+  /// loop, so immediate, sync_sgd and offline are untouched; the online
+  /// scheme overrides it with the one-pass Sec. V-A evaluation.
+  virtual void decide_batch(const ReadyRow* rows, std::size_t count,
                             sim::Slot t, SchedulerContext& ctx,
                             DecisionSink& sink) {
     for (std::size_t k = 0; k < count; ++k) {
-      if (decide(users[k], t, ctx) == device::Decision::kSchedule) {
-        sink.schedule(users[k]);
+      if (decide(rows[k].user, t, ctx) == device::Decision::kSchedule) {
+        sink.schedule(k);
       } else {
-        sink.idle(users[k]);
+        sink.idle(k, k + 1, ready_parked_until(rows[k].user, t));
       }
     }
   }

@@ -24,17 +24,17 @@ device::Decision OnlineLyapunovScheduler::decide(std::size_t user, sim::Slot t,
   return online_.decide(ctx.user_device(user), input).decision;
 }
 
-void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
+void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
                                            std::size_t count, sim::Slot t,
                                            SchedulerContext& ctx,
                                            DecisionSink& sink) {
   if (!batch_enabled_) {
-    Scheduler::decide_batch(users, count, t, ctx, sink);  // scalar reference
+    Scheduler::decide_batch(rows, count, t, ctx, sink);  // scalar reference
     return;
   }
   // The parking promise is uniform across the batch (ready_parked_until
-  // ignores the user), so it is computed once and delivered through
-  // sink.idle_until instead of a per-user virtual consult.
+  // ignores the user), so it is computed once and every idle run is
+  // reported with one sink call.
   const sim::Slot parked_until =
       decision_interval_slots_ <= 1
           ? t + 1
@@ -42,9 +42,7 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
   // Off-interval slots short-circuit the whole batch: the scalar decide()
   // returns kIdle for every user without reading any state.
   if (decision_interval_slots_ > 1 && t % decision_interval_slots_ != 0) {
-    for (std::size_t k = 0; k < count; ++k) {
-      sink.idle_until(users[k], parked_until);
-    }
+    sink.idle(0, count, parked_until);
     return;
   }
   // Slot-invariant terms, hoisted once: the queue backlogs only move at
@@ -53,40 +51,68 @@ void OnlineLyapunovScheduler::decide_batch(const std::uint32_t* users,
   const double q = online_.queues().q();
   const double h = online_.queues().h();
   const double momentum = momentum_norm_;
-  // Fresh for every due user: the per-slot sweep keeps all rows exact, and
-  // folded mode refreshes the due rows from the closed form during the
-  // prefill below.
-  const double* gaps = ctx.gap_values();
-  // One driver pass fills the per-user session column and lag query point;
-  // the decision loop then runs over flat arrays, with the single
-  // remaining per-user consult being the lag count (which must observe
-  // earlier schedules in this very batch — the intra-slot coupling).
-  app_col_.resize(count);
-  end_slot_.resize(count);
-  ctx.fill_decide_inputs(users, count, t, app_col_.data(), end_slot_.data());
+  const double epsilon = online_.config().epsilon;
+  const bool scaled = churn_aware_ || has_priority_;
+  // Same h * scale product as the scalar path's queues_.h() * h_scale —
+  // the batched-vs-scalar goldens stay pinned in the churn/VIP modes too,
+  // and the screen weighs both costs with the value the evaluation uses.
+  const auto h_eff = [&](const ReadyRow& row, const ClassSlot& cls) {
+    return scaled ? h * h_scale_for(ctx, row.user, t, cls.end) : h;
+  };
+
+  // Pass 1, the idle screen (OnlineScheduler::screened_idle): a row whose
+  // idle cost is below its class's schedule cost at the slot-start lag
+  // idles at every lag up to that lag plus the candidates before it (only
+  // candidates can be scheduled, each adding at most one). Other rows and
+  // kRecheck rows are candidates; the first kAhead are prefetched here.
+  constexpr std::size_t kAhead = 4;
+  candidates_.clear();
   for (std::size_t k = 0; k < count; ++k) {
-    if (k + 8 < count) {
-      // Sparse ascending user indices defeat the hardware prefetcher on
-      // these two per-user columns; hint the next iterations' lines.
-      __builtin_prefetch(&gaps[users[k + 8]]);
-      __builtin_prefetch(&user_power_[users[k + 8]]);
+    const ReadyRow& row = rows[k];
+    const std::size_t c = row.device * kColumns + row.app;
+    ClassSlot& cls = class_slots_[c];
+    if (cls.slot != t) {
+      const bool app_on = row.app < device::kAppKinds;
+      cls.slot = t;
+      cls.end = ctx.training_end_slot(
+          row.user, app_on ? device::AppStatus::kApp : device::AppStatus::kNoApp,
+          app_on ? static_cast<device::AppKind>(row.app) : device::AppKind::kMap,
+          t);
+      cls.screen = online_.idle_screen(power_[c].schedule, power_[c].idle,
+                                       ctx.lag_count_at(cls.end), momentum, q);
     }
-    const std::uint32_t user = users[k];
-    const PowerPair& power = user_power_[user][app_col_[k]];
-    const double lag = ctx.lag_count_at(end_slot_[k]);
-    // Same h * scale product as the scalar path's queues_.h() * h_scale —
-    // the batched-vs-scalar goldens stay pinned in the churn/VIP modes too.
-    const double h_eff = churn_aware_ || has_priority_
-                             ? h * h_scale_for(ctx, user, t, end_slot_[k])
-                             : h;
-    if (online_.decide_batched(power.schedule, power.idle, gaps[user], lag,
-                               momentum, q, h_eff) ==
-        device::Decision::kSchedule) {
-      sink.schedule(user);
-    } else {
-      sink.idle_until(user, parked_until);
+    if ((row.flags & ReadyRow::kRecheck) != 0 ||
+        !online_.screened_idle(cls.screen, row.gap(t - 1, epsilon),
+                               h_eff(row, cls), candidates_.size())) {
+      if (candidates_.size() < kAhead) sink.prefetch(k);
+      candidates_.push_back(static_cast<std::uint32_t>(k));
     }
   }
+
+  // Pass 2: the candidates, in order, each reading the lag after every
+  // earlier schedule was applied (the intra-slot coupling); the screened
+  // runs between them are reported idle in one call each.
+  std::size_t next = 0;  // first row not yet reported
+  for (std::size_t c = 0; c < candidates_.size(); ++c) {
+    if (c + kAhead < candidates_.size()) sink.prefetch(candidates_[c + kAhead]);
+    const std::size_t k = candidates_[c];
+    if (next < k) sink.idle(next, k, parked_until);
+    next = k + 1;
+    const ReadyRow& row = rows[k];
+    const ClassSlot& cls = class_slots_[row.device * kColumns + row.app];
+    const double gap = (row.flags & ReadyRow::kRecheck) != 0
+                           ? ctx.recheck_gap(row.user)
+                           : row.gap(t - 1, epsilon);
+    if (online_.decide_batched(cls.screen.p_schedule, cls.screen.p_idle, gap,
+                               ctx.lag_count_at(cls.end), momentum, q,
+                               h_eff(row, cls)) ==
+        device::Decision::kSchedule) {
+      sink.schedule(k);
+    } else {
+      sink.idle(k, k + 1, parked_until);
+    }
+  }
+  if (next < count) sink.idle(next, count, parked_until);
 }
 
 }  // namespace fedco::core

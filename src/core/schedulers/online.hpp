@@ -4,10 +4,10 @@
 // driver context; the driver stays scheme-agnostic. When
 // config.online_batch_decide is set (the default) the per-slot consults
 // arrive through decide_batch — the paper's centralized Sec. V-A variant:
-// one pass over all due ready users with the queue backlogs, momentum
-// norm, and per-(device, app) power levels hoisted out of the loop.
-// Decisions are bit-identical to the scalar path (same arithmetic, same
-// order, same intra-slot coupling through the DecisionSink).
+// one pass over the due ReadyRows, slot-invariant terms hoisted, an exact
+// idle screen settling most rows without a lag lookup. Decisions are
+// bit-identical to the scalar path (same arithmetic, same order, same
+// intra-slot coupling through the DecisionSink).
 #pragma once
 
 #include <array>
@@ -41,10 +41,9 @@ class OnlineLyapunovScheduler final : public Scheduler {
         const device::AppKind app = a < device::kAppKinds
                                         ? static_cast<device::AppKind>(a)
                                         : device::AppKind::kMap;
-        power_[k][a] = {device::power_w(dev, device::Decision::kSchedule,
-                                        status, app),
-                        device::power_w(dev, device::Decision::kIdle, status,
-                                        app)};
+        power_[k * kColumns + a] = {
+            device::power_w(dev, device::Decision::kSchedule, status, app),
+            device::power_w(dev, device::Decision::kIdle, status, app)};
       }
     }
   }
@@ -58,18 +57,10 @@ class OnlineLyapunovScheduler final : public Scheduler {
 
   /// The batched Sec. V-A pass (see the file comment). Falls back to the
   /// scalar base-class loop when config.online_batch_decide is off.
-  void decide_batch(const std::uint32_t* users, std::size_t count, sim::Slot t,
+  void decide_batch(const ReadyRow* rows, std::size_t count, sim::Slot t,
                     SchedulerContext& ctx, DecisionSink& sink) override;
 
-  /// Pin each user's power-table row once (device kinds are static for a
-  /// run), so the batched pass reads powers through a flat pointer array
-  /// instead of a user_device() consult per evaluation.
   void on_experiment_begin(SchedulerContext& ctx) override {
-    user_power_.resize(ctx.num_users());
-    for (std::size_t i = 0; i < ctx.num_users(); ++i) {
-      user_power_[i] =
-          power_[static_cast<std::size_t>(ctx.user_device(i).kind)].data();
-    }
     // Priority weights are static for a run; one scan decides whether the
     // hot decision loops consult them at all — all-1.0 fleets never pay a
     // per-user virtual call for a term that is the exact identity.
@@ -116,9 +107,20 @@ class OnlineLyapunovScheduler final : public Scheduler {
   }
 
  private:
+  static constexpr std::size_t kColumns = device::kAppKinds + 1;
+  static constexpr std::size_t kClasses = device::kDeviceKinds * kColumns;
+
   struct PowerPair {
     double schedule = 0.0;
     double idle = 0.0;
+  };
+
+  /// Per-slot state of one (device, app column) class, built on the
+  /// class's first row in a batch — O(classes met) per slot.
+  struct ClassSlot {
+    sim::Slot slot = -1;  ///< slot this entry was built for
+    sim::Slot end = 0;    ///< training_end_slot of a session started now
+    OnlineScheduler::IdleScreen screen;  ///< at the slot-start lag
   };
 
   /// The Eq. (21) H(t) discount/boost of one user: priority weight times —
@@ -149,15 +151,11 @@ class OnlineLyapunovScheduler final : public Scheduler {
   /// Any user with a priority weight != 1.0? (see on_experiment_begin)
   bool has_priority_ = false;
   double momentum_norm_ = 0.0;  ///< per-slot cache (see on_slot_begin)
-  /// [device kind][app, or kAppKinds for no-app] -> Eq. (10) power levels.
-  std::array<std::array<PowerPair, device::kAppKinds + 1>,
-             device::kDeviceKinds>
-      power_{};
-  /// Per-user row of power_ (see on_experiment_begin).
-  std::vector<const PowerPair*> user_power_;
-  /// decide_batch scratch, filled by ctx.fill_decide_inputs each batch.
-  std::vector<unsigned char> app_col_;
-  std::vector<sim::Slot> end_slot_;
+  /// [device kind * kColumns + app column] -> Eq. (10) power levels.
+  std::array<PowerPair, kClasses> power_{};
+  std::array<ClassSlot, kClasses> class_slots_{};
+  /// decide_batch scratch: positions of the rows left for exact evaluation.
+  std::vector<std::uint32_t> candidates_;
 };
 
 }  // namespace fedco::core

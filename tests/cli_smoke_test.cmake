@@ -23,7 +23,8 @@
 #      exits 2 naming the flag.
 #   9. Out-of-range run knobs (epsilon, record_interval,
 #      offline_window_slots, horizon_slots, offline_lb, V, lb,
-#      upload_drop_probability, min_soc_to_train, num_users) exit 2 before
+#      upload_drop_probability, min_soc_to_train, num_users,
+#      decision_interval_slots, decision_eval_seconds) exit 2 before
 #      the run starts: in a --config file naming file and field, as a flag
 #      naming the flag.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
@@ -311,7 +312,9 @@ endif()
 # --- 9. out-of-range run knobs ---------------------------------------------
 foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
             "horizon_slots;0" "offline_lb;-5" "V;-1" "lb;-5"
-            "upload_drop_probability;2" "min_soc_to_train;5" "num_users;0")
+            "upload_drop_probability;2" "min_soc_to_train;5" "num_users;0"
+            "decision_interval_slots;0" "decision_interval_slots;-4"
+            "decision_eval_seconds;-1")
   list(GET bad 0 field)
   list(GET bad 1 value)
   file(WRITE ${work_dir}/bad_${field}.json
@@ -329,7 +332,7 @@ endforeach()
 
 foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5"
             "--V;nan" "--V;-1" "--Lb;-5" "--Lb;nan" "--drop-p;2" "--drop-p;-1"
-            "--min-soc;5;--battery" "--users;-5")
+            "--min-soc;5;--battery" "--users;-5" "--decision-interval;-3")
   list(GET bad 0 flag)
   list(SUBLIST bad 1 -1 value)
   execute_process(

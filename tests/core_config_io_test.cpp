@@ -301,6 +301,21 @@ TEST(ConfigIo, OutOfRangeQueueAndEnvironmentKnobsAreNamedAtLoad) {
   EXPECT_EQ(edges.num_users, 1u);
 }
 
+// The decision knobs: a non-positive interval used to mean "every slot"
+// and a negative evaluation cost was silently ignored.
+TEST(ConfigIo, OutOfRangeDecisionKnobsAreNamedAtLoad) {
+  rejects(R"({"decision_interval_slots":0})",
+          "'decision_interval_slots' must be positive");
+  rejects(R"({"decision_interval_slots":-4})",
+          "'decision_interval_slots' must be positive");
+  rejects(R"({"decision_eval_seconds":-1})",
+          "'decision_eval_seconds' must be non-negative and finite");
+  const ExperimentConfig edges = config_from_json(
+      R"({"decision_interval_slots":1,"decision_eval_seconds":0})");
+  EXPECT_EQ(edges.decision_interval_slots, 1);
+  EXPECT_EQ(edges.decision_eval_seconds, 0.0);
+}
+
 TEST(ConfigIo, RetiredGapEngineKeyLoadsAtEitherValueAndIsNotWritten) {
   // Every archive written before the folded engine became the only one
   // carries folded_gap_accrual (false); it selects nothing now.

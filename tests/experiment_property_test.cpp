@@ -7,6 +7,8 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <tuple>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
@@ -14,7 +16,9 @@
 #include "core/result_io.hpp"
 #include "device/power_model.hpp"
 #include "golden_fingerprint.hpp"
+#include "obs/events.hpp"
 #include "scenario/spec.hpp"
+#include "util/rng.hpp"
 
 namespace fedco::core {
 namespace {
@@ -283,6 +287,138 @@ INSTANTIATE_TEST_SUITE_P(
         FoldedCase{SchedulerKind::kOnline, "diurnal"},
         FoldedCase{SchedulerKind::kOnline, "lte"}),
     folded_case_name);
+
+// ------------------------------------------------------------------------
+// The batched online decide screens provably idle rows out before any lag
+// lookup (OnlineScheduler::screened_idle). Every regime that reaches the
+// screen with a non-trivial H(t) weight, parking promise, gate or presence
+// shape must keep the scalar reference's decisions, counts and energy.
+
+/// Every decision-stream event (decision, park, wake) of a run, in order.
+struct DecisionLog final : obs::EventSink {
+  std::vector<std::tuple<int, std::int64_t, std::int64_t, std::int64_t>> rows;
+  void emit(const obs::Event& e) override {
+    if (e.kind == obs::EventKind::kDecision ||
+        e.kind == obs::EventKind::kPark || e.kind == obs::EventKind::kWake) {
+      rows.emplace_back(static_cast<int>(e.kind), e.slot, e.user, e.a);
+    }
+  }
+};
+
+void expect_batched_matches_scalar(ExperimentConfig cfg, const char* what) {
+  cfg.scheduler = SchedulerKind::kOnline;
+  cfg.online_batch_decide = true;
+  DecisionLog batched_log;
+  const ExperimentResult batched = run_experiment(cfg, {&batched_log, 1});
+  cfg.online_batch_decide = false;
+  DecisionLog scalar_log;
+  const ExperimentResult scalar = run_experiment(cfg, {&scalar_log, 1});
+  // The regime must actually decide both ways, or the match is vacuous.
+  EXPECT_GT(batched.summary.decisions_scheduled, 0u) << what;
+  EXPECT_GT(batched.summary.decisions_idle, 0u) << what;
+  EXPECT_EQ(batched_log.rows, scalar_log.rows) << what;
+  EXPECT_EQ(batched.summary.decisions_scheduled,
+            scalar.summary.decisions_scheduled) << what;
+  EXPECT_EQ(batched.summary.decisions_idle, scalar.summary.decisions_idle)
+      << what;
+  EXPECT_EQ(batched.summary.parks, scalar.summary.parks) << what;
+  EXPECT_EQ(batched.summary.wakes, scalar.summary.wakes) << what;
+  EXPECT_EQ(batched.battery_gated_slots, scalar.battery_gated_slots) << what;
+  EXPECT_EQ(batched.total_energy_j, scalar.total_energy_j) << what;
+  EXPECT_EQ(fedco::testing::fingerprint(batched),
+            fedco::testing::fingerprint(scalar))
+      << what;
+}
+
+/// A busy fleet with a small deferral budget, so H(t) is non-zero and
+/// Online both idles and schedules throughout the run.
+scenario::ScenarioSpec screened_fleet() {
+  scenario::ScenarioSpec spec;
+  spec.num_users = 40;
+  spec.horizon_slots = 3000;
+  spec.arrival.mean_probability = 0.01;
+  return spec;
+}
+
+ExperimentConfig screened_config() {
+  ExperimentConfig cfg;
+  cfg.seed = 17;
+  cfg.lb = 30.0;
+  return cfg;
+}
+
+TEST(ScreenedRegimes, VipPriority) {
+  scenario::ScenarioSpec spec = screened_fleet();
+  spec.priority.vip_fraction = 0.3;
+  spec.priority.vip_weight = 4.0;
+  expect_batched_matches_scalar(apply_scenario_arena(spec, screened_config()),
+                                "vip");
+}
+
+TEST(ScreenedRegimes, ChurnAware) {
+  scenario::ScenarioSpec spec = screened_fleet();
+  spec.churn.churn_fraction = 0.6;
+  spec.churn.min_presence = 0.2;
+  spec.churn.max_presence = 0.7;
+  ExperimentConfig cfg = screened_config();
+  cfg.online_churn_aware = true;
+  expect_batched_matches_scalar(apply_scenario_arena(spec, cfg),
+                                "churn-aware");
+}
+
+TEST(ScreenedRegimes, DecisionInterval) {
+  ExperimentConfig cfg = screened_config();
+  cfg.decision_interval_slots = 7;  // parks and wakes, no battery gate
+  expect_batched_matches_scalar(apply_scenario_arena(screened_fleet(), cfg),
+                                "interval 7");
+}
+
+TEST(ScreenedRegimes, BatteryGate) {
+  ExperimentConfig cfg = screened_config();
+  cfg.track_battery = true;
+  cfg.battery.capacity_mah = 150.0;
+  cfg.min_soc_to_train = 0.4;
+  const ExperimentConfig gated = apply_scenario_arena(screened_fleet(), cfg);
+  expect_batched_matches_scalar(gated, "battery gate");
+  EXPECT_GT(run_experiment(gated).battery_gated_slots, 0u);
+}
+
+TEST(ScreenedRegimes, CommuteMultiWindow) {
+  scenario::ScenarioSpec spec = screened_fleet();
+  spec.faults.commute.fraction = 0.6;
+  spec.faults.commute.period_slots = 600;
+  spec.faults.commute.on_slots = 350;
+  expect_batched_matches_scalar(apply_scenario_arena(spec, screened_config()),
+                                "commute");
+}
+
+TEST(ScreenedRegimes, DoubleEntries) {
+  // Presence gaps of 1-3 slots inside a 60-slot decision interval leave
+  // stale wakes behind, so users reach one decide batch twice (ROADMAP's
+  // double-schedule bug). Such rows skip the screen and read their gap
+  // through recheck_gap; the batched pass must still match the scalar
+  // loop decision for decision.
+  ExperimentConfig cfg = screened_config();
+  cfg.num_users = 40;
+  cfg.horizon_slots = 3000;
+  cfg.arrival_probability = 0.02;
+  cfg.seed = 3;
+  cfg.lb = 20.0;
+  cfg.decision_interval_slots = 60;
+  util::Rng rng{5};
+  std::vector<scenario::PerUserConfig> fleet(cfg.num_users);
+  for (scenario::PerUserConfig& pu : fleet) {
+    sim::Slot t = 100 + rng.uniform_int(std::int64_t{0}, 50);
+    pu.leave_slot = t;
+    while (t < 2800) {
+      const sim::Slot join = t + rng.uniform_int(std::int64_t{1}, 3);
+      t = join + rng.uniform_int(std::int64_t{5}, 80);
+      pu.extra_windows.push_back({join, t});
+    }
+  }
+  testing::set_fleet(cfg, fleet);
+  expect_batched_matches_scalar(cfg, "double entries");
+}
 
 // ------------------------------------------------------------------------
 // Fault-injection invariants (PR 9): outage and recovery windows split a
