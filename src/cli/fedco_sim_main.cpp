@@ -131,14 +131,15 @@ Unknown options are reported to stderr and exit non-zero.
 }
 
 /// A --config or --scenario file that cannot be opened, parsed or
-/// validated, or a flag value outside its range: an input error (exit 2,
-/// like a misspelled option), not a crash. The loaders already name the
-/// file in the message.
+/// validated, a flag value outside its range, or a flag combination the
+/// CLI cannot run: an input error (exit 2, like a misspelled option), not
+/// a crash. The loaders already name the file in the message.
 struct InputError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reject a flag value outside the range config_io enforces on its field.
+/// Reject a flag value outside the range config_io enforces on its field,
+/// or a usage error, naming the flag.
 void require_flag(bool in_range, const char* flag, const char* range) {
   if (!in_range) throw InputError{std::string{flag} + " " + range};
 }
@@ -175,6 +176,8 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   if (args.has("horizon")) {
     cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
     require_flag(cfg.horizon_slots > 0, "--horizon", "must be positive");
+    require_flag(cfg.horizon_slots <= sim::kMaxHorizonSlots, "--horizon",
+                 "must be at most 2^31 - 1");
   }
   if (args.has("arrival-p")) {
     cfg.arrival_probability =
@@ -240,8 +243,16 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.offline_churn_aware = aware;
     cfg.online_churn_aware = aware;
   }
-  if (args.has("eta")) cfg.eta = args.get_double("eta", cfg.eta);
-  if (args.has("beta")) cfg.beta = args.get_double("beta", cfg.beta);
+  if (args.has("eta")) {
+    cfg.eta = args.get_double("eta", cfg.eta);
+    require_flag(std::isfinite(cfg.eta) && cfg.eta > 0.0, "--eta",
+                 "must be positive and finite");
+  }
+  if (args.has("beta")) {
+    cfg.beta = args.get_double("beta", cfg.beta);
+    require_flag(std::isfinite(cfg.beta) && cfg.beta >= 0.0 && cfg.beta < 1.0,
+                 "--beta", "must be in [0, 1)");
+  }
   if (args.has("real-training")) {
     cfg.real_training = args.get_bool("real-training", cfg.real_training);
   }
@@ -439,25 +450,16 @@ int run(const util::ArgParser& args) {
   const std::int64_t replications_raw = args.get_int("replications", 1);
   const std::int64_t events_sample = args.get_int("events-sample", 1);
   const std::int64_t jobs_raw = args.get_int("jobs", 0);
-  if (replications_raw < 1) {
-    throw std::invalid_argument{"--replications must be >= 1"};
-  }
-  if (events_path.empty() && args.has("events-sample")) {
-    throw std::invalid_argument{"--events-sample requires --events"};
-  }
-  if (!events_path.empty() && events_sample < 1) {
-    throw std::invalid_argument{"--events-sample must be >= 1"};
-  }
-  if (!events_path.empty() && replications_raw > 1) {
-    // Interleaving R replications into one stream would be unreadable and
-    // silently streaming only the first would be worse; one run, one file.
-    throw std::invalid_argument{
-        "--events streams a single run; drop --replications or run the "
-        "replication of interest with its own seed"};
-  }
-  if (jobs_raw < 0) {
-    throw std::invalid_argument{"--jobs must be >= 0 (0 = auto)"};
-  }
+  require_flag(replications_raw >= 1, "--replications", "must be >= 1");
+  require_flag(!events_path.empty() || !args.has("events-sample"),
+               "--events-sample", "requires --events");
+  require_flag(events_sample >= 1, "--events-sample", "must be >= 1");
+  // Interleaving R replications into one stream would be unreadable and
+  // silently streaming only the first would be worse; one run, one file.
+  require_flag(events_path.empty() || replications_raw == 1, "--events",
+               "streams a single run; drop --replications or run the "
+               "replication of interest with its own seed");
+  require_flag(jobs_raw >= 0, "--jobs", "must be >= 0 (0 = auto)");
   const auto replications = static_cast<std::size_t>(replications_raw);
   const auto jobs = static_cast<std::size_t>(jobs_raw);
 

@@ -511,6 +511,9 @@ ExperimentConfig config_from_json(const std::string& text) {
         } else if (key == "horizon_slots") {
           config.horizon_slots = read_int(value, key);
           if (config.horizon_slots <= 0) reject_field(key, kPositive);
+          if (config.horizon_slots > sim::kMaxHorizonSlots) {
+            reject_field(key, "must be at most 2^31 - 1");
+          }
         } else if (key == "slot_seconds") {
           config.slot_seconds = read_double(value, key);
           if (!std::isfinite(config.slot_seconds) ||
@@ -589,8 +592,15 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.online_churn_aware = read_bool(value, key);
         } else if (key == "eta") {
           config.eta = read_double(value, key);
+          if (!(std::isfinite(config.eta) && config.eta > 0.0)) {
+            reject_field(key, "must be positive and finite");
+          }
         } else if (key == "beta") {
           config.beta = read_double(value, key);
+          if (!(std::isfinite(config.beta) && config.beta >= 0.0 &&
+                config.beta < 1.0)) {
+            reject_field(key, "must be in [0, 1)");
+          }
         } else if (key == "real_training") {
           config.real_training = read_bool(value, key);
         } else if (key == "model") {

@@ -246,11 +246,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (cfg.horizon_slots <= 0) {
       throw std::invalid_argument{"run_experiment: empty horizon"};
     }
-    if (cfg.horizon_slots > std::numeric_limits<std::int32_t>::max()) {
+    if (cfg.horizon_slots > sim::kMaxHorizonSlots) {
       // The folded-accrual anchors are an int32 column (bounded by the
-      // horizon); a 2^31-slot horizon is 68 years of 1 s slots, far past
-      // any meaningful run.
-      throw std::invalid_argument{"run_experiment: horizon exceeds 2^31 slots"};
+      // horizon). The config and scenario loaders reject such horizons
+      // with the file and field named; this guards configs built in code.
+      throw std::invalid_argument{"run_experiment: horizon exceeds 2^31 - 1 slots"};
     }
     if (cfg.record_interval <= 0) {
       throw std::invalid_argument{

@@ -1,6 +1,6 @@
 // The experiment driver's Eq. (12) gap engine: folded accrual, the one
 // source of every per-user gap read and of G(t), the Eq. (16) input
-// (docs/performance.md §8, docs/algorithms.md §6). Driver-internal
+// (docs/performance.md §6, docs/algorithms.md §6). Driver-internal
 // machinery, split out so it is directly unit-testable
 // (tests/gap_accrual_test.cpp) without running a full experiment.
 #pragma once

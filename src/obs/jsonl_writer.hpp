@@ -13,7 +13,8 @@ namespace fedco::obs {
 /// docs/observability.md for the full schema). Lines are appended to a
 /// pre-sized in-memory buffer and flushed in large writes, so per-event
 /// cost is a few dozen bytes of formatting — cheap enough to leave on at
-/// 100k users (bench_scale "events": true rows). Integers are formatted
+/// 100k users (the <=10% budget and its recipe are in
+/// docs/observability.md). Integers are formatted
 /// with std::to_chars; doubles use util::append_shortest_double, so every
 /// value round-trips bit-identically through util::parse_json.
 class JsonlEventWriter : public EventSink {

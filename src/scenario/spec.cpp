@@ -67,6 +67,8 @@ std::vector<device::DeviceKind> apportion_devices(
 void validate(const ScenarioSpec& spec) {
   require(spec.num_users > 0, "num_users must be positive");
   require(spec.horizon_slots > 0, "horizon_slots must be positive");
+  require(spec.horizon_slots <= sim::kMaxHorizonSlots,
+          "horizon_slots must be at most 2^31 - 1");
 
   if (!spec.device_mix.empty()) {
     double sum = 0.0;

@@ -4,11 +4,16 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace fedco::sim {
 
 /// Discrete slot index (0-based).
 using Slot = std::int64_t;
+
+/// Longest horizon a run accepts: per-user slot columns are int32. At 1 s
+/// slots this is 68 years, far past any meaningful run.
+inline constexpr Slot kMaxHorizonSlots = std::numeric_limits<std::int32_t>::max();
 
 /// Slotted clock: converts between slot indices and wall-clock seconds.
 class Clock {

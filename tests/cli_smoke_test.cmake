@@ -19,14 +19,17 @@
 #      rejected up front with exit 2 and a path-bearing message.
 #   8. A malformed --config (a bad per_user entry) or --scenario file
 #      exits 2, and stderr names both the file and the field (also for an
-#      out-of-range per_user arrival law); --arrival-p outside [0, 1]
+#      out-of-range per_user arrival law or a scenario horizon past
+#      2^31 - 1 slots); --arrival-p outside [0, 1]
 #      exits 2 naming the flag.
 #   9. Out-of-range run knobs (epsilon, record_interval,
 #      offline_window_slots, horizon_slots, offline_lb, V, lb,
 #      upload_drop_probability, min_soc_to_train, num_users,
-#      decision_interval_slots, decision_eval_seconds) exit 2 before
-#      the run starts: in a --config file naming file and field, as a flag
-#      naming the flag.
+#      decision_interval_slots, decision_eval_seconds, eta, beta) exit 2
+#      before the run starts: in a --config file naming file and field, as
+#      a flag naming the flag. So do the usage errors (--replications 0,
+#      --jobs -1, --events-sample without --events or below 1, --events
+#      with several replications), naming the flag.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -281,9 +284,12 @@ file(WRITE ${work_dir}/bad_scenario.json
   "{\"num_users\":4,\"priority\":{\"vip_fraction\":1.5}}\n")
 file(WRITE ${work_dir}/bad_arrival_law.json
   "{\"num_users\":3,\"per_user\":[{},{},{\"arrival_probability\":4}]}\n")
+file(WRITE ${work_dir}/bad_scenario_horizon.json
+  "{\"num_users\":4,\"horizon_slots\":3000000000}\n")
 foreach(bad "--config;bad_per_user.json;per_user\\[1\\]\\.priority"
             "--scenario;bad_scenario.json;priority\\.vip_fraction"
-            "--config;bad_arrival_law.json;per_user\\[2\\]\\.arrival_probability")
+            "--config;bad_arrival_law.json;per_user\\[2\\]\\.arrival_probability"
+            "--scenario;bad_scenario_horizon.json;horizon_slots")
   list(GET bad 0 flag)
   list(GET bad 1 file)
   list(GET bad 2 field)
@@ -314,7 +320,8 @@ foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
             "horizon_slots;0" "offline_lb;-5" "V;-1" "lb;-5"
             "upload_drop_probability;2" "min_soc_to_train;5" "num_users;0"
             "decision_interval_slots;0" "decision_interval_slots;-4"
-            "decision_eval_seconds;-1")
+            "decision_eval_seconds;-1" "horizon_slots;3000000000" "eta;0"
+            "eta;-1" "beta;1.5" "beta;-0.1")
   list(GET bad 0 field)
   list(GET bad 1 value)
   file(WRITE ${work_dir}/bad_${field}.json
@@ -332,7 +339,11 @@ endforeach()
 
 foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5"
             "--V;nan" "--V;-1" "--Lb;-5" "--Lb;nan" "--drop-p;2" "--drop-p;-1"
-            "--min-soc;5;--battery" "--users;-5" "--decision-interval;-3")
+            "--min-soc;5;--battery" "--users;-5" "--decision-interval;-3"
+            "--horizon;3000000000" "--eta;nan" "--eta;-1" "--beta;1.5"
+            "--beta;nan" "--replications;0" "--jobs;-1" "--events-sample;5"
+            "--events-sample;0;--events;${work_dir}/usage.jsonl"
+            "--events;${work_dir}/usage.jsonl;--replications;2")
   list(GET bad 0 flag)
   list(SUBLIST bad 1 -1 value)
   execute_process(

@@ -268,7 +268,12 @@ TEST(ConfigIo, OutOfRangeRunKnobsAreNamedAtLoad) {
   rejects(R"({"offline_window_slots":0})",
           "'offline_window_slots' must be positive");
   rejects(R"({"horizon_slots":0})", "'horizon_slots' must be positive");
+  // Per-user slot columns are int32.
+  rejects(R"({"horizon_slots":3000000000})",
+          "'horizon_slots' must be at most 2^31 - 1");
   rejects(R"({"offline_lb":-5})", "'offline_lb' must be positive and finite");
+  EXPECT_EQ(config_from_json(R"({"horizon_slots":2147483647})").horizon_slots,
+            2147483647);
   const ExperimentConfig edges = config_from_json(
       R"({"epsilon":0,"record_interval":1,"offline_window_slots":1,
           "horizon_slots":1,"offline_lb":1e-3})");
@@ -314,6 +319,20 @@ TEST(ConfigIo, OutOfRangeDecisionKnobsAreNamedAtLoad) {
       R"({"decision_interval_slots":1,"decision_eval_seconds":0})");
   EXPECT_EQ(edges.decision_interval_slots, 1);
   EXPECT_EQ(edges.decision_eval_seconds, 0.0);
+}
+
+// A NaN or non-positive step size trains nothing and a momentum of 1 or
+// more never decays; both fail at load, named.
+TEST(ConfigIo, OutOfRangeTrainingKnobsAreNamedAtLoad) {
+  rejects(R"({"eta":0})", "'eta' must be positive and finite");
+  rejects(R"({"eta":-1})", "'eta' must be positive and finite");
+  rejects(R"({"beta":1})", "'beta' must be in [0, 1)");
+  rejects(R"({"beta":1.5})", "'beta' must be in [0, 1)");
+  rejects(R"({"beta":-0.1})", "'beta' must be in [0, 1)");
+  const ExperimentConfig edges =
+      config_from_json(R"({"eta":1e-9,"beta":0})");
+  EXPECT_EQ(edges.eta, 1e-9);
+  EXPECT_EQ(edges.beta, 0.0);
 }
 
 TEST(ConfigIo, RetiredGapEngineKeyLoadsAtEitherValueAndIsNotWritten) {

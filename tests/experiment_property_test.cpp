@@ -121,8 +121,8 @@ INSTANTIATE_TEST_SUITE_P(
 // override concern, never O(users) separate blocks. column_count() reports
 // exactly how many columns are live, so growing the fleet 10x must leave it
 // unchanged — per-user vector growth anywhere in the arena would show up as
-// a size-dependent count. The companion RSS gate lives in tools/bench_check
-// (--max-rss-growth-pct over bench_scale's process_peak_rss_mib).
+// a size-dependent count. The companion RSS gate is ci/bench_gate.sh: a
+// fixed peak-RSS ceiling on the benchmark's two 1M-user workloads.
 TEST(FleetMemoryBudget, ArenaAllocationCountIsConstantInFleetSize) {
   scenario::ScenarioSpec spec;
   spec.horizon_slots = 600;

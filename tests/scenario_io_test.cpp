@@ -113,6 +113,11 @@ TEST(ScenarioIo, TypeAndRangeErrorsThrow) {
                std::invalid_argument);  // fractions must sum to 1
   EXPECT_THROW((void)spec_from_json(R"({"arrival": 7})"),
                std::invalid_argument);
+  // Per-user slot columns are int32.
+  EXPECT_THROW((void)spec_from_json(R"({"horizon_slots": 3000000000})"),
+               std::invalid_argument);
+  EXPECT_EQ(spec_from_json(R"({"horizon_slots": 2147483647})").horizon_slots,
+            2147483647);
 }
 
 // Every semantic rejection the fault schema promises (docs/scenarios.md):
