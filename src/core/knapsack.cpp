@@ -1,10 +1,14 @@
 #include "core/knapsack.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace fedco::core {
 
@@ -220,173 +224,197 @@ namespace {
 bool in_interval(double point, double lo, double len) noexcept {
   return point >= lo && point <= lo + len;
 }
-}  // namespace
 
-LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users)
-    : users_(&users) {
-  // Group users by their separate-completion time. The grouping key is the
-  // exact double the naive scan computes, so membership tests below see
-  // identical values.
-  std::vector<std::pair<double, double>> ends;
-  ends.reserve(users.size());
-  for (const UserWindow& u : users) {
-    ends.emplace_back(u.begin + u.duration, u.app_arrival + u.duration);
-  }
-  std::sort(ends.begin(), ends.end());
-  for (std::size_t k = 0; k < ends.size();) {
-    Group group;
-    group.end_separate = ends[k].first;
-    while (k < ends.size() && ends[k].first == group.end_separate) {
-      group.end_coruns.push_back(ends[k].second);
-      ++k;
-    }
-    // Sorted already within the group by the pair sort.
-    groups_.push_back(std::move(group));
-  }
-  prefix_sizes_.reserve(groups_.size() + 1);
-  prefix_sizes_.push_back(0);
-  for (const Group& g : groups_) {
-    prefix_sizes_.push_back(prefix_sizes_.back() + g.end_coruns.size());
-  }
-  all_coruns_.reserve(users.size());
-  for (const auto& [separate, corun] : ends) all_coruns_.push_back(corun);
-  std::sort(all_coruns_.begin(), all_coruns_.end());
-
-  // Shared-begin fast path (see the header): applicable when every user
-  // starts at the same instant and no arrival precedes it — exactly the
-  // window planner's shape.
-  shared_begin_ = !users.empty();
-  for (const UserWindow& u : users) {
-    if (u.begin != users.front().begin || u.app_arrival < u.begin ||
-        u.duration < 0.0) {
-      shared_begin_ = false;
-      break;
-    }
-  }
-  if (!shared_begin_) return;
-  begin_ = users.front().begin;
-  durations_.reserve(users.size());
-  for (const UserWindow& u : users) durations_.push_back(u.duration);
-  std::sort(durations_.begin(), durations_.end());
-  durations_.erase(std::unique(durations_.begin(), durations_.end()),
-                   durations_.end());
-  duration_prefix_.resize(durations_.size());
-  prefix_coruns_.resize(durations_.size());
-  std::vector<double> merged;
-  std::size_t g = 0;
-  for (std::size_t di = 0; di < durations_.size(); ++di) {
-    // The same doubles the groups were keyed by: group end = begin + d.
-    const double end = begin_ + durations_[di];
-    while (g < groups_.size() && groups_[g].end_separate <= end) {
-      const auto old = static_cast<std::ptrdiff_t>(merged.size());
-      merged.insert(merged.end(), groups_[g].end_coruns.begin(),
-                    groups_[g].end_coruns.end());
-      std::inplace_merge(merged.begin(), merged.begin() + old, merged.end());
-      ++g;
-    }
-    duration_prefix_[di] = g;
-    prefix_coruns_[di] = merged;
-  }
+/// A window's three doubles as bits, ±0 canonicalised to +0: windows with
+/// equal keys are exactly those no comparison of the naive scan can tell
+/// apart, so they share one bound.
+std::array<std::uint64_t, 3> window_key(const UserWindow& u) noexcept {
+  const auto bits = [](double v) {
+    return std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v);
+  };
+  return {bits(u.begin), bits(u.app_arrival), bits(u.duration)};
 }
 
-namespace {
-/// Elements of sorted `values` inside the closed interval [lo, hi].
-std::size_t count_in(const std::vector<double>& values, double lo,
-                     double hi) noexcept {
-  const auto first = std::lower_bound(values.begin(), values.end(), lo);
-  const auto last = std::upper_bound(values.begin(), values.end(), hi);
-  return first < last ? static_cast<std::size_t>(last - first) : 0;
+std::uint64_t mix(std::uint64_t h) noexcept {  // splitmix64 finalizer
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
 }
+
+/// Fenwick tree of weights over positions [0, tree.size() - 1).
+struct Fenwick {
+  std::vector<std::int64_t> tree;
+
+  void add(std::size_t pos, std::int64_t weight) noexcept {
+    for (++pos; pos < tree.size(); pos += pos & (~pos + 1)) tree[pos] += weight;
+  }
+  /// Total weight of positions [0, end).
+  [[nodiscard]] std::int64_t prefix(std::size_t end) const noexcept {
+    std::int64_t total = 0;
+    for (; end > 0; end &= end - 1) total += tree[end];
+    return total;
+  }
+};
 }  // namespace
+
+LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users) {
+  // Deduplicate the windows into m distinct ones with multiplicities: an
+  // open-addressing table sized to the input (load <= 1/2), holding
+  // indices into `distinct`. Each distinct window also becomes a weighted
+  // point: its separate completion t_j + d_j, its co-run completion
+  // t_a_j + d_j and its user count. These are the exact doubles the naive
+  // scan computes, so every comparison below sees identical values.
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  if (users.size() >= kEmpty) throw std::length_error{"LagBoundIndex: too many users"};
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * users.size()));
+  std::vector<std::uint32_t> table(capacity, kEmpty);
+  std::vector<UserWindow> distinct;
+  struct Point {
+    double separate;
+    double corun;
+    std::int64_t weight;
+  };
+  std::vector<Point> points;
+  slot_.resize(users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    const UserWindow& u = users[i];
+    if (!std::isfinite(u.begin) || !std::isfinite(u.app_arrival) ||
+        !std::isfinite(u.duration) || u.duration < 0.0) {
+      throw std::invalid_argument{
+          "LagBoundIndex: user " + std::to_string(i) +
+          " has a non-finite field or a negative duration"};
+    }
+    const auto key = window_key(u);
+    std::size_t h = mix(mix(mix(key[0]) ^ key[1]) ^ key[2]) & (capacity - 1);
+    while (table[h] != kEmpty && window_key(distinct[table[h]]) != key) {
+      h = (h + 1) & (capacity - 1);
+    }
+    if (table[h] == kEmpty) {
+      table[h] = static_cast<std::uint32_t>(distinct.size());
+      distinct.push_back(u);
+      points.push_back({u.begin + u.duration, u.app_arrival + u.duration, 0});
+    }
+    slot_[i] = table[h];
+    ++points[table[h]].weight;
+  }
+  const std::size_t m = distinct.size();
+
+  // The points sorted by separate completion (`separates`; sep_cum[k] =
+  // weight of points [0, k)), and their co-run completions in value order
+  // (`coruns`, corun_cum) with each point's rank there.
+  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
+    return a.separate < b.separate;
+  });
+  std::vector<double> separates(m);
+  std::vector<std::int64_t> sep_cum{0};
+  std::vector<std::pair<double, std::uint32_t>> by_corun(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    separates[k] = points[k].separate;
+    sep_cum.push_back(sep_cum.back() + points[k].weight);
+    by_corun[k] = {points[k].corun, static_cast<std::uint32_t>(k)};
+  }
+  std::sort(by_corun.begin(), by_corun.end());
+  std::vector<double> coruns(m);
+  std::vector<std::int64_t> corun_cum{0};
+  std::vector<std::uint32_t> corun_rank(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto [corun, k] = by_corun[r];
+    coruns[r] = corun;
+    corun_cum.push_back(corun_cum.back() + points[k].weight);
+    corun_rank[k] = static_cast<std::uint32_t>(r);
+  }
+  // Positions [first, last) of `sorted` inside [lo, hi] (none if lo > hi).
+  const auto range_in = [](const std::vector<double>& sorted, double lo,
+                           double hi) {
+    const auto first = std::lower_bound(sorted.begin(), sorted.end(), lo);
+    const auto last = std::upper_bound(first, sorted.end(), hi);
+    return std::array{static_cast<std::uint32_t>(first - sorted.begin()),
+                      static_cast<std::uint32_t>(last - sorted.begin())};
+  };
+
+  // A point counts toward a window's bound when its separate completion
+  // hits one of the window's intervals I1, I2 (the "hit" points: at most
+  // two position ranges, as points are sorted by separate completion), or
+  // else when its co-run completion lands in I1 ∪ I2. Writing the total as
+  //   sum_hit w + sum_all f - sum_hit f
+  // (f = w times the inclusion-exclusion count of the point's co-run
+  // completion in I1, I2 and I1 ∩ I2) lets the all-points term come from
+  // corun_cum and the hit terms from F(p), the f total over points
+  // [0, p), at the hit ranges' ends. Every term is an exact integer, so
+  // this is the same count as the naive scan, bit for bit. F is evaluated
+  // for all windows by one sweep below.
+  using Ranks = std::array<std::array<std::uint32_t, 2>, 3>;
+  // f over the points whose prefix weight by co-run rank is `before`.
+  const auto f_total = [](const Ranks& r, const auto& before) {
+    return before(r[0][1]) - before(r[0][0]) + before(r[1][1]) -
+           before(r[1][0]) - (before(r[2][1]) - before(r[2][0]));
+  };
+  std::vector<Ranks> ranks(m);
+  std::vector<std::int64_t> count(m);
+  struct Boundary {
+    std::uint32_t pos;  ///< F is taken over points [0, pos)
+    std::uint32_t window;
+    std::int64_t sign;
+  };
+  std::vector<Boundary> boundaries;
+  boundaries.reserve(4 * m);
+  for (std::size_t d = 0; d < m; ++d) {
+    const UserWindow& me = distinct[d];
+    const double lo1 = me.begin;
+    const double hi1 = me.begin + me.duration;
+    const double lo2 = me.app_arrival;
+    const double hi2 = me.app_arrival + me.duration;
+    auto& r = ranks[d];
+    r = {range_in(coruns, lo1, hi1), range_in(coruns, lo2, hi2),
+         range_in(coruns, std::max(lo1, lo2), std::min(hi1, hi2))};
+    // The naive scan skips j == i; the window's own users always satisfy
+    // the predicate (t_i + d_i lies in [t_i, t_i + d_i]), so one is taken
+    // off here.
+    count[d] = f_total(r, [&](std::uint32_t pos) { return corun_cum[pos]; }) - 1;
+    auto hit1 = range_in(separates, lo1, hi1);
+    auto hit2 = range_in(separates, lo2, hi2);
+    if (hit2[0] < hit1[0]) std::swap(hit1, hit2);
+    const auto add_hit_range = [&](std::uint32_t a, std::uint32_t b) {
+      if (a == b) return;
+      count[d] += sep_cum[b] - sep_cum[a];
+      boundaries.push_back({b, static_cast<std::uint32_t>(d), -1});
+      boundaries.push_back({a, static_cast<std::uint32_t>(d), +1});
+    };
+    if (hit1[1] >= hit2[0]) {
+      add_hit_range(hit1[0], std::max(hit1[1], hit2[1]));  // ranges merge
+    } else {
+      add_hit_range(hit1[0], hit1[1]);
+      add_hit_range(hit2[0], hit2[1]);
+    }
+  }
+
+  // The sweep: add the points in separate-completion order to a Fenwick
+  // tree over co-run ranks, evaluating F at each boundary once the points
+  // before it are in.
+  std::sort(boundaries.begin(), boundaries.end(),
+            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
+  Fenwick added{std::vector<std::int64_t>(m + 1, 0)};
+  auto next = boundaries.begin();
+  for (std::size_t k = 0;; ++k) {
+    for (; next != boundaries.end() && next->pos == k; ++next) {
+      count[next->window] +=
+          next->sign * f_total(ranks[next->window], [&](std::uint32_t pos) {
+            return added.prefix(pos);
+          });
+    }
+    if (k == m) break;
+    added.add(corun_rank[k], points[k].weight);
+  }
+
+  bounds_.assign(count.begin(), count.end());
+}
 
 std::size_t LagBoundIndex::bound(std::size_t i) const {
-  if (i >= users_->size()) {
+  if (i >= slot_.size()) {
     throw std::out_of_range{"LagBoundIndex::bound: bad user index"};
   }
-  const UserWindow& me = (*users_)[i];
-  const double lo1 = me.begin;
-  const double hi1 = me.begin + me.duration;
-  const double lo2 = me.app_arrival;
-  const double hi2 = me.app_arrival + me.duration;
-  const double ilo = std::max(lo1, lo2);
-  const double ihi = std::min(hi1, hi2);
-
-  // A group's members count wholesale when its separate completion hits
-  // one of i's intervals ("hit" groups); otherwise members count when
-  // their co-run completion lands in the interval union. Writing the
-  // total as
-  //   sum_hit size_g + sum_all f(g) - sum_hit f(g)
-  // (f = the inclusion-exclusion co-run count) lets the all-groups term
-  // come from one globally sorted co-run array and the hit terms from
-  // contiguous group ranges (groups are sorted by end_separate) — every
-  // term is an exact integer, so this is the same count as the per-group
-  // scan, bit for bit.
-  const auto corun_hits = [&](const std::vector<double>& sorted) {
-    std::size_t hits = count_in(sorted, lo1, hi1) + count_in(sorted, lo2, hi2);
-    if (ilo <= ihi) hits -= count_in(sorted, ilo, ihi);
-    return hits;
-  };
-  const auto range_of = [&](double lo, double hi) {
-    const auto first = std::lower_bound(
-        groups_.begin(), groups_.end(), lo,
-        [](const Group& g, double v) { return g.end_separate < v; });
-    const auto last = std::upper_bound(
-        groups_.begin(), groups_.end(), hi,
-        [](double v, const Group& g) { return v < g.end_separate; });
-    const auto a = static_cast<std::size_t>(first - groups_.begin());
-    const auto b = static_cast<std::size_t>(last - groups_.begin());
-    return std::pair{a, std::max(a, b)};
-  };
-
-  if (shared_begin_) {
-    // Fast path (see the header): the I1 hit set is the duration's group
-    // prefix, and — because every completion lies at or after begin — the
-    // per-group inclusion-exclusion over the prefix telescopes to the
-    // interval-union count over the prefix's merged co-run array. Only
-    // the rare groups hit through I2 beyond the prefix are visited
-    // individually. Every term is the same exact integer as the general
-    // path below.
-    const auto dit =
-        std::lower_bound(durations_.begin(), durations_.end(), me.duration);
-    const auto di = static_cast<std::size_t>(dit - durations_.begin());
-    const std::size_t gp = duration_prefix_[di];
-    const std::vector<double>& merged = prefix_coruns_[di];
-    const auto union_count = [&](const std::vector<double>& sorted) {
-      // lo1 <= lo2, so the closed-interval union is one range when the
-      // intervals meet and two otherwise.
-      return lo2 <= hi1 ? count_in(sorted, lo1, hi2)
-                        : count_in(sorted, lo1, hi1) +
-                              count_in(sorted, lo2, hi2);
-    };
-    std::size_t count =
-        union_count(all_coruns_) + prefix_sizes_[gp] - union_count(merged);
-    auto [ga, gb] = range_of(lo2, hi2);
-    for (std::size_t g = std::max(ga, gp); g < gb; ++g) {
-      count += groups_[g].end_coruns.size() - union_count(groups_[g].end_coruns);
-    }
-    return count - 1;
-  }
-
-  auto [a1, b1] = range_of(lo1, hi1);
-  auto [a2, b2] = range_of(lo2, hi2);
-  if (a2 < a1) {
-    std::swap(a1, a2);
-    std::swap(b1, b2);
-  }
-  std::size_t count = corun_hits(all_coruns_);
-  const auto add_hit_range = [&](std::size_t a, std::size_t b) {
-    count += prefix_sizes_[b] - prefix_sizes_[a];
-    for (std::size_t g = a; g < b; ++g) count -= corun_hits(groups_[g].end_coruns);
-  };
-  if (b1 >= a2) {
-    add_hit_range(a1, std::max(b1, b2));  // overlapping ranges merge
-  } else {
-    add_hit_range(a1, b1);
-    add_hit_range(a2, b2);
-  }
-  // The naive scan skips j == i; user i always satisfies the predicate
-  // (its own separate completion t_i + d_i lies in [t_i, t_i + d_i]).
-  return count - 1;
+  return bounds_[slot_[i]];
 }
 
 std::size_t lag_upper_bound(const std::vector<UserWindow>& users, std::size_t i) {

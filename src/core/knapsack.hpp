@@ -104,52 +104,29 @@ struct UserWindow {
                                           std::size_t i);
 
 /// Counting index over the Lemma 1 bound: answers every lag_upper_bound
-/// query with the identical integer count, but in O(K log n) per user
-/// instead of O(n), where K is the number of distinct separate-completion
-/// times (bounded by distinct device/app durations, not fleet size). Users
-/// are grouped by their separate-completion time t_i + d_i; a group whose
-/// completion time falls in one of i's intervals counts wholesale, and the
-/// rest contribute their co-run completions t_a_j + d_j via binary search
-/// over the group's sorted values (inclusion-exclusion over the two closed
-/// intervals). Exact, not approximate: the counts are integers and every
+/// query with the identical integer count, without the O(n) scan per user.
+/// A bound is a pure function of the user's window, so the constructor
+/// deduplicates the windows (±0 canonicalised) into m distinct ones with
+/// multiplicities and computes each distinct bound once: users whose
+/// separate completion t_j + d_j hits one of the window's intervals count
+/// wholesale, the rest by their co-run completion t_a_j + d_j
+/// (inclusion-exclusion over the two closed intervals), as weighted range
+/// counts answered by one sweep over a Fenwick tree. O(n + m log m) to
+/// build; bound() is a table read. Exact: the counts are integers and every
 /// comparison uses the same IEEE-754 values as the naive scan, so the
 /// window planner built on it stays bit-identical (golden-parity guarded).
 class LagBoundIndex {
  public:
+  /// Throws std::invalid_argument, naming the user index, on a non-finite
+  /// field or a negative duration.
   explicit LagBoundIndex(const std::vector<UserWindow>& users);
 
   /// Identical to lag_upper_bound(users, i) for the indexed users.
   [[nodiscard]] std::size_t bound(std::size_t i) const;
 
  private:
-  struct Group {
-    double end_separate = 0.0;         ///< t_j + d_j shared by the group
-    std::vector<double> end_coruns;    ///< sorted t_a_j + d_j of members
-  };
-  const std::vector<UserWindow>* users_;
-  std::vector<Group> groups_;
-  /// prefix_sizes_[k] = members of groups_[0..k); groups whose separate
-  /// completion hits a query interval form contiguous runs (groups_ is
-  /// sorted by end_separate), so their wholesale contribution is two
-  /// prefix-sum reads instead of a scan.
-  std::vector<std::size_t> prefix_sizes_;
-  /// Every end_corun, globally sorted: the miss-group corun contribution
-  /// is the global count minus the hit groups' counts — integer-exact, so
-  /// the regrouping cannot change a single bound.
-  std::vector<double> all_coruns_;
-  /// Shared-begin fast path (the window planner's query shape: every user
-  /// starts at the window begin and arrivals never precede it). The hit
-  /// set from interval [begin, begin + d] is then a group prefix per
-  /// distinct duration d, and the per-group inclusion-exclusion
-  /// telescopes into interval-union counts over the prefix's merged
-  /// co-run array — O(log n) searches per query instead of a group scan.
-  /// Detected at construction; all counts remain integer-exact, so every
-  /// bound is identical to the slow path (property-tested).
-  bool shared_begin_ = false;
-  double begin_ = 0.0;
-  std::vector<double> durations_;               ///< sorted distinct d
-  std::vector<std::size_t> duration_prefix_;    ///< groups with end <= begin+d
-  std::vector<std::vector<double>> prefix_coruns_;  ///< merged sorted coruns
+  std::vector<std::uint32_t> slot_;   ///< user -> its distinct window
+  std::vector<std::size_t> bounds_;   ///< Lemma 1 bound per distinct window
 };
 
 }  // namespace fedco::core

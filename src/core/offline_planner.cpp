@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "core/experiment.hpp"
 #include "device/power_model.hpp"
@@ -84,39 +83,12 @@ OfflineWindowPlan OfflinePlanner::plan(
   items.resize(users.size());
   out.lag_bounds.resize(users.size());
   // The Lemma 1 bound via the counting index: identical integers to the
-  // O(n)-per-user lag_upper_bound scan, but O(K log n) per user — the
-  // difference between a tractable and an intractable 100k-user replan.
+  // O(n)-per-user lag_upper_bound scan, computed once per distinct window
+  // (far fewer than users: a few device/app durations x the window slots).
   const LagBoundIndex lag_index{windows};
-  // Deduplicate the bound queries: every user shares the window start, so
-  // the bound is a pure function of (app_arrival, duration) — and fleets
-  // draw durations from a handful of device/app profiles and arrivals
-  // from the window's slots, so distinct queries are far fewer than
-  // users. Each duplicate receives the identical integer (bit-identical
-  // to querying per user; golden-parity guarded).
-  {
-    std::vector<std::uint32_t>& order = order_;
-    order.resize(users.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (windows[a].app_arrival != windows[b].app_arrival) {
-                  return windows[a].app_arrival < windows[b].app_arrival;
-                }
-                return windows[a].duration < windows[b].duration;
-              });
-    for (std::size_t k = 0; k < order.size();) {
-      const std::uint32_t rep = order[k];
-      const std::size_t bound = lag_index.bound(rep);
-      while (k < order.size() &&
-             windows[order[k]].app_arrival == windows[rep].app_arrival &&
-             windows[order[k]].duration == windows[rep].duration) {
-        out.lag_bounds[order[k]] = bound;
-        ++k;
-      }
-    }
-  }
   for (std::size_t i = 0; i < users.size(); ++i) {
     const auto& u = users[i];
+    out.lag_bounds[i] = lag_index.bound(i);
     const double lag = static_cast<double>(out.lag_bounds[i]);
     if (corun_ok(i)) {
       const double wait_s = windows[i].app_arrival - t0;

@@ -98,7 +98,6 @@ class OfflinePlanner {
   // Window-to-window scratch (capacity persists across replans).
   std::vector<UserWindow> windows_;
   std::vector<KnapsackItem> items_;
-  std::vector<std::uint32_t> order_;
   std::vector<std::uint8_t> infeasible_;  ///< churn-aware dropped co-runs
 };
 

@@ -20,13 +20,13 @@ void OfflineScheduler::on_experiment_begin(SchedulerContext& ctx) {
 
 void OfflineScheduler::on_slot_begin(sim::Slot t, SchedulerContext& ctx) {
   if (t % window_slots_ != 0) return;
-  std::vector<std::size_t> ready;
-  std::vector<OfflineUserInput> inputs;
+  ready_.clear();
+  inputs_.clear();
   for (std::size_t i = 0; i < ctx.num_users(); ++i) {
     // Only present, ready users enter the window knapsack; a churned-out
     // user neither saves energy nor accrues schedulable staleness.
     if (!ctx.user_ready(i) || !ctx.user_present(i, t)) continue;
-    ready.push_back(i);
+    ready_.push_back(i);
     OfflineUserInput in;
     in.dev = &ctx.user_device(i);
     in.current_gap = ctx.user_gap(i);
@@ -37,15 +37,15 @@ void OfflineScheduler::on_slot_begin(sim::Slot t, SchedulerContext& ctx) {
       in.next_arrival = arrival->at;
       in.arrival_app = arrival->app;
     }
-    inputs.push_back(in);
+    inputs_.push_back(in);
   }
-  const OfflineWindowPlan plan = planner_.plan(t, inputs);
+  const OfflineWindowPlan plan = planner_.plan(t, inputs_);
   std::size_t scheduled = 0;
-  for (std::size_t k = 0; k < ready.size(); ++k) {
-    plans_[ready[k]] = plan.plans[k];
+  for (std::size_t k = 0; k < ready_.size(); ++k) {
+    plans_[ready_[k]] = plan.plans[k];
     if (plan.plans[k].action != OfflineAction::kDefer) ++scheduled;
   }
-  ctx.note_replan(t, ready.size(), scheduled);
+  ctx.note_replan(t, ready_.size(), scheduled);
 }
 
 void OfflineScheduler::on_user_ready(std::size_t user, sim::Slot t,

@@ -46,6 +46,9 @@ class OfflineScheduler final : public Scheduler {
   OfflinePlanner planner_;
   sim::Slot window_slots_;
   std::vector<OfflineUserPlan> plans_;  ///< scheme state, one slot per user
+  // Replan scratch (capacity persists across windows).
+  std::vector<std::size_t> ready_;
+  std::vector<OfflineUserInput> inputs_;
 };
 
 }  // namespace fedco::core

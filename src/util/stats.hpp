@@ -43,12 +43,13 @@ class RunningStats {
 
 [[nodiscard]] double stddev(std::span<const double> values) noexcept;
 
-/// Linear-interpolated percentile, q in [0,100]. Sorts a copy.
+/// Linear-interpolated percentile, q in [0,100], over the order statistics
+/// of a copy (selected in expected O(n), equal to sorting it).
 [[nodiscard]] double percentile(std::span<const double> values, double q);
 
-/// The run-summary percentile triple. Computed with a single sort (vs
-/// three percentile() calls), matching percentile()'s linear
-/// interpolation exactly; all zero for an empty span.
+/// The run-summary percentile triple. Computed over one copy (each rank
+/// selected from the part the previous one left unpartitioned), bit-equal
+/// to three percentile() calls; all zero for an empty span.
 struct Percentiles {
   double p50 = 0.0;
   double p90 = 0.0;

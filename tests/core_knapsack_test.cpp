@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
+#include "device/power_model.hpp"
 #include "device/profiles.hpp"
 #include "util/rng.hpp"
 
@@ -489,9 +492,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LagBoundIndexProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST_P(LagBoundIndexProperty, GeneralWindowsMatchNaiveScanExactly) {
-  // Scattered begins (and arrivals that may precede them) disable the
-  // shared-begin fast path; the general group-range path must return the
-  // identical integers too.
+  // Scattered begins, and arrivals that may precede them: the group-range
+  // counting must return the identical integers outside the planner's
+  // shared-begin shape too.
   util::Rng rng{GetParam() * 7919};
   std::vector<UserWindow> users(rng.uniform_int(std::uint64_t{40}) + 2);
   for (auto& u : users) {
@@ -503,6 +506,132 @@ TEST_P(LagBoundIndexProperty, GeneralWindowsMatchNaiveScanExactly) {
   const LagBoundIndex index{users};
   for (std::size_t i = 0; i < users.size(); ++i) {
     EXPECT_EQ(index.bound(i), lag_upper_bound(users, i)) << "user " << i;
+  }
+}
+
+
+/// Every bound of `index` equals the naive scan's.
+void expect_matches_scan(const std::vector<UserWindow>& users) {
+  const LagBoundIndex index{users};
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    ASSERT_EQ(index.bound(i), lag_upper_bound(users, i)) << "user " << i;
+  }
+}
+
+TEST_P(LagBoundIndexProperty, HeavilyDuplicatedWindowsMatchNaiveScan) {
+  // The planner's shape at fleet scale: one window start, a few durations,
+  // arrivals drawn from 500 slots and many users without an arrival
+  // (app_arrival == begin) — thousands of users over a few hundred
+  // distinct windows, each answered once and shared by its duplicates.
+  util::Rng rng{GetParam() * 104729};
+  std::vector<UserWindow> users(1500 + rng.uniform_int(std::uint64_t{1500}));
+  const std::size_t durations = 1 + rng.uniform_int(std::uint64_t{4});
+  for (auto& u : users) {
+    u.begin = 500.0;
+    u.duration = 37.5 * static_cast<double>(1 + rng.uniform_int(durations));
+    u.app_arrival = rng.bernoulli(0.4)
+                        ? u.begin
+                        : u.begin + static_cast<double>(
+                                        rng.uniform_int(std::uint64_t{500}));
+  }
+  expect_matches_scan(users);
+}
+
+TEST(LagBoundIndex, IdenticalWindowsAndSingleUser) {
+  std::vector<UserWindow> same(257, UserWindow{10.0, 40.0, 100.0});
+  const LagBoundIndex index{same};
+  for (std::size_t i = 0; i < same.size(); ++i) {
+    ASSERT_EQ(index.bound(i), same.size() - 1);
+  }
+  expect_matches_scan(same);
+
+  const std::vector<UserWindow> one{UserWindow{3.0, 7.0, 20.0}};
+  EXPECT_EQ(LagBoundIndex{one}.bound(0), 0u);
+  EXPECT_THROW((void)LagBoundIndex{one}.bound(1), std::out_of_range);
+  EXPECT_THROW((void)LagBoundIndex{std::vector<UserWindow>{}}.bound(0),
+               std::out_of_range);
+}
+
+TEST(LagBoundIndex, SignedZeroBeginsShareOneWindow) {
+  // -0.0 and 0.0 compare equal everywhere in the naive scan, so their
+  // windows are one distinct key; every bound must still match.
+  std::vector<UserWindow> users;
+  for (int k = 0; k < 40; ++k) {
+    const double begin = k % 2 == 0 ? 0.0 : -0.0;
+    const double arrival = k % 3 == 0 ? begin : static_cast<double>(k % 7) * 10.0;
+    const double duration = k % 5 == 0 ? -0.0 : 25.0 * static_cast<double>(1 + k % 3);
+    users.push_back({begin, arrival, duration});
+  }
+  expect_matches_scan(users);
+}
+
+TEST(LagBoundIndex, MixedBeginsWithDuplicatesMatchNaiveScan) {
+  util::Rng rng{99};
+  std::vector<UserWindow> users(1200);
+  for (auto& u : users) {
+    u.begin = 100.0 * static_cast<double>(rng.uniform_int(std::uint64_t{4}));
+    u.duration = 50.0 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{3}));
+    u.app_arrival = rng.bernoulli(0.3)
+                        ? u.begin
+                        : static_cast<double>(rng.uniform_int(std::uint64_t{40})) * 12.5;
+  }
+  expect_matches_scan(users);
+}
+
+TEST(LagBoundIndex, RejectsBadWindowsNamingTheUser) {
+  const auto message = [](const std::vector<UserWindow>& users) {
+    try {
+      const LagBoundIndex index{users};
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no throw"};
+  };
+  std::vector<UserWindow> users(4, UserWindow{0.0, 10.0, 50.0});
+  users[2].duration = -1.0;
+  EXPECT_NE(message(users).find("user 2"), std::string::npos) << message(users);
+  users[2].duration = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(message(users).find("user 2"), std::string::npos) << message(users);
+  users[2].duration = 50.0;
+  users[3].begin = std::numeric_limits<double>::infinity();
+  EXPECT_NE(message(users).find("user 3"), std::string::npos) << message(users);
+  users[3].begin = 0.0;
+  users[1].app_arrival = -std::numeric_limits<double>::infinity();
+  EXPECT_NE(message(users).find("user 1"), std::string::npos) << message(users);
+}
+
+TEST(OfflinePlanner, LagBoundsMatchNaiveScanOverLargeWindow) {
+  // The planner's Lemma 1 bounds over a 2k-user window equal the O(n)
+  // scan over the windows it builds: begin = window start, the co-run
+  // arrival and duration for users with an in-window app, else the
+  // separate training duration.
+  util::Rng rng{4242};
+  const sim::Slot window_begin = 1000;
+  const OfflinePlannerConfig cfg = planner_config(50.0);
+  std::vector<OfflineUserInput> users(2000);
+  std::vector<UserWindow> windows(users.size());
+  const double t0 = static_cast<double>(window_begin) * cfg.slot_seconds;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    OfflineUserInput& u = users[i];
+    u.dev = &device::profile(static_cast<device::DeviceKind>(
+        rng.uniform_int(device::kDeviceKinds)));
+    u.current_gap = rng.uniform(0.0, 5.0);
+    u.momentum_norm = rng.uniform(1.0, 12.0);
+    windows[i] = {t0, t0, u.dev->train_time_s};
+    if (rng.bernoulli(0.6)) {
+      u.next_arrival =
+          window_begin + static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{500}));
+      u.arrival_app =
+          static_cast<device::AppKind>(rng.uniform_int(device::kAppKinds));
+      windows[i].app_arrival = static_cast<double>(*u.next_arrival) * cfg.slot_seconds;
+      windows[i].duration = device::training_duration_s(
+          *u.dev, device::AppStatus::kApp, u.arrival_app);
+    }
+  }
+  const auto plan = OfflinePlanner{cfg}.plan(window_begin, users);
+  ASSERT_EQ(plan.lag_bounds.size(), users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    ASSERT_EQ(plan.lag_bounds[i], lag_upper_bound(windows, i)) << "user " << i;
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -221,6 +224,45 @@ TEST(Percentile, InterpolatesLinearly) {
   EXPECT_NEAR(percentile(v, 50.0), 2.5, 1e-12);
   EXPECT_THROW((void)percentile(v, 101.0), std::invalid_argument);
   EXPECT_EQ(percentile(std::vector<double>{}, 50.0), 0.0);
+}
+
+TEST(Percentile, TripleIsBitEqualToSinglePercentilesAndSortedReference) {
+  // percentiles() selects the p50/p90/p99 order statistics instead of
+  // sorting; over random spans with heavy duplication and both signed
+  // zeros it must return exactly what percentile() and a full sort give.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto sorted_at = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1) return v.front();
+    const double rank = q / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lower = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lower);
+    if (lower + 1 >= v.size()) return v.back();
+    return v[lower] + frac * (v[lower + 1] - v[lower]);
+  };
+  Rng rng{2024};
+  for (int trial = 0; trial < 310; ++trial) {
+    // The last trials exceed the copy's gather stride (7919).
+    std::vector<double> v(trial < 300 ? 1 + rng.uniform_int(std::uint64_t{5000})
+                                      : 7919 + rng.uniform_int(std::uint64_t{40000}));
+    const std::uint64_t distinct = 1 + rng.uniform_int(std::uint64_t{50});
+    for (double& x : v) {
+      const std::uint64_t pick = rng.uniform_int(distinct + 2);
+      x = pick == distinct       ? 0.0
+          : pick == distinct + 1 ? -0.0
+                                 : static_cast<double>(pick) * 0.37 - 5.0;
+    }
+    const Percentiles p = percentiles(v);
+    ASSERT_EQ(bits(p.p50), bits(percentile(v, 50.0))) << "trial " << trial;
+    ASSERT_EQ(bits(p.p90), bits(percentile(v, 90.0))) << "trial " << trial;
+    ASSERT_EQ(bits(p.p99), bits(percentile(v, 99.0))) << "trial " << trial;
+    ASSERT_EQ(bits(p.p50), bits(sorted_at(v, 50.0))) << "trial " << trial;
+    ASSERT_EQ(bits(p.p90), bits(sorted_at(v, 90.0))) << "trial " << trial;
+    ASSERT_EQ(bits(p.p99), bits(sorted_at(v, 99.0))) << "trial " << trial;
+  }
+  const Percentiles empty = percentiles(std::vector<double>{});
+  EXPECT_EQ(empty.p50, 0.0);
+  EXPECT_EQ(empty.p99, 0.0);
 }
 
 TEST(Pearson, PerfectAndDegenerate) {
