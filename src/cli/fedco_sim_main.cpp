@@ -9,12 +9,12 @@
 //   fedco_sim --scheduler online --real-training --model lenet-small
 //             --csv-dir /tmp/out   (one line)
 //   fedco_sim --help
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/campaign.hpp"
 #include "core/config_io.hpp"
@@ -138,10 +138,28 @@ struct InputError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reject a flag value outside the range config_io enforces on its field,
-/// or a usage error, naming the flag.
+/// Reject a usage error no config field can express, naming the flag.
 void require_flag(bool in_range, const char* flag, const char* range) {
   if (!in_range) throw InputError{std::string{flag} + " " + range};
+}
+
+/// The flag that sets a ranged field, so a core::validate violation names
+/// what was typed. Any other field can only come from a --config file,
+/// which the loader has already validated.
+std::string flag_for(const std::string& field) {
+  static constexpr std::pair<const char*, const char*> kFlags[] = {
+      {"num_users", "--users"}, {"horizon_slots", "--horizon"},
+      {"arrival_probability", "--arrival-p"}, {"V", "--V"}, {"lb", "--Lb"},
+      {"epsilon", "--epsilon"}, {"eta", "--eta"}, {"beta", "--beta"},
+      {"decision_interval_slots", "--decision-interval"},
+      {"offline_window_slots", "--offline-window"},
+      {"offline_lb", "--offline-Lb"}, {"min_soc_to_train", "--min-soc"},
+      {"upload_drop_probability", "--drop-p"},
+  };
+  for (const auto& [name, flag] : kFlags) {
+    if (field == name) return flag;
+  }
+  return "'" + field + "'";
 }
 
 template <typename Loader>
@@ -162,79 +180,35 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg = load_input(core::load_config_json, config_path);
   }
 
-  // Fallbacks are the current field values (never reached — has() guards
-  // each call) so the defaults live in ExperimentConfig alone.
+  // Every flag falls back to the current field value, so an absent flag
+  // changes nothing and the defaults live in ExperimentConfig alone.
   if (args.has("scheduler")) {
     cfg.scheduler = core::parse_scheduler_token(args.get("scheduler"));
   }
-  if (args.has("users")) {
-    const std::int64_t users =
-        args.get_int("users", static_cast<std::int64_t>(cfg.num_users));
-    require_flag(users >= 1, "--users", "must be positive");
-    cfg.num_users = static_cast<std::size_t>(users);
-  }
-  if (args.has("horizon")) {
-    cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
-    require_flag(cfg.horizon_slots > 0, "--horizon", "must be positive");
-    require_flag(cfg.horizon_slots <= sim::kMaxHorizonSlots, "--horizon",
-                 "must be at most 2^31 - 1");
-  }
-  if (args.has("arrival-p")) {
-    cfg.arrival_probability =
-        args.get_double("arrival-p", cfg.arrival_probability);
-    require_flag(cfg.arrival_probability >= 0.0 &&
-                     cfg.arrival_probability <= 1.0,
-                 "--arrival-p", "must be in [0, 1]");
-  }
-  if (args.has("diurnal")) cfg.diurnal = args.get_bool("diurnal", cfg.diurnal);
-  if (args.has("arrival-trace")) {
-    cfg.arrival_trace_path = args.get("arrival-trace");
-  }
-  if (args.has("arrival-trace-dir")) {
-    cfg.arrival_trace_dir = args.get("arrival-trace-dir");
-  }
+  // A negative count wraps past 2^32 - 1 and fails that bound.
+  cfg.num_users = static_cast<std::size_t>(
+      args.get_int("users", static_cast<std::int64_t>(cfg.num_users)));
+  cfg.horizon_slots = args.get_int("horizon", cfg.horizon_slots);
+  cfg.arrival_probability =
+      args.get_double("arrival-p", cfg.arrival_probability);
+  cfg.diurnal = args.get_bool("diurnal", cfg.diurnal);
+  cfg.arrival_trace_path = args.get("arrival-trace", cfg.arrival_trace_path);
+  cfg.arrival_trace_dir = args.get("arrival-trace-dir", cfg.arrival_trace_dir);
   if (args.has("device")) {
     cfg.fixed_device = core::parse_device_token(args.get("device"));
   }
-  if (args.has("seed")) {
-    cfg.seed = static_cast<std::uint64_t>(
-        args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  }
-  if (args.has("V")) {
-    cfg.V = args.get_double("V", cfg.V);
-    require_flag(std::isfinite(cfg.V) && cfg.V >= 0.0, "--V",
-                 "must be non-negative and finite");
-  }
-  if (args.has("Lb")) {
-    cfg.lb = args.get_double("Lb", cfg.lb);
-    require_flag(std::isfinite(cfg.lb) && cfg.lb >= 0.0, "--Lb",
-                 "must be non-negative and finite");
-  }
-  if (args.has("epsilon")) {
-    cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
-    require_flag(std::isfinite(cfg.epsilon) && cfg.epsilon >= 0.0, "--epsilon",
-                 "must be non-negative and finite");
-  }
-  if (args.has("decision-interval")) {
-    cfg.decision_interval_slots =
-        args.get_int("decision-interval", cfg.decision_interval_slots);
-    require_flag(cfg.decision_interval_slots >= 1, "--decision-interval",
-                 "must be positive");
-  }
-  if (args.has("offline-window")) {
-    cfg.offline_window_slots =
-        args.get_int("offline-window", cfg.offline_window_slots);
-    require_flag(cfg.offline_window_slots > 0, "--offline-window",
-                 "must be positive");
-  }
-  if (args.has("offline-Lb")) {
-    cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
-    require_flag(std::isfinite(cfg.offline_lb) && cfg.offline_lb > 0.0,
-                 "--offline-Lb", "must be positive and finite");
-  }
-  if (args.has("scalar-decide")) {
-    cfg.online_batch_decide = !args.get_bool("scalar-decide", false);
-  }
+  cfg.seed = static_cast<std::uint64_t>(
+      args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
+  cfg.V = args.get_double("V", cfg.V);
+  cfg.lb = args.get_double("Lb", cfg.lb);
+  cfg.epsilon = args.get_double("epsilon", cfg.epsilon);
+  cfg.decision_interval_slots =
+      args.get_int("decision-interval", cfg.decision_interval_slots);
+  cfg.offline_window_slots =
+      args.get_int("offline-window", cfg.offline_window_slots);
+  cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
+  cfg.online_batch_decide =
+      !args.get_bool("scalar-decide", !cfg.online_batch_decide);
   if (args.has("churn-aware")) {
     // One switch for both schemes: the flag pair exists so configs can
     // A/B each side independently, but the CLI treats departure-awareness
@@ -243,44 +217,19 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.offline_churn_aware = aware;
     cfg.online_churn_aware = aware;
   }
-  if (args.has("eta")) {
-    cfg.eta = args.get_double("eta", cfg.eta);
-    require_flag(std::isfinite(cfg.eta) && cfg.eta > 0.0, "--eta",
-                 "must be positive and finite");
-  }
-  if (args.has("beta")) {
-    cfg.beta = args.get_double("beta", cfg.beta);
-    require_flag(std::isfinite(cfg.beta) && cfg.beta >= 0.0 && cfg.beta < 1.0,
-                 "--beta", "must be in [0, 1)");
-  }
-  if (args.has("real-training")) {
-    cfg.real_training = args.get_bool("real-training", cfg.real_training);
-  }
-  if (args.has("model")) {
-    cfg.model = core::parse_model_token(args.get("model"));
-  }
+  cfg.eta = args.get_double("eta", cfg.eta);
+  cfg.beta = args.get_double("beta", cfg.beta);
+  cfg.real_training = args.get_bool("real-training", cfg.real_training);
+  if (args.has("model")) cfg.model = core::parse_model_token(args.get("model"));
   if (args.has("aggregation")) {
     cfg.aggregation.kind =
         core::parse_aggregation_token(args.get("aggregation"));
   }
-  if (args.has("thermal")) {
-    cfg.enable_thermal = args.get_bool("thermal", cfg.enable_thermal);
-  }
-  if (args.has("battery")) {
-    cfg.track_battery = args.get_bool("battery", cfg.track_battery);
-  }
-  if (args.has("min-soc")) {
-    cfg.min_soc_to_train = args.get_double("min-soc", cfg.min_soc_to_train);
-    require_flag(cfg.min_soc_to_train >= 0.0 && cfg.min_soc_to_train <= 1.0,
-                 "--min-soc", "must be in [0, 1]");
-  }
-  if (args.has("drop-p")) {
-    cfg.upload_drop_probability =
-        args.get_double("drop-p", cfg.upload_drop_probability);
-    require_flag(cfg.upload_drop_probability >= 0.0 &&
-                     cfg.upload_drop_probability <= 1.0,
-                 "--drop-p", "must be in [0, 1]");
-  }
+  cfg.enable_thermal = args.get_bool("thermal", cfg.enable_thermal);
+  cfg.track_battery = args.get_bool("battery", cfg.track_battery);
+  cfg.min_soc_to_train = args.get_double("min-soc", cfg.min_soc_to_train);
+  cfg.upload_drop_probability =
+      args.get_double("drop-p", cfg.upload_drop_probability);
   if (cfg.min_soc_to_train > 0.0) cfg.track_battery = true;
   // The CLI's small-image default for real LeNet-small runs; scenario files
   // carry their dataset shape explicitly, so only flag-built configs get it.
@@ -290,6 +239,11 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
     cfg.dataset.width = 16;
     cfg.dataset.train_per_class = 200;
     cfg.dataset.test_per_class = 40;
+  }
+  // Before the scenario replaces users and horizon, so `--users 0
+  // --scenario F` still fails on the flag.
+  if (const auto bad = core::validate(cfg)) {
+    throw InputError{flag_for(bad->field) + " " + bad->reason};
   }
   // Declarative scenario expansion last, after --seed settled (the fleet is
   // generated from the effective seed): the spec owns the population.

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "scenario/netem_profiles.hpp"
 #include "scenario/scenario_io.hpp"
 
 namespace fedco::core {
@@ -48,16 +47,6 @@ std::int64_t read_int(const util::JsonValue& value, const std::string& key) {
 [[noreturn]] void reject_field(const std::string& field,
                                const std::string& why) {
   throw std::invalid_argument{"config_io: '" + field + "' " + why};
-}
-
-// The arrival-law ranges scenario::validate enforces on a spec. Outside
-// them the arrival processes would clamp or substitute the value silently.
-constexpr const char* kUnitInterval = "must be in [0, 1]";
-// Slot counts the driver divides by or iterates to.
-constexpr const char* kPositive = "must be positive";
-
-bool in_unit_interval(double value) noexcept {
-  return value >= 0.0 && value <= 1.0;
 }
 
 template <typename Apply>
@@ -136,13 +125,9 @@ void read_battery(const util::JsonValue& object, device::BatteryConfig& out) {
                   });
 }
 
-/// One per_user entry. Every value the driver would otherwise reject
-/// mid-run, or silently misread, fails here naming `where.<field>`.
+/// One per_user entry; its ranges are validate_user's, checked by the caller.
 void read_per_user_entry(const util::JsonValue& object, const std::string& where,
                          scenario::PerUserConfig& out) {
-  const auto reject = [&](const std::string& field, const std::string& why) {
-    reject_field(where + "." + field, why);
-  };
   for_each_member(
       object, where,
       [&](const std::string& key, const util::JsonValue& value) {
@@ -151,19 +136,12 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
               scenario::parse_device_kind_token(read_string(value, key));
         } else if (key == "arrival_probability") {
           out.arrival_probability = read_double(value, key);
-          if (!in_unit_interval(*out.arrival_probability)) {
-            reject(key, kUnitInterval);
-          }
         } else if (key == "diurnal") {
           out.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
           out.diurnal_swing = read_double(value, key);
-          if (!in_unit_interval(*out.diurnal_swing)) reject(key, kUnitInterval);
         } else if (key == "diurnal_peak_hour") {
           out.diurnal_peak_hour = read_double(value, key);
-          if (!(out.diurnal_peak_hour >= 0.0 && out.diurnal_peak_hour < 24.0)) {
-            reject(key, "must be in [0, 24)");
-          }
         } else if (key == "use_lte") {
           out.use_lte = read_bool(value, key);
         } else if (key == "join_slot") {
@@ -171,7 +149,9 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
         } else if (key == "leave_slot") {
           out.leave_slot = read_int(value, key);
         } else if (key == "extra_windows") {
-          if (!value.is_array()) reject(key, "must be an array");
+          if (!value.is_array()) {
+            reject_field(where + "." + key, "must be an array");
+          }
           out.extra_windows.clear();
           for (const util::JsonValue& entry : value.as_array()) {
             scenario::PresenceWindow w;
@@ -190,54 +170,32 @@ void read_per_user_entry(const util::JsonValue& object, const std::string& where
             out.extra_windows.push_back(w);
           }
         } else if (key == "link_degradations") {
-          // A mask naming a profile past the registry would wrap or index
-          // nothing; reject it instead of narrowing.
+          // A mask wider than the 32-bit column cannot narrow; it names
+          // profiles past the registry either way, so it is kept as all
+          // ones for validate_user to reject.
           const std::uint64_t mask = read_uint(value, key);
-          const std::uint64_t known =
-              (std::uint64_t{1} << scenario::netem_profile_count()) - 1;
-          if ((mask & ~known) != 0) {
-            reject(key, "sets bits outside the " +
-                            std::to_string(scenario::netem_profile_count()) +
-                            " known netem profiles");
-          }
-          out.link_degradations = static_cast<std::uint32_t>(mask);
+          out.link_degradations = static_cast<std::uint32_t>(
+              std::min<std::uint64_t>(mask, UINT32_MAX));
         } else if (key == "priority") {
           out.priority = read_double(value, key);
-          if (!std::isfinite(out.priority) || out.priority <= 0.0) {
-            reject(key, "must be positive and finite");
-          }
         } else {
           return false;
         }
         return true;
       });
-  if (out.join_slot < 0) reject("join_slot", "must be non-negative");
-  if (out.leave_slot <= out.join_slot) {
-    reject("leave_slot", "must be after join_slot (empty presence window)");
-  }
-  sim::Slot prev_leave = out.leave_slot;
-  for (std::size_t k = 0; k < out.extra_windows.size(); ++k) {
-    const scenario::PresenceWindow& w = out.extra_windows[k];
-    const std::string field = "extra_windows[" + std::to_string(k) + "]";
-    if (w.leave <= w.join) reject(field, "is an empty presence window");
-    if (w.join <= prev_leave) {
-      reject(field, "must start after the previous window leaves "
-                    "(ascending, non-overlapping)");
-    }
-    prev_leave = w.leave;
-  }
 }
 
-/// The per_user array as a fleet arena; `num_users` is checked by the
-/// caller once the whole document (whatever its key order) is read.
+/// The per_user array as a fleet arena; its length is checked by validate
+/// once the whole document (whatever its key order) is read.
 scenario::SharedFleet read_per_user(const util::JsonValue& array) {
-  if (!array.is_array()) {
-    throw std::invalid_argument{"config_io: 'per_user' must be an array"};
-  }
+  if (!array.is_array()) reject_field("per_user", "must be an array");
   std::vector<scenario::PerUserConfig> fleet(array.as_array().size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    read_per_user_entry(array.as_array()[i],
-                        "per_user[" + std::to_string(i) + "]", fleet[i]);
+    const std::string where = "per_user[" + std::to_string(i) + "]";
+    read_per_user_entry(array.as_array()[i], where, fleet[i]);
+    if (const auto bad = validate_user(fleet[i])) {
+      reject_field(where + "." + bad->field, bad->reason);
+    }
   }
   return std::make_shared<const scenario::FleetArena>(
       scenario::fleet_arena_from(fleet));
@@ -500,6 +458,7 @@ ExperimentConfig config_from_json(const std::string& text) {
     root = nested;
   }
   ExperimentConfig config;
+  std::string lb_key = "lb";  // the staleness bound loads as "lb" or "Lb"
   for_each_member(
       *root, "config",
       [&](const std::string& key, const util::JsonValue& value) {
@@ -507,33 +466,18 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.scheduler = parse_scheduler_token(read_string(value, key));
         } else if (key == "num_users") {
           config.num_users = static_cast<std::size_t>(read_uint(value, key));
-          if (config.num_users == 0) reject_field(key, kPositive);
         } else if (key == "horizon_slots") {
           config.horizon_slots = read_int(value, key);
-          if (config.horizon_slots <= 0) reject_field(key, kPositive);
-          if (config.horizon_slots > sim::kMaxHorizonSlots) {
-            reject_field(key, "must be at most 2^31 - 1");
-          }
         } else if (key == "slot_seconds") {
           config.slot_seconds = read_double(value, key);
-          if (!std::isfinite(config.slot_seconds) ||
-              config.slot_seconds <= 0.0) {
-            reject_field(key, "must be positive and finite");
-          }
         } else if (key == "seed") {
           config.seed = read_uint(value, key);
         } else if (key == "arrival_probability") {
           config.arrival_probability = read_double(value, key);
-          if (!in_unit_interval(config.arrival_probability)) {
-            reject_field(key, kUnitInterval);
-          }
         } else if (key == "diurnal") {
           config.diurnal = read_bool(value, key);
         } else if (key == "diurnal_swing") {
           config.diurnal_swing = read_double(value, key);
-          if (!in_unit_interval(config.diurnal_swing)) {
-            reject_field(key, kUnitInterval);
-          }
         } else if (key == "arrival_trace_path") {
           config.arrival_trace_path = read_string(value, key);
         } else if (key == "arrival_trace_dir") {
@@ -546,27 +490,15 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.fixed_device = parse_device_token(read_string(value, key));
         } else if (key == "V") {
           config.V = read_double(value, key);
-          if (!(std::isfinite(config.V) && config.V >= 0.0)) {
-            reject_field(key, "must be non-negative and finite");
-          }
         } else if (key == "lb" || key == "Lb") {
           config.lb = read_double(value, key);
-          if (!(std::isfinite(config.lb) && config.lb >= 0.0)) {
-            reject_field(key, "must be non-negative and finite");
-          }
+          lb_key = key;
         } else if (key == "epsilon") {
           config.epsilon = read_double(value, key);
-          if (!(std::isfinite(config.epsilon) && config.epsilon >= 0.0)) {
-            reject_field(key, "must be non-negative and finite");
-          }
         } else if (key == "offline_window_slots") {
           config.offline_window_slots = read_int(value, key);
-          if (config.offline_window_slots <= 0) reject_field(key, kPositive);
         } else if (key == "offline_lb") {
           config.offline_lb = read_double(value, key);
-          if (!(std::isfinite(config.offline_lb) && config.offline_lb > 0.0)) {
-            reject_field(key, "must be positive and finite");
-          }
         } else if (key == "offline_incremental_replan" ||
                    key == "offline_parallel_plan" ||
                    key == "offline_adaptive_grid") {
@@ -574,9 +506,8 @@ ExperimentConfig config_from_json(const std::string& text) {
           // setting that survives (incremental on, the others off); any
           // other value asks for an engine that no longer exists.
           if (read_bool(value, key) != (key == "offline_incremental_replan")) {
-            throw std::invalid_argument{
-                "config_io: '" + key +
-                "' is retired; only the incremental planner remains"};
+            reject_field(key,
+                         "is retired; only the incremental planner remains");
           }
         } else if (key == "online_batch_decide") {
           config.online_batch_decide = read_bool(value, key);
@@ -592,15 +523,8 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.online_churn_aware = read_bool(value, key);
         } else if (key == "eta") {
           config.eta = read_double(value, key);
-          if (!(std::isfinite(config.eta) && config.eta > 0.0)) {
-            reject_field(key, "must be positive and finite");
-          }
         } else if (key == "beta") {
           config.beta = read_double(value, key);
-          if (!(std::isfinite(config.beta) && config.beta >= 0.0 &&
-                config.beta < 1.0)) {
-            reject_field(key, "must be in [0, 1)");
-          }
         } else if (key == "real_training") {
           config.real_training = read_bool(value, key);
         } else if (key == "model") {
@@ -631,43 +555,28 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.use_lte = read_bool(value, key);
         } else if (key == "decision_eval_seconds") {
           config.decision_eval_seconds = read_double(value, key);
-          if (!(std::isfinite(config.decision_eval_seconds) &&
-                config.decision_eval_seconds >= 0.0)) {
-            reject_field(key, "must be non-negative and finite");
-          }
         } else if (key == "decision_interval_slots") {
           config.decision_interval_slots = read_int(value, key);
-          if (config.decision_interval_slots < 1) reject_field(key, kPositive);
         } else if (key == "upload_drop_probability") {
           config.upload_drop_probability = read_double(value, key);
-          if (!in_unit_interval(config.upload_drop_probability)) {
-            reject_field(key, kUnitInterval);
-          }
         } else if (key == "track_battery") {
           config.track_battery = read_bool(value, key);
         } else if (key == "battery") {
           read_battery(value, config.battery);
         } else if (key == "min_soc_to_train") {
           config.min_soc_to_train = read_double(value, key);
-          if (!in_unit_interval(config.min_soc_to_train)) {
-            reject_field(key, kUnitInterval);
-          }
         } else if (key == "enable_thermal") {
           config.enable_thermal = read_bool(value, key);
         } else if (key == "thermal") {
           read_thermal(value, config.thermal);
         } else if (key == "record_interval") {
           config.record_interval = read_int(value, key);
-          if (config.record_interval <= 0) reject_field(key, kPositive);
         } else if (key == "record_per_user_gaps") {
           config.record_per_user_gaps = read_bool(value, key);
         } else if (key == "per_user") {
           config.fleet = read_per_user(value);
         } else if (key == "outages") {
-          if (!value.is_array()) {
-            throw std::invalid_argument{
-                "config_io: 'outages' must be an array"};
-          }
+          if (!value.is_array()) reject_field(key, "must be an array");
           config.outages.clear();
           for (const util::JsonValue& entry : value.as_array()) {
             ExperimentConfig::OutageWindow o;
@@ -690,10 +599,9 @@ ExperimentConfig config_from_json(const std::string& text) {
         }
         return true;
       });
-  if (config.fleet && config.fleet->size() != config.num_users) {
-    throw std::invalid_argument{
-        "config_io: 'per_user' holds " + std::to_string(config.fleet->size()) +
-        " entries but num_users is " + std::to_string(config.num_users)};
+  if (const auto bad = validate(config)) {
+    // Name the spelling of the staleness bound the document used.
+    reject_field(bad->field == "lb" ? lb_key : bad->field, bad->reason);
   }
   return config;
 }

@@ -49,11 +49,10 @@ void write_config_members(util::JsonWriter& json,
 
 /// Parse a config from a JSON document: either a bare config object or any
 /// document with a "config" member (e.g. a result_io dump). Unknown keys
-/// throw std::invalid_argument, as does an arrival law outside the ranges
-/// scenario::validate enforces (arrival_probability and diurnal_swing in
-/// [0, 1], diurnal_peak_hour in [0, 24), slot_seconds positive and finite),
-/// a "per_user" entry the driver could not run (the message names
-/// `per_user[i].<field>`) or an array whose length differs from num_users.
+/// throw std::invalid_argument, as does any value core::validate rejects
+/// (the message is `config_io: '<field>' <reason>`; a per_user array whose
+/// length differs from num_users is one) or a "per_user" entry
+/// core::validate_user rejects (the field reads `per_user[i].<field>`).
 [[nodiscard]] ExperimentConfig config_from_json(const std::string& text);
 
 /// File variants; throw std::runtime_error when the file cannot be opened.

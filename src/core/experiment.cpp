@@ -51,6 +51,11 @@ double ExperimentResult::time_to_accuracy(double threshold) const {
 
 namespace {
 
+/// A config value outside its range, named as config_io names it.
+[[noreturn]] void reject(const std::string& field, const std::string& why) {
+  throw std::invalid_argument{"run_experiment: '" + field + "' " + why};
+}
+
 enum class Phase { kReady, kTraining, kBarrier, kTransferring };
 
 /// Per-user classification for the gap dynamics of one slot (Eq. 12):
@@ -242,26 +247,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (events_every_ < 1) {
       throw std::invalid_argument{"run_experiment: events_sample must be >= 1"};
     }
-    if (cfg.num_users == 0) throw std::invalid_argument{"run_experiment: 0 users"};
-    if (cfg.horizon_slots <= 0) {
-      throw std::invalid_argument{"run_experiment: empty horizon"};
-    }
-    if (cfg.horizon_slots > sim::kMaxHorizonSlots) {
-      // The folded-accrual anchors are an int32 column (bounded by the
-      // horizon). The config and scenario loaders reject such horizons
-      // with the file and field named; this guards configs built in code.
-      throw std::invalid_argument{"run_experiment: horizon exceeds 2^31 - 1 slots"};
-    }
-    if (cfg.record_interval <= 0) {
-      throw std::invalid_argument{
-          "run_experiment: record_interval must be positive"};
-    }
-    if (cfg.fleet && cfg.fleet->size() != cfg.num_users) {
-      throw std::invalid_argument{
-          "run_experiment: fleet must hold num_users entries"};
-    }
-    // Presence windows are validated per user inside setup_users (one
-    // arena read per user instead of a second full pass).
+    // Configs built in code meet the loader's ranges here; per-user
+    // entries are checked in setup_users' loop, not in a second pass.
+    if (const auto bad = validate(cfg)) reject(bad->field, bad->reason);
     model_bytes_ = cfg.model_bytes;
     scheduler_ = make_scheduler(cfg_);
     charges_overhead_ = scheduler_->charges_decision_overhead();
@@ -583,9 +571,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     for (std::size_t i = 0; i < cfg_.num_users; ++i) {
       UserState& u = users_[i];
       const scenario::PerUserConfig pu = user_overrides(i);
-      if (pu.join_slot < 0 || pu.leave_slot <= pu.join_slot) {
-        throw std::invalid_argument{
-            "run_experiment: per_user presence window is empty"};
+      if (const auto bad = validate_user(pu)) {
+        reject("per_user[" + std::to_string(i) + "]." + bad->field,
+               bad->reason);
       }
       if (cfg_.arrival_streams) {
         u.rng = util::Rng{util::stream_key(
@@ -615,19 +603,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       u.join = pu.join_slot;
       u.leave = pu.leave_slot;
       if (!pu.extra_windows.empty()) {
-        // Multi-window presence: windows must be strictly ascending and
-        // non-empty, each join strictly after the previous leave (touching
-        // windows must be merged by the producer — a join landing on the
-        // leave slot would push into the event bucket being drained).
-        sim::Slot prev_leave = pu.leave_slot;
-        for (const scenario::PresenceWindow& w : pu.extra_windows) {
-          if (w.join <= prev_leave || w.leave <= w.join) {
-            throw std::invalid_argument{
-                "run_experiment: per_user extra presence windows must be "
-                "ascending, disjoint, and non-empty"};
-          }
-          prev_leave = w.leave;
-        }
         u.next_window = static_cast<std::uint32_t>(extra_windows_.size());
         extra_windows_.insert(extra_windows_.end(), pu.extra_windows.begin(),
                               pu.extra_windows.end());

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "data/synth_cifar.hpp"
@@ -215,6 +216,23 @@ struct ExperimentConfig {
                          const ExperimentConfig&) = default;
 };
 
+/// A value outside its range: the field as config_io names it
+/// ("battery.capacity_mah", "extra_windows[1]") and the rule it breaks.
+struct ConfigViolation {
+  std::string field;
+  std::string reason;
+};
+
+/// The one statement of every ExperimentConfig range: the first violation
+/// in field order, or nullopt. The JSON loader, the CLI (after its flags)
+/// and run_experiment all call it. Per-user entries are checked by
+/// validate_user instead, inside the per-user loops the loader and the
+/// driver already make, so a 1M-user fleet is not walked twice.
+[[nodiscard]] std::optional<ConfigViolation> validate(
+    const ExperimentConfig& config);
+[[nodiscard]] std::optional<ConfigViolation> validate_user(
+    const scenario::PerUserConfig& user);
+
 /// One (lag, gap) observation per applied update (Fig. 5a lower subplot).
 struct LagGapSample {
   double time_s = 0.0;
@@ -327,7 +345,8 @@ struct RunHooks {
   sim::Slot events_sample = 1;
 };
 
-/// Run one experiment to completion. Deterministic in config.seed.
+/// Run one experiment to completion. Deterministic in config.seed. Throws
+/// std::invalid_argument naming any field validate(_user) rejects.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// As above, with observability hooks attached (same result bit for bit).

@@ -323,7 +323,8 @@ class Scheduler {
   [[nodiscard]] virtual double queue_h() const noexcept { return 0.0; }
 };
 
-/// Instantiate the strategy for config.scheduler.
+/// Instantiate the strategy for config.scheduler. The config must pass
+/// validate; run_experiment, the only caller, checks it first.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const ExperimentConfig& config);
 

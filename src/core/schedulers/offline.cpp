@@ -1,17 +1,9 @@
 #include "core/schedulers/offline.hpp"
 
-#include <stdexcept>
-
 namespace fedco::core {
 
 OfflineScheduler::OfflineScheduler(const ExperimentConfig& config)
-    : planner_([&config] {
-        if (config.offline_window_slots <= 0) {
-          throw std::invalid_argument{
-              "offline scheduler: offline_window_slots must be positive"};
-        }
-        return make_planner_config(config);
-      }()),
+    : planner_(make_planner_config(config)),
       window_slots_(config.offline_window_slots) {}
 
 void OfflineScheduler::on_experiment_begin(SchedulerContext& ctx) {

@@ -1,6 +1,7 @@
 #include "device/battery.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace fedco::device {
 
@@ -17,11 +18,18 @@ double Battery::drain(double joules) noexcept {
   drained_j_ += joules;
   const double cap = capacity_j();
   soc_ -= joules / cap;
-  while (soc_ < config_.recharge_at_soc) {
-    // Opportunistic recharge back to full; the deficit below the threshold
-    // carries over so heavy drain can trigger several logical cycles.
-    soc_ += 1.0 - config_.recharge_at_soc;
-    ++recharges_;
+  // Opportunistic recharge back to full; the deficit below the threshold
+  // carries over so heavy drain can trigger several logical cycles, counted
+  // in O(1) (one at a time, a tiny capacity takes drain/capacity steps).
+  const double threshold = config_.recharge_at_soc;
+  if (soc_ < threshold) {
+    const double step = 1.0 - threshold;
+    const double cycles =
+        soc_ + step >= threshold ? 1.0 : std::ceil((threshold - soc_) / step);
+    soc_ += cycles * step;
+    // A capacity near the smallest double asks for ~1e300 cycles; the
+    // count saturates instead of overflowing the cast.
+    recharges_ += static_cast<std::size_t>(std::min(0x1p53, cycles));
   }
   soc_ = std::clamp(soc_, 0.0, 1.0);
   return soc_;

@@ -12,8 +12,8 @@ struct BatteryConfig {
   double capacity_mah = 2700.0;   ///< Pixel 2-class battery
   double voltage_v = 3.85;
   double initial_soc = 1.0;       ///< state of charge in [0, 1]
-  /// SoC threshold at which the device charges back to full (opportunistic
-  /// charging in the simulation).
+  /// SoC threshold in [0, 1) at which the device charges back to full
+  /// (opportunistic charging in the simulation).
   double recharge_at_soc = 0.15;
 
   friend bool operator==(const BatteryConfig&, const BatteryConfig&) = default;

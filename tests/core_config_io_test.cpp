@@ -4,12 +4,15 @@
 // loading from a full result document.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "core/config_io.hpp"
 #include "core/result_io.hpp"
 #include "golden_fingerprint.hpp"
+#include "scenario/netem_profiles.hpp"
 #include "scenario/scenario_io.hpp"
 
 namespace fedco::core {
@@ -416,9 +419,9 @@ TEST(ConfigIo, OutOfRangeIntegersThrow) {
             9007199254740992ULL);
 }
 
-TEST(ConfigIo, NonPositiveOfflineWindowIsRejectedByTheScheduler) {
+TEST(ConfigIo, NonPositiveOfflineWindowIsRejectedByTheDriver) {
   // A zero window would be a modulo-by-zero in the offline replan; the
-  // strategy throws a named error instead.
+  // driver's validate throws a named error instead.
   ExperimentConfig cfg;
   cfg.scheduler = SchedulerKind::kOffline;
   cfg.num_users = 2;
@@ -428,6 +431,240 @@ TEST(ConfigIo, NonPositiveOfflineWindowIsRejectedByTheScheduler) {
   cfg.offline_window_slots = 500;
   cfg.record_interval = 0;  // t % record_interval has the same hazard
   EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+}
+
+// One row per ranged field: an in-range boundary and an out-of-range value,
+// a document carrying the value (`%` marks the spot) and the setter for a
+// config built in code. Per-user rows set a one-user fleet.
+struct RangeRow {
+  const char* field;
+  double boundary;
+  double outside;
+  const char* json;
+  void (*set)(ExperimentConfig&, double);
+};
+
+void set_user(ExperimentConfig& cfg, const scenario::PerUserConfig& user) {
+  cfg.num_users = 1;
+  testing::set_fleet(cfg, {user});
+}
+
+std::string with_value(const char* json, double value) {
+  char digits[32];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  const std::string_view text = json;
+  const std::size_t at = text.find('%');
+  return std::string{text.substr(0, at)}
+      .append(digits, end)
+      .append(text.substr(at + 1));
+}
+
+const std::vector<RangeRow>& range_rows() {
+  using PU = scenario::PerUserConfig;
+  static const std::vector<RangeRow> rows = {
+      {"num_users", 1, 0, R"({"num_users":%})",
+       [](ExperimentConfig& c, double v) { c.num_users = std::size_t(v); }},
+      {"horizon_slots", 2147483647, 2147483648.0, R"({"horizon_slots":%})",
+       [](ExperimentConfig& c, double v) { c.horizon_slots = sim::Slot(v); }},
+      {"slot_seconds", 1e-3, 0, R"({"slot_seconds":%})",
+       [](ExperimentConfig& c, double v) { c.slot_seconds = v; }},
+      {"arrival_probability", 1, 1.5, R"({"arrival_probability":%})",
+       [](ExperimentConfig& c, double v) { c.arrival_probability = v; }},
+      {"diurnal_swing", 0, -0.1, R"({"diurnal_swing":%})",
+       [](ExperimentConfig& c, double v) { c.diurnal_swing = v; }},
+      {"V", 0, -1, R"({"V":%})",
+       [](ExperimentConfig& c, double v) { c.V = v; }},
+      {"lb", 0, -1, R"({"lb":%})",
+       [](ExperimentConfig& c, double v) { c.lb = v; }},
+      {"epsilon", 0, -1e-9, R"({"epsilon":%})",
+       [](ExperimentConfig& c, double v) { c.epsilon = v; }},
+      {"offline_window_slots", 1, 0, R"({"offline_window_slots":%})",
+       [](ExperimentConfig& c, double v) {
+         c.offline_window_slots = sim::Slot(v);
+       }},
+      {"offline_lb", 1e-3, 0, R"({"offline_lb":%})",
+       [](ExperimentConfig& c, double v) { c.offline_lb = v; }},
+      {"eta", 1e-9, 0, R"({"eta":%})",
+       [](ExperimentConfig& c, double v) { c.eta = v; }},
+      {"beta", 0, 1, R"({"beta":%})",
+       [](ExperimentConfig& c, double v) { c.beta = v; }},
+      {"batch_size", 1, 0, R"({"batch_size":%})",
+       [](ExperimentConfig& c, double v) { c.batch_size = std::size_t(v); }},
+      {"dataset.classes", 1, 0, R"({"dataset":{"classes":%}})",
+       [](ExperimentConfig& c, double v) {
+         c.dataset.classes = std::size_t(v);
+       }},
+      {"dataset.channels", 1, 0, R"({"dataset":{"channels":%}})",
+       [](ExperimentConfig& c, double v) {
+         c.dataset.channels = std::size_t(v);
+       }},
+      {"dataset.height", 1, 0, R"({"dataset":{"height":%}})",
+       [](ExperimentConfig& c, double v) { c.dataset.height = std::size_t(v); }},
+      {"dataset.width", 1, 0, R"({"dataset":{"width":%}})",
+       [](ExperimentConfig& c, double v) { c.dataset.width = std::size_t(v); }},
+      {"decision_eval_seconds", 0, -1, R"({"decision_eval_seconds":%})",
+       [](ExperimentConfig& c, double v) { c.decision_eval_seconds = v; }},
+      {"decision_interval_slots", 1, 0, R"({"decision_interval_slots":%})",
+       [](ExperimentConfig& c, double v) {
+         c.decision_interval_slots = sim::Slot(v);
+       }},
+      {"upload_drop_probability", 1, 2, R"({"upload_drop_probability":%})",
+       [](ExperimentConfig& c, double v) { c.upload_drop_probability = v; }},
+      {"battery.capacity_mah", 1e-9, 0, R"({"battery":{"capacity_mah":%}})",
+       [](ExperimentConfig& c, double v) { c.battery.capacity_mah = v; }},
+      {"battery.voltage_v", 1e-9, -1, R"({"battery":{"voltage_v":%}})",
+       [](ExperimentConfig& c, double v) { c.battery.voltage_v = v; }},
+      {"battery.initial_soc", 0, 1.5, R"({"battery":{"initial_soc":%}})",
+       [](ExperimentConfig& c, double v) { c.battery.initial_soc = v; }},
+      {"battery.recharge_at_soc", 0, 1,
+       R"({"battery":{"recharge_at_soc":%}})",
+       [](ExperimentConfig& c, double v) { c.battery.recharge_at_soc = v; }},
+      {"min_soc_to_train", 1, -0.5, R"({"min_soc_to_train":%})",
+       [](ExperimentConfig& c, double v) { c.min_soc_to_train = v; }},
+      {"record_interval", 1, 0, R"({"record_interval":%})",
+       [](ExperimentConfig& c, double v) { c.record_interval = sim::Slot(v); }},
+      {"per_user[0].arrival_probability", 0, -0.5,
+       R"({"num_users":1,"per_user":[{"arrival_probability":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.arrival_probability = v;
+         set_user(c, u);
+       }},
+      {"per_user[0].diurnal_swing", 1, 1.5,
+       R"({"num_users":1,"per_user":[{"diurnal_swing":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.diurnal_swing = v;
+         set_user(c, u);
+       }},
+      {"per_user[0].diurnal_peak_hour", 0, 24,
+       R"({"num_users":1,"per_user":[{"diurnal_peak_hour":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.diurnal_peak_hour = v;
+         set_user(c, u);
+       }},
+      {"per_user[0].join_slot", 0, -1,
+       R"({"num_users":1,"per_user":[{"join_slot":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.join_slot = sim::Slot(v);
+         set_user(c, u);
+       }},
+      {"per_user[0].leave_slot", 6, 5,
+       R"({"num_users":1,"per_user":[{"join_slot":5,"leave_slot":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.join_slot = 5;
+         u.leave_slot = sim::Slot(v);
+         set_user(c, u);
+       }},
+      {"per_user[0].extra_windows[0]", 11, 10,
+       R"({"num_users":1,"per_user":[{"leave_slot":10,
+           "extra_windows":[{"join":%,"leave":20}]}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.leave_slot = 10;
+         u.extra_windows = {{sim::Slot(v), 20}};
+         set_user(c, u);
+       }},
+      {"per_user[0].link_degradations",
+       double((1u << scenario::netem_profile_count()) - 1),
+       double(1u << scenario::netem_profile_count()),
+       R"({"num_users":1,"per_user":[{"link_degradations":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.link_degradations = std::uint32_t(v);
+         set_user(c, u);
+       }},
+      {"per_user[0].priority", 1e-9, 0,
+       R"({"num_users":1,"per_user":[{"priority":%}]})",
+       [](ExperimentConfig& c, double v) {
+         PU u;
+         u.priority = v;
+         set_user(c, u);
+       }},
+  };
+  return rows;
+}
+
+// Every ranged field meets the same rule three ways: core::validate (or
+// validate_user for a per_user entry) on a config built in code, the JSON
+// loader, and run_experiment. The boundary itself passes the first two.
+TEST(ConfigIo, EveryRangedFieldIsRejectedByValidateTheLoaderAndTheDriver) {
+  constexpr std::string_view kEntry = "per_user[0].";
+  for (const RangeRow& row : range_rows()) {
+    SCOPED_TRACE(row.field);
+    const std::string_view field = row.field;
+    const bool per_user = field.starts_with(kEntry);
+    const auto check = [&](const ExperimentConfig& cfg) {
+      return per_user ? validate_user(cfg.fleet->user(0)) : validate(cfg);
+    };
+
+    ExperimentConfig edge;
+    edge.num_users = 2;
+    edge.horizon_slots = 50;
+    row.set(edge, row.boundary);
+    EXPECT_EQ(check(edge), std::nullopt);
+    EXPECT_NO_THROW((void)config_from_json(with_value(row.json, row.boundary)))
+        << with_value(row.json, row.boundary);
+
+    ExperimentConfig bad;
+    bad.num_users = 2;
+    bad.horizon_slots = 50;
+    row.set(bad, row.outside);
+    const auto violation = check(bad);
+    ASSERT_NE(violation, std::nullopt);
+    EXPECT_EQ(violation->field, per_user ? field.substr(kEntry.size()) : field);
+    const std::string named = std::string{"'"} + row.field + "'";
+    rejects(with_value(row.json, row.outside).c_str(), named.c_str());
+    try {
+      (void)run_experiment(bad);
+      ADD_FAILURE() << "run_experiment ran with " << row.outside;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(named), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+// ReadyRow::user is a uint32 and UINT32_MAX the never-scheduled mark, so
+// the fleet stops one short of 2^32. Checked without running a driver.
+TEST(ConfigIo, UserCountStopsShortOfTwoToThe32) {
+  ExperimentConfig cfg;
+  cfg.num_users = 4294967295u;
+  EXPECT_EQ(validate(cfg), std::nullopt);
+  EXPECT_EQ(config_from_json(R"({"num_users":4294967295})").num_users,
+            4294967295u);
+  cfg.num_users = 4294967296u;
+  const auto violation = validate(cfg);
+  ASSERT_NE(violation, std::nullopt);
+  EXPECT_EQ(violation->field, "num_users");
+  EXPECT_EQ(violation->reason, "must be at most 2^32 - 1");
+  rejects(R"({"num_users":4294967296})",
+          "'num_users' must be at most 2^32 - 1");
+}
+
+// The real-training dataset shape and batch size fail at load, named,
+// instead of deep in make_synth_cifar (or, for a zero batch, not at all).
+TEST(ConfigIo, DegenerateTrainingShapesAreNamedAtLoad) {
+  rejects(R"({"real_training":true,"model":"mlp","dataset":{"classes":0}})",
+          "'dataset.classes' must be positive");
+  rejects(R"({"dataset":{"height":0}})", "'dataset.height' must be positive");
+  rejects(R"({"batch_size":0})", "'batch_size' must be positive");
+}
+
+// A zero capacity or a zero recharge step would leave Battery::drain
+// without progress; both fail at load, named.
+TEST(ConfigIo, BatteryRangesAreNamedAtLoad) {
+  rejects(R"({"track_battery":true,"battery":{"capacity_mah":0}})",
+          "'battery.capacity_mah' must be positive and finite");
+  rejects(R"({"track_battery":true,"battery":{"recharge_at_soc":1.0}})",
+          "'battery.recharge_at_soc' must be in [0, 1)");
+  rejects(R"({"battery":{"voltage_v":-3.8}})",
+          "'battery.voltage_v' must be positive and finite");
+  rejects(R"({"battery":{"initial_soc":1.01}})",
+          "'battery.initial_soc' must be in [0, 1]");
 }
 
 TEST(ConfigIo, LoadsFromResultDocument) {

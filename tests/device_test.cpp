@@ -2,7 +2,9 @@
 // models, and battery accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "device/battery.hpp"
 #include "device/cpu.hpp"
@@ -261,6 +263,82 @@ TEST(BatteryTest, DrainAndRecharge) {
   EXPECT_NEAR(b.equivalent_cycles(), 1.0, 1e-9);
   b.drain(-5.0);  // no-op
   EXPECT_NEAR(b.drained_j(), 3600.0, 1e-9);
+}
+
+/// The recharge loop Battery::drain used to run: one addition per cycle.
+struct LoopBattery {
+  BatteryConfig config;
+  double soc = std::clamp(config.initial_soc, 0.0, 1.0);
+  std::size_t recharges = 0;
+
+  void drain(double joules) {
+    if (joules <= 0.0) return;
+    soc -= joules / (config.capacity_mah * 3.6 * config.voltage_v);
+    while (soc < config.recharge_at_soc) {
+      soc += 1.0 - config.recharge_at_soc;
+      ++recharges;
+    }
+    soc = std::clamp(soc, 0.0, 1.0);
+  }
+};
+
+TEST(BatteryTest, OneCycleDrainsAreBitEqualToTheLoop) {
+  // Every drain the simulator makes stays within one recharge step; those
+  // keep the loop's single addition, so battery goldens cannot move.
+  util::Rng rng{2024};
+  for (int trial = 0; trial < 50; ++trial) {
+    const double threshold = 0.95 * rng.uniform();
+    const BatteryConfig config{1.0 + 5000.0 * rng.uniform(),
+                               3.0 + 1.5 * rng.uniform(),
+                               threshold + (1.0 - threshold) * rng.uniform(),
+                               threshold};
+    Battery fast{config};
+    LoopBattery loop{config};
+    const double step_j = (1.0 - config.recharge_at_soc) * fast.capacity_j();
+    for (int k = 0; k < 2000; ++k) {
+      // Up to 0.95 of a step, with exact step-sized and tiny drains mixed in.
+      const double r = rng.uniform();
+      const double joules = k % 97 == 0   ? step_j
+                            : k % 89 == 0 ? 1e-12
+                                          : 0.95 * step_j * r;
+      fast.drain(joules);
+      loop.drain(joules);
+      ASSERT_EQ(fast.soc(), loop.soc) << "trial " << trial << " drain " << k;
+      ASSERT_EQ(fast.recharge_count(), loop.recharges);
+    }
+  }
+}
+
+TEST(BatteryTest, MultiCycleDeficitMatchesTheLoop) {
+  // 3600 J capacity, step 0.5: a 1000.25-capacity drain leaves SoC at
+  // -999.25, 2000 steps below the threshold. All values are exact.
+  const BatteryConfig config{1000.0, 1.0, 1.0, 0.5};
+  Battery fast{config};
+  LoopBattery loop{config};
+  fast.drain(3600.0 * 1000.25);
+  loop.drain(3600.0 * 1000.25);
+  EXPECT_EQ(fast.recharge_count(), 2000u);
+  EXPECT_EQ(loop.recharges, 2000u);
+  EXPECT_EQ(fast.soc(), 0.75);
+  EXPECT_EQ(loop.soc, 0.75);
+}
+
+TEST(BatteryTest, HugeDeficitReturnsAtOnceWithTheRightCount) {
+  // 1e15 capacities at once: SoC 1 - 1e15 climbs back in 2e15 - 1 steps of
+  // 0.5 to exactly 0.5 (every intermediate is exact). The loop would run
+  // 2e15 times.
+  Battery b{{1000.0, 1.0, 1.0, 0.5}};
+  b.drain(3600.0 * 1e15);
+  EXPECT_EQ(b.recharge_count(), 1'999'999'999'999'999u);
+  EXPECT_EQ(b.soc(), 0.5);
+  // A 1e-12 mAh battery: one joule is ~7e10 capacities.
+  Battery tiny{{1e-12, 3.85, 1.0, 0.15}};
+  tiny.drain(1.0);
+  const double capacities = 1.0 / tiny.capacity_j();
+  EXPECT_NEAR(static_cast<double>(tiny.recharge_count()), capacities / 0.85,
+              1.0);
+  EXPECT_GE(tiny.soc(), 0.15);
+  EXPECT_LE(tiny.soc(), 1.0);
 }
 
 }  // namespace
