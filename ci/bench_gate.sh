@@ -19,12 +19,12 @@ out=${1:-bench_1m_ci.jsonl}
 : >"$out"
 
 # Peak-RSS ceilings in MiB: 1.15x (the peak_rss_mib bound in BENCHMARK.json)
-# the medians measured on x86-64 Linux with GCC: 932.5 (online, when the
-# gate was set) and 1046.0 (offline, 10 runs after the Lemma 1 index
-# stopped keeping per-duration co-run copies; 1249.6 before). Raise a
-# ceiling only with a change that explains its footprint.
+# the medians measured on x86-64 Linux with GCC after the per-user driver
+# state became a 256-byte hot block with mode-only side columns: 545.6
+# (online, 10 runs; 932.5 before) and 711.3 (offline, 5 runs; 1046.0
+# before). Raise a ceiling only with a change that explains its footprint.
 status=0
-for gate in fleet_1m_online:1072 fleet_1m_offline:1203; do
+for gate in fleet_1m_online:627 fleet_1m_offline:818; do
   workload=${gate%%:*}
   ceiling=${gate#*:}
   log=$(mktemp)

@@ -56,7 +56,7 @@ namespace {
   throw std::invalid_argument{"run_experiment: '" + field + "' " + why};
 }
 
-enum class Phase { kReady, kTraining, kBarrier, kTransferring };
+enum class Phase : std::uint8_t { kReady, kTraining, kBarrier, kTransferring };
 
 /// Per-user classification for the gap dynamics of one slot (Eq. 12):
 /// absent users neither accrue nor contribute to G(t), training users
@@ -64,26 +64,24 @@ enum class Phase { kReady, kTraining, kBarrier, kTransferring };
 enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 };
 
 /// One independent reader over a user's arrival sequence. The driver runs
-/// three per user (live session, replay session, scheduler oracle), each at
-/// its own position. `at` is the next unconsumed arrival (the kNoArrival
-/// sentinel compares greater than every reachable slot, so `feed.at <= t`
-/// loops need no exhaustion flag) regardless of the backing store: a slice
-/// of the driver's shared script arena (index) or a lazy counter-based
-/// arrival stream (stream) — the driver's feed_init/feed_next dispatch on
-/// the user's arrival source.
-struct Feed {
-  static constexpr sim::Slot kNoArrival = std::numeric_limits<sim::Slot>::max();
-  sim::Slot at = kNoArrival;
-  device::AppKind app{};
-  std::size_t index = 0;       ///< script mode: next arena event
-  apps::ArrivalCursor stream;  ///< stream mode: iteration state
-};
+/// two per user (live and replay session) and a third for a look-ahead
+/// scheme's oracle, each at its own position. `at` is the next unconsumed
+/// arrival (the kNoArrival sentinel compares greater than every reachable
+/// slot, so `feed.at <= t` loops need no exhaustion flag) regardless of the
+/// backing store: a lazy counter-based arrival stream, or — with `scan` as
+/// the index — the user's slice of the driver's shared script arena, which
+/// ends in a kNoArrival event. The driver's feed_next dispatches on the
+/// arrival source.
+using Feed = apps::ArrivalCursor;
 
-struct UserState {
-  // Field order is deliberate: the per-slot decision path (consider/decide)
-  // touches only this first block — keeping it inside one cache line is
-  // worth ~2x on 10k-user online fleets whose UserState working set spills
-  // out of L2.
+/// The hot per-user block: what every transition and the decide path read
+/// in every mode, in four cache lines (prefetch_user fetches exactly
+/// these). State that only one mode reads lives in a side column of the
+/// driver, allocated only when that mode is on: battery_, thermal_,
+/// training_, oracles_, windows_ (and stream_params_ for lazy streams).
+/// The device profile, the link and the stream key are derived from
+/// dev_kind, lte and the user index.
+struct alignas(64) UserState {
   Phase phase = Phase::kReady;
   device::DeviceKind dev_kind{};
   /// Counted in the scheduler's arrival stream A(t) but not yet served —
@@ -95,16 +93,18 @@ struct UserState {
   /// double-count a transition.
   bool active_counted = false;
   bool training_corun = false;
+  bool lte = false;  ///< network tier: LTE, else wifi
   device::AppKind train_app = device::AppKind::kMap;
   sim::Slot phase_end = 0;
   /// Presence window [join, leave): churned users are absent outside it.
   sim::Slot join = 0;
   sim::Slot leave = scenario::kNeverLeaves;
-  /// Slot of the live machine's next unconsumed arrival (mirror of
-  /// live_sess.feed.at) — lets the every-slot decide path skip the session
-  /// machine without touching the cold feed state.
-  sim::Slot live_next_arrival = std::numeric_limits<sim::Slot>::max();
-  const device::DeviceProfile* dev = nullptr;
+  /// Lazy-accrual watermark: energy/battery/thermal state reflects every
+  /// slot through `synced` (-1 = nothing applied yet; gaps are evaluated in
+  /// closed form instead, see gap_at). Between events the
+  /// per-slot accrual sequence is replayed verbatim when the user is next
+  /// touched, so batched catch-up is bit-identical to the eager slot loop.
+  sim::Slot synced = -1;
 
   // Driver-owned foreground-session timeline. Replaces the old per-slot
   // AppSessionTracker ticks bit for bit: with a deterministic arrival feed
@@ -116,54 +116,53 @@ struct UserState {
   // external mutation — the co-run extension in start_training — is
   // applied to both while they are synchronized.
   struct SessionMachine {
-    device::AppKind app{};
-    sim::Slot end = 0;  ///< first slot the current app is off screen
     Feed feed;          ///< next arrival this machine has not consumed
+    sim::Slot end = 0;  ///< first slot the current app is off screen
+    device::AppKind app{};
   };
   SessionMachine live_sess;
   SessionMachine replay_sess;
 
-  /// Lazy-accrual watermark: energy/battery/thermal state reflects every
-  /// slot through `synced` (-1 = nothing applied yet; gaps are evaluated in
-  /// closed form instead, see gap_at). Between events the
-  /// per-slot accrual sequence is replayed verbatim when the user is next
-  /// touched, so batched catch-up is bit-identical to the eager slot loop.
-  sim::Slot synced = -1;
-
-  const net::Link* link = nullptr;  ///< per-user network tier (wifi/lte)
   std::uint64_t version_at_download = 0;
-  std::vector<float> downloaded_params;  ///< kept only for kDelayComp
-  std::vector<float> last_upload;        ///< kept only for gap_aware_lr
-  std::unique_ptr<fl::FlClient> client;
   device::EnergyMeter meter;
-  device::Battery battery{};
-  double battery_drained_j = 0.0;  ///< meter total already drained
-  device::ThermalModel thermal{};
   util::Rng rng{0};
+};
+static_assert(sizeof(UserState) <= 320, "the hot block must fit 320 bytes");
 
-  // Arrival source. Stream mode (stream_params != nullptr): feeds iterate
-  // the counter-based stream keyed by arrival_key over [join, arrivals_end).
-  // Script mode: feeds read the half-open slice [script_begin, script_end)
-  // of the driver's shared script arena — per-user vectors are gone; one
-  // arena allocation serves the whole fleet.
-  const apps::ArrivalStreamParams* stream_params = nullptr;
-  std::uint64_t arrival_key = 0;
-  sim::Slot arrivals_end = 0;  ///< stream mode: min(horizon, leave)
-  std::size_t script_begin = 0;
-  std::size_t script_end = 0;
-  /// Multi-window presence (commute patterns, outage recovery): the
-  /// remaining windows after [join, leave), as the half-open slice
-  /// [next_window, windows_end) of the driver's extra_windows_ pool.
-  /// When the active window's leave fires, the next window is loaded into
-  /// join/leave and its events armed (see advance_window).
-  std::uint32_t next_window = 0;
-  std::uint32_t windows_end = 0;
-  /// Stream-mode oracle window cursor + its current window's arrival end.
-  /// Independent of next_window: the scheduler's look-ahead may run ahead
-  /// of presence, and the oracle never rewinds (see oracle_advance_window).
-  std::uint32_t oracle_win = 0;
-  sim::Slot oracle_end = 0;
-  Feed oracle;  ///< next_arrival_between's reader (scheduler look-ahead)
+/// Side column of track_battery: the user's battery and the meter total
+/// already drained into it.
+struct BatteryState {
+  device::Battery battery;
+  double drained_j = 0.0;
+};
+
+/// Side column of real training: the client, plus the parameters kept only
+/// for kDelayComp (downloaded) and gap_aware_lr (last upload).
+struct TrainingState {
+  std::unique_ptr<fl::FlClient> client;
+  std::vector<float> downloaded_params;
+  std::vector<float> last_upload;
+};
+
+/// Side column of multi-window presence (commute patterns, outage
+/// recovery): the user's windows after [join, leave), as the half-open
+/// slice [next, end) of the driver's extra_windows_ pool. When the active
+/// window's leave fires, the next window is loaded into join/leave and its
+/// events armed (see advance_window).
+struct WindowSlice {
+  std::uint32_t next = 0;
+  std::uint32_t end = 0;
+};
+
+/// Side column of a look-ahead scheme: next_arrival_between's reader and,
+/// for lazy streams, its own presence-window cursor and the current
+/// window's arrival end. Independent of WindowSlice::next: the scheduler's
+/// look-ahead may run ahead of presence, and the oracle never rewinds (see
+/// oracle_advance_window).
+struct OracleState {
+  Feed feed;
+  sim::Slot end = 0;
+  std::uint32_t window = 0;
 };
 
 /// Fenwick (binary-indexed) tree counting in-flight training end slots —
@@ -224,8 +223,8 @@ nn::Network make_model(ModelKind kind, const data::SynthCifarConfig& data_cfg,
 /// strategies consume.
 ///
 /// Unlike the original slot loop — which touched every user every slot —
-/// the driver keeps a min-heap of per-user next-event slots (session/phase
-/// ends, arrival cursors, presence-window joins/leaves) and only touches a
+/// the driver files each user's next events (phase ends, presence-window
+/// joins/leaves, wakes) in a calendar of per-slot buckets and only touches a
 /// user when its state can actually change. Idle-state quantities (energy,
 /// battery, thermal) are accrued lazily from the per-user `synced`
 /// watermark: when an event or a read touches a user, the elapsed slots are
@@ -281,6 +280,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return finalize();
   }
 
+  /// Bytes per user of the hot block and of the side columns set up.
+  [[nodiscard]] UserStateBytes state_bytes() const {
+    const auto bytes = [](const auto& c) { return c.size() * sizeof(c[0]); };
+    return {sizeof(UserState), (bytes(battery_) + bytes(thermal_) +
+                                bytes(training_) + bytes(oracles_) +
+                                bytes(windows_) + bytes(stream_params_)) /
+                                   users_.size()};
+  }
+
   // ------------------------------------------------- SchedulerContext
 
   [[nodiscard]] const ExperimentConfig& config() const noexcept override {
@@ -314,7 +322,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   [[nodiscard]] const device::DeviceProfile& user_device(
       std::size_t user) const override {
-    return *users_[user].dev;
+    return device::profile(users_[user].dev_kind);
   }
 
   [[nodiscard]] std::optional<device::AppKind> user_app(
@@ -323,7 +331,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // eager driver ticked every session before any read at slot t). The
     // replay machine is untouched, so lazy accrual stays exact.
     UserState& u = users_[user];
-    advance_live(u, cur_);
+    advance_session(u.live_sess, user, cur_);
     return cur_ < u.live_sess.end ? std::optional{u.live_sess.app}
                                   : std::nullopt;
   }
@@ -382,44 +390,36 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   [[nodiscard]] std::optional<apps::ScriptedArrivals::Event>
   next_arrival_between(std::size_t user, sim::Slot from,
                        sim::Slot until) override {
-    UserState& u = users_[user];
-    if (u.stream_params != nullptr) {
-      // Lazy stream mode: the oracle walks presence windows itself (see
-      // oracle_advance_window) — the pregenerated arena concatenates every
-      // window, so the script branch below crosses boundaries for free,
-      // and the lazy oracle must match it look-ahead for look-ahead.
-      if (u.oracle.at == Feed::kNoArrival) oracle_advance_window(u);
-      while (u.oracle.at < from) {
-        apps::stream_arrivals_next(*u.stream_params, u.oracle.stream,
-                                   u.oracle_end);
-        u.oracle.at = u.oracle.stream.at;
-        u.oracle.app = u.oracle.stream.app;
-        if (u.oracle.at == Feed::kNoArrival) oracle_advance_window(u);
-      }
-    } else {
-      while (u.oracle.at < from) feed_next(u.oracle, u);
+    // Lazy stream mode: the oracle walks presence windows itself (see
+    // oracle_advance_window) — the pregenerated arena concatenates every
+    // window, so a script feed crosses boundaries for free, and the lazy
+    // oracle must match it look-ahead for look-ahead.
+    OracleState& o = oracles_[user];
+    const bool lazy = !stream_params_.empty();
+    if (lazy && o.feed.at == Feed::kNoArrival) oracle_advance_window(user);
+    while (o.feed.at < from) {
+      feed_next(o.feed, user, o.end);
+      if (lazy && o.feed.at == Feed::kNoArrival) oracle_advance_window(user);
     }
-    if (u.oracle.at < until) {
-      return apps::ScriptedArrivals::Event{u.oracle.at, u.oracle.app};
+    if (o.feed.at < until) {
+      return apps::ScriptedArrivals::Event{o.feed.at, o.feed.app};
     }
     return std::nullopt;
   }
 
   /// Stream-mode oracle look-ahead across presence windows. The oracle's
   /// window cursor is deliberately independent of the presence cursor
-  /// (next_window): a scheduler may peek into windows the user has not
+  /// (windows_): a scheduler may peek into windows the user has not
   /// entered yet, and — like its script-mode counterpart — the oracle only
   /// ever moves forward, so presence advances must not reposition it.
-  void oracle_advance_window(UserState& u) {
-    while (u.oracle.at == Feed::kNoArrival && u.oracle_win < u.windows_end) {
-      const scenario::PresenceWindow w = extra_windows_[u.oracle_win++];
+  void oracle_advance_window(std::size_t i) {
+    OracleState& o = oracles_[i];
+    while (o.feed.at == Feed::kNoArrival && o.window < windows_of(i).end) {
+      const scenario::PresenceWindow w = extra_windows_[o.window++];
       const sim::Slot end = std::min(cfg_.horizon_slots, w.leave);
       if (w.join >= end) continue;
-      u.oracle.stream = apps::stream_arrivals_begin(*u.stream_params,
-                                                    u.arrival_key, w.join, end);
-      u.oracle.at = u.oracle.stream.at;
-      u.oracle.app = u.oracle.stream.app;
-      u.oracle_end = end;
+      o.feed = stream_feed(i, w.join, end);
+      o.end = end;
     }
   }
 
@@ -533,7 +533,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       max_duration_s = std::max(max_duration_s, separate_s);
     }
     if (cfg_.enable_thermal) {
-      max_duration_s *= std::max(cfg_.thermal.max_slowdown, 1.0);
+      max_duration_s *= cfg_.thermal.max_slowdown;
     }
     training_ends_.init(cfg_.horizon_slots +
                         clock_.slots_for_seconds(max_duration_s) + 2);
@@ -541,6 +541,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   void setup_users() {
     users_.resize(cfg_.num_users);
+    // Side columns exist only while their mode is on.
+    if (cfg_.track_battery) {
+      battery_.assign(cfg_.num_users,
+                      BatteryState{device::Battery{cfg_.battery}});
+    }
+    if (cfg_.enable_thermal) {
+      thermal_.assign(cfg_.num_users, device::ThermalModel{cfg_.thermal});
+    }
+    if (cfg_.real_training) training_.resize(cfg_.num_users);
+    if (scheduler_->looks_ahead()) oracles_.resize(cfg_.num_users);
     hot_.reserve(cfg_.num_users);  // untouched capacity costs no memory
     gap_.assign(cfg_.num_users, 0.0);
     // Everyone starts absent; the set_mode(i, 0) below performs the real
@@ -597,16 +607,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       } else {
         kind = scenario::assign_device(cfg_.fixed_device, u.rng);
       }
-      u.dev = &device::profile(kind);
       u.dev_kind = kind;
-      u.link = pu.use_lte.value_or(cfg_.use_lte) ? &lte_link_ : &wifi_link_;
+      u.lte = pu.use_lte.value_or(cfg_.use_lte);
       u.join = pu.join_slot;
       u.leave = pu.leave_slot;
       if (!pu.extra_windows.empty()) {
-        u.next_window = static_cast<std::uint32_t>(extra_windows_.size());
+        if (windows_.empty()) windows_.assign(cfg_.num_users, WindowSlice{});
+        windows_[i].next = static_cast<std::uint32_t>(extra_windows_.size());
         extra_windows_.insert(extra_windows_.end(), pu.extra_windows.begin(),
                               pu.extra_windows.end());
-        u.windows_end = static_cast<std::uint32_t>(extra_windows_.size());
+        windows_[i].end = static_cast<std::uint32_t>(extra_windows_.size());
       }
       if (pu.link_degradations != 0) {
         if (degrade_mask_.empty()) degrade_mask_.assign(cfg_.num_users, 0);
@@ -617,55 +627,48 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         if (priority_.empty()) priority_.assign(cfg_.num_users, 1.0);
         priority_[i] = pu.priority;
       }
-      u.battery = device::Battery{cfg_.battery};
-      u.thermal = device::ThermalModel{cfg_.thermal};
+      Feed feed;
+      const std::size_t begin = script_arena_.size();
       if (stream_mode) {
         const apps::ArrivalStreamParams params{
             pu.arrival_probability.value_or(cfg_.arrival_probability),
             pu.diurnal.value_or(cfg_.diurnal),
             pu.diurnal_swing.value_or(cfg_.diurnal_swing),
             pu.diurnal_peak_hour, cfg_.slot_seconds};
-        u.arrival_key = util::stream_key(
-            cfg_.seed, i,
-            static_cast<std::uint64_t>(apps::StreamConcern::kArrivals));
-        u.arrivals_end = std::min(cfg_.horizon_slots, u.leave);
         if (lazy_streams) {
           stream_params_[i] = params;
-          u.stream_params = &stream_params_[i];
+          feed = stream_feed(i, u.join, arrivals_end(u));
         } else {
-          u.script_begin = script_arena_.size();
-          const auto events = apps::materialize_stream(
-              params, u.arrival_key, u.join, u.arrivals_end);
-          script_arena_.insert(script_arena_.end(), events.begin(),
-                               events.end());
-          // Multi-window users: materialize every later window too — the
-          // arena slice holds all windows' events in slot order, so the
-          // script feeds cross window boundaries without re-positioning
-          // (the lazy path re-inits its cursors at each window advance;
-          // stream cursors are from-independent, so both paths see the
-          // same events).
-          for (std::uint32_t w = u.next_window; w < u.windows_end; ++w) {
+          // Every window's events, in slot order: the script feeds cross
+          // window boundaries without re-positioning (the lazy path re-inits
+          // its cursors at each window advance; stream cursors are
+          // from-independent, so both paths see the same events).
+          const auto append = [&](sim::Slot from, sim::Slot end) {
+            const auto events = apps::materialize_stream(
+                params, arrival_key(i), from, end);
+            script_arena_.insert(script_arena_.end(), events.begin(),
+                                 events.end());
+          };
+          append(u.join, arrivals_end(u));
+          const WindowSlice later = windows_of(i);
+          for (std::uint32_t w = later.next; w < later.end; ++w) {
             const scenario::PresenceWindow win = extra_windows_[w];
             const sim::Slot end = std::min(cfg_.horizon_slots, win.leave);
-            if (win.join >= end) continue;
-            const auto more = apps::materialize_stream(params, u.arrival_key,
-                                                       win.join, end);
-            script_arena_.insert(script_arena_.end(), more.begin(),
-                                 more.end());
+            if (win.join < end) append(win.join, end);
           }
-          u.script_end = script_arena_.size();
+          feed = end_script(begin);
         }
       } else {
         generate_script(u, pu);
+        feed = end_script(begin);
       }
-      // One positioning walk per user: a feed (script index or stream
-      // cursor) is a complete position, so the other two are copies.
-      feed_init(u.live_sess.feed, u);
-      u.replay_sess.feed = u.live_sess.feed;
-      u.oracle = u.live_sess.feed;
-      u.oracle_win = u.next_window;
-      u.oracle_end = u.arrivals_end;
-      u.live_next_arrival = u.live_sess.feed.at;
+      // One positioning walk per user: a feed is a complete position, so
+      // the others are copies.
+      u.live_sess.feed = feed;
+      u.replay_sess.feed = feed;
+      if (!oracles_.empty()) {
+        oracles_[i] = OracleState{feed, arrivals_end(u), windows_of(i).next};
+      }
       u.phase = Phase::kReady;
       u.in_backlog = u.join == 0;
       set_mode(i, 0);
@@ -678,7 +681,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       if (cfg_.real_training) {
         std::vector<std::size_t> shard = partition[i];
-        u.client = std::make_unique<fl::FlClient>(
+        training_[i].client = std::make_unique<fl::FlClient>(
             static_cast<std::uint32_t>(i), dataset_.train.subset(shard),
             *prototype_, sgd, u.rng());
       }
@@ -696,13 +699,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return scenario::PerUserConfig{};
   }
 
-  /// Legacy script generation, appended to the shared arena as the slice
-  /// [u.script_begin, u.script_end). Draw-for-draw the historical per-user
+  /// Legacy script generation, appended to the shared arena (end_script
+  /// closes the user's slice). Draw-for-draw the historical per-user
   /// vector build: the full-horizon Bernoulli walk runs even for churned
   /// users (identical RNG consumption across presence windows) and the app
   /// draw fires on every arrival; only in-window events are stored.
   void generate_script(UserState& u, const scenario::PerUserConfig& pu) {
-    u.script_begin = script_arena_.size();
     // Storage filter: only events inside one of the user's presence
     // windows reach the arena (the RNG walk below still runs full-horizon
     // — identical draw consumption across presence shapes).
@@ -748,43 +750,54 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         }
       }
     }
-    u.script_end = script_arena_.size();
   }
 
   // ------------------------------------------------------------- feeds
 
-  /// Position a feed at the user's first arrival.
-  void feed_init(Feed& f, const UserState& u) {
-    if (u.stream_params != nullptr) {
-      f.stream = apps::stream_arrivals_begin(*u.stream_params, u.arrival_key,
-                                             u.join, u.arrivals_end);
-      f.at = f.stream.at;  // kNoArrival sentinels are the same value
-      f.app = f.stream.app;
-    } else {
-      f.index = u.script_begin;
-      if (f.index < u.script_end) {
-        f.at = script_arena_[f.index].at;
-        f.app = script_arena_[f.index].app;
-      } else {
-        f.at = Feed::kNoArrival;
-      }
-    }
+  /// User i's later presence windows (none while no user holds any).
+  [[nodiscard]] WindowSlice windows_of(std::size_t i) const {
+    return windows_.empty() ? WindowSlice{} : windows_[i];
   }
 
-  /// Advance a feed to the user's next arrival (kNoArrival when exhausted).
-  void feed_next(Feed& f, const UserState& u) {
-    if (u.stream_params != nullptr) {
-      apps::stream_arrivals_next(*u.stream_params, f.stream, u.arrivals_end);
-      f.at = f.stream.at;
-      f.app = f.stream.app;
+  /// Key of user i's arrival stream.
+  [[nodiscard]] std::uint64_t arrival_key(std::size_t i) const noexcept {
+    return util::stream_key(cfg_.seed, i, static_cast<std::uint64_t>(
+                                              apps::StreamConcern::kArrivals));
+  }
+
+  /// Arrival end of the user's live and replay feeds in stream mode.
+  [[nodiscard]] sim::Slot arrivals_end(const UserState& u) const noexcept {
+    return std::min(cfg_.horizon_slots, u.leave);
+  }
+
+  /// A lazy stream feed at user i's first arrival in [from, end).
+  [[nodiscard]] Feed stream_feed(std::size_t i, sim::Slot from,
+                                 sim::Slot end) const {
+    return apps::stream_arrivals_begin(stream_params_[i], arrival_key(i),
+                                       from, end);
+  }
+
+  /// Close the script slice that starts at arena index `begin` with its
+  /// kNoArrival event and return a feed at the slice's first event.
+  Feed end_script(std::size_t begin) {
+    script_arena_.push_back({Feed::kNoArrival, device::AppKind{}});
+    Feed f;
+    f.scan = static_cast<sim::Slot>(begin);
+    f.at = script_arena_[begin].at;
+    f.app = script_arena_[begin].app;
+    return f;
+  }
+
+  /// Advance user i's feed to its next arrival (kNoArrival when exhausted);
+  /// `end` bounds a stream feed's arrivals.
+  void feed_next(Feed& f, std::size_t i, sim::Slot end) {
+    if (stream_params_.empty()) {
+      const apps::ScriptedArrivals::Event& e =
+          script_arena_[static_cast<std::size_t>(++f.scan)];
+      f.at = e.at;
+      f.app = e.app;
     } else {
-      ++f.index;
-      if (f.index < u.script_end) {
-        f.at = script_arena_[f.index].at;
-        f.app = script_arena_[f.index].app;
-      } else {
-        f.at = Feed::kNoArrival;
-      }
+      apps::stream_arrivals_next(stream_params_[i], f, end);
     }
   }
 
@@ -982,25 +995,24 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// shared arena, which already holds every window's events in slot order.
   void advance_window(std::size_t index, sim::Slot t) {
     UserState& u = users_[index];
-    if (u.next_window == u.windows_end || u.leave != t) return;
+    const WindowSlice later = windows_of(index);
+    if (u.leave != t || later.next == later.end) return;
     // Drain the retiring window's remaining arrivals (all strictly before
     // the leave slot) through the live machine before repositioning its
     // feed: the lazy re-init below skips past them, so consuming them now
     // keeps the session state identical between the lazy and pregenerated
     // stream paths (the replay machine was drained by the leave event's
     // catch_up).
-    advance_live(u, t);
-    const scenario::PresenceWindow w = extra_windows_[u.next_window++];
+    advance_session(u.live_sess, index, t);
+    const scenario::PresenceWindow w = extra_windows_[windows_[index].next++];
     u.join = w.join;
     u.leave = w.leave;
-    if (u.stream_params != nullptr) {
-      u.arrivals_end = std::min(cfg_.horizon_slots, u.leave);
-      feed_init(u.live_sess.feed, u);
+    if (!stream_params_.empty()) {
+      u.live_sess.feed = stream_feed(index, u.join, arrivals_end(u));
       u.replay_sess.feed = u.live_sess.feed;
       // The oracle is NOT re-initialized here: its look-ahead may already
       // be past this window, and the script-mode oracle (whose arena spans
       // every window) never rewinds either.
-      u.live_next_arrival = u.live_sess.feed.at;
     }
     push_event(u.join, index, EventType::kJoin);
     if (u.leave < cfg_.horizon_slots) {
@@ -1107,7 +1119,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // entirely and their idle span replays in one batch at schedule time.
     if (gate_ready_hot_) {
       catch_up(row.user, cur_ - 1);
-      if (users_[row.user].battery.soc() < cfg_.min_soc_to_train) {
+      if (battery_[row.user].battery.soc() < cfg_.min_soc_to_train) {
         ++result_.battery_gated_slots;
         gated_.push_back(row);
         return;
@@ -1138,21 +1150,22 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// clamp to int32: all reachable ones are below the bounded horizon.
   void refresh_row(ReadyRow& row, sim::Slot t) {
     UserState& u = users_[row.user];
-    advance_live(u, t);
+    advance_session(u.live_sess, row.user, t);
     const bool app_on = t < u.live_sess.end;
     row.app = static_cast<std::uint8_t>(
         app_on ? static_cast<std::size_t>(u.live_sess.app) : device::kAppKinds);
     row.app_until = static_cast<std::int32_t>(
-        std::min<sim::Slot>(app_on ? u.live_sess.end : u.live_next_arrival,
+        std::min<sim::Slot>(app_on ? u.live_sess.end : u.live_sess.feed.at,
                             std::numeric_limits<std::int32_t>::max()));
   }
 
-  /// Prefetch the UserState lines a transition of user i touches: the
-  /// first 8 (phase, both session machines, watermark, meter). Prefetching
-  /// all ~10 plus the gap-engine cells measured slower on the 1M fleet.
+  /// Prefetch user i's hot block, every line of it: a transition reads
+  /// the phase, both session machines, the watermark and the meter.
   void prefetch_user(std::uint32_t i) const {
     const char* p = reinterpret_cast<const char*>(&users_[i]);
-    for (int line = 0; line < 8; ++line) __builtin_prefetch(p + 64 * line);
+    for (std::size_t line = 0; line < sizeof(UserState) / 64; ++line) {
+      __builtin_prefetch(p + 64 * line);
+    }
   }
 
   // ------------------------------------------------------ DecisionSink
@@ -1164,7 +1177,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // Materialize the live session through the decision slot (the scalar
     // loop did this before consulting decide(); deferring it to the apply
     // point is invisible — the machine is lazy and monotone).
-    advance_live(u, cur_);
+    advance_session(u.live_sess, i, cur_);
     start_training(i, cur_);
     slot_served_ += 1.0;
     u.in_backlog = false;
@@ -1263,28 +1276,22 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   // ------------------------------------------------------- lazy accrual
 
-  /// Advance the live machine through slot `t`, consulting the hot-block
-  /// arrival mirror first so slots without arrivals never touch the feed.
-  void advance_live(UserState& u, sim::Slot t) {
-    if (t < u.live_next_arrival) return;
-    advance_session(u.live_sess, u, t);
-    u.live_next_arrival = u.live_sess.feed.at;
-  }
-
-  /// Advance one of the user's foreground-session machines through slot
-  /// `t`, consuming feed arrivals exactly as the per-slot tick did: an
-  /// arrival while an app runs is absorbed; otherwise it starts a session
-  /// lasting the device's measured Table II co-run time.
-  void advance_session(UserState::SessionMachine& m, const UserState& u,
+  /// Advance one of user i's foreground-session machines through slot `t`,
+  /// consuming feed arrivals exactly as the per-slot tick did: an arrival
+  /// while an app runs is absorbed; otherwise it starts a session lasting
+  /// the device's measured Table II co-run time.
+  void advance_session(UserState::SessionMachine& m, std::size_t i,
                        sim::Slot t) {
+    const UserState& u = users_[i];
     while (m.feed.at <= t) {
       if (m.feed.at >= m.end) {
         m.app = m.feed.app;
-        const double duration_s = u.dev->app(m.feed.app).corun_time_s;
+        const double duration_s =
+            device::profile(u.dev_kind).app(m.feed.app).corun_time_s;
         m.end = m.feed.at + static_cast<sim::Slot>(
                                 std::ceil(duration_s / clock_.slot_seconds()));
       }
-      feed_next(m.feed, u);
+      feed_next(m.feed, i, arrivals_end(u));
     }
   }
 
@@ -1308,9 +1315,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                           cfg_.decision_eval_seconds > 0.0 &&
                           u.phase == Phase::kReady;
     const bool slow = cfg_.track_battery || cfg_.enable_thermal || overhead;
+    const device::DeviceProfile& dev = device::profile(u.dev_kind);
     sim::Slot s = u.synced + 1;
     while (s <= upto) {
-      advance_session(u.replay_sess, u, s);
+      advance_session(u.replay_sess, index, s);
       const bool app_on = s < u.replay_sess.end;
       sim::Slot seg_end;
       if (app_on) {
@@ -1323,25 +1331,26 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           app_on ? device::AppStatus::kApp : device::AppStatus::kNoApp;
       const device::AppKind app = app_on ? u.replay_sess.app : u.train_app;
       if (!slow) {
-        u.meter.accrue_repeat(*u.dev, decision, status, app, cfg_.slot_seconds,
+        u.meter.accrue_repeat(dev, decision, status, app, cfg_.slot_seconds,
                               seg_end - s + 1);
       } else {
         for (sim::Slot k = s; k <= seg_end; ++k) {
-          u.meter.accrue(*u.dev, decision, status, app, cfg_.slot_seconds);
+          u.meter.accrue(dev, decision, status, app, cfg_.slot_seconds);
           if (overhead) {
-            u.meter.accrue_decision_overhead(*u.dev,
-                                             cfg_.decision_eval_seconds);
+            u.meter.accrue_decision_overhead(dev, cfg_.decision_eval_seconds);
           }
           if (cfg_.track_battery) {
-            const double delta = u.meter.total_j() - u.battery_drained_j;
-            u.battery_drained_j = u.meter.total_j();
-            u.battery.drain(delta);
+            BatteryState& b = battery_[index];
+            const double delta = u.meter.total_j() - b.drained_j;
+            b.drained_j = u.meter.total_j();
+            b.battery.drain(delta);
           }
           if (cfg_.enable_thermal) {
-            u.thermal.step(device::power_w(*u.dev, decision, status, app),
-                           cfg_.slot_seconds);
+            device::ThermalModel& heat = thermal_[index];
+            heat.step(device::power_w(dev, decision, status, app),
+                      cfg_.slot_seconds);
             result_.max_temperature_c =
-                std::max(result_.max_temperature_c, u.thermal.temperature_c());
+                std::max(result_.max_temperature_c, heat.temperature_c());
           }
         }
       }
@@ -1415,7 +1424,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // so both session machines agree (required before the co-run extension
     // below mutates them).
     assert(u.synced == t - 1);
-    advance_session(u.replay_sess, u, t);
+    advance_session(u.replay_sess, index, t);
     assert(u.replay_sess.feed.at == u.live_sess.feed.at &&
            u.replay_sess.end == u.live_sess.end);
     const bool app_on = t < u.live_sess.end;
@@ -1423,9 +1432,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         app_on ? device::AppStatus::kApp : device::AppStatus::kNoApp;
     u.training_corun = status == device::AppStatus::kApp;
     u.train_app = app_on ? u.live_sess.app : device::AppKind::kMap;
-    double duration = device::training_duration_s(*u.dev, status, u.train_app);
+    double duration = device::training_duration_s(device::profile(u.dev_kind),
+                                                  status, u.train_app);
     if (cfg_.enable_thermal) {
-      const double factor = u.thermal.throttle_factor();
+      const double factor = thermal_[index].throttle_factor();
       duration *= factor;
       result_.worst_throttle_factor =
           std::max(result_.worst_throttle_factor, factor);
@@ -1448,6 +1458,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     u.phase = Phase::kTraining;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(duration), 1);
     if (cfg_.real_training) {
+      TrainingState& tr = training_[index];
       const fl::GlobalModel snapshot = server_->download();
       std::vector<float> adopted = snapshot.params;
       if (cfg_.weight_prediction) {
@@ -1461,20 +1472,20 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                             cfg_.beta, lag, predicted);
         adopted = std::move(predicted);
       }
-      if (cfg_.gap_aware_lr && !u.last_upload.empty()) {
+      if (cfg_.gap_aware_lr && !tr.last_upload.empty()) {
         double gap_sq = 0.0;
         for (std::size_t i = 0; i < adopted.size(); ++i) {
           const double d = static_cast<double>(adopted[i]) -
-                           static_cast<double>(u.last_upload[i]);
+                           static_cast<double>(tr.last_upload[i]);
           gap_sq += d * d;
         }
         const double gap = std::sqrt(gap_sq);
-        u.client->set_learning_rate(cfg_.eta / (1.0 + gap));
+        tr.client->set_learning_rate(cfg_.eta / (1.0 + gap));
       }
-      u.client->load_global(adopted);
+      tr.client->load_global(adopted);
       u.version_at_download = snapshot.version;
       if (cfg_.aggregation.kind == fl::AggregationKind::kDelayComp) {
-        u.downloaded_params = std::move(adopted);  // corrector's base point
+        tr.downloaded_params = std::move(adopted);  // corrector's base point
       }
     } else {
       u.version_at_download = synthetic_version_;
@@ -1502,18 +1513,19 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       return;
     }
     if (cfg_.real_training) {
+      TrainingState& tr = training_[index];
       const fl::LocalEpochResult epoch =
-          u.client->train_local_epoch(cfg_.batch_size);
+          tr.client->train_local_epoch(cfg_.batch_size);
       (void)epoch;
       if (scheduler_->uses_round_barrier()) {
-        server_->stage_sync(u.client->upload());
+        server_->stage_sync(tr.client->upload());
         park_at_barrier(index, t);
         return;  // lag/gap settle at the aggregation barrier
       }
-      std::vector<float> uploaded = u.client->upload();
+      std::vector<float> uploaded = tr.client->upload();
       const fl::UpdateReceipt receipt = server_->submit_async(
-          uploaded, u.version_at_download, u.downloaded_params);
-      if (cfg_.gap_aware_lr) u.last_upload = std::move(uploaded);
+          uploaded, u.version_at_download, tr.downloaded_params);
+      if (cfg_.gap_aware_lr) tr.last_upload = std::move(uploaded);
       record_update(index, now_s, receipt.lag, receipt.gradient_gap);
     } else {
       if (scheduler_->uses_round_barrier()) {
@@ -1586,15 +1598,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                             cfg_.slot_seconds,
                                         86400.0) /
                                   3600.0);
+    const net::Link& link = u.lte ? lte_link_ : wifi_link_;
     if (eff.active) {
-      net::LinkConfig lc = u.link->config();
+      net::LinkConfig lc = link.config();
       lc.loss_probability =
           std::clamp(lc.loss_probability * eff.loss_mult, 0.0, 1.0);
       lc.latency_ms *= eff.latency_mult;
       lc.bandwidth_mbps *= eff.bandwidth_mult;
       seconds = transfer_pair(net::Link{lc});
     } else {
-      seconds = transfer_pair(*u.link);
+      seconds = transfer_pair(link);
     }
     u.phase = Phase::kTransferring;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(seconds), 1);
@@ -1630,10 +1643,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       result_.idle_j += u.meter.idle_j();
       result_.overhead_j += u.meter.overhead_j();
       user_energy.push_back(u.meter.total_j());
-      if (cfg_.track_battery) {
-        result_.battery_cycles_total += u.battery.equivalent_cycles();
-        result_.battery_recharges += u.battery.recharge_count();
-      }
+    }
+    for (const BatteryState& b : battery_) {
+      result_.battery_cycles_total += b.battery.equivalent_cycles();
+      result_.battery_recharges += b.battery.recharge_count();
     }
     result_.total_energy_j += result_.network_j;
     // Summary percentile digests (docs/observability.md): per-slot queue
@@ -1693,6 +1706,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::size_t model_bytes_ = 2'500'000;
 
   std::vector<UserState> users_;
+  // Side columns, one entry per user, empty while their mode is off.
+  std::vector<BatteryState> battery_;         ///< track_battery
+  std::vector<device::ThermalModel> thermal_; ///< enable_thermal
+  std::vector<TrainingState> training_;       ///< real_training
+  std::vector<OracleState> oracles_;          ///< Scheduler::looks_ahead
+  std::vector<WindowSlice> windows_;          ///< later presence windows
   /// Per-user scheduling weights (VIP classes). Left unallocated for the
   /// common all-1.0 fleet — user_priority answers 1.0 without a table.
   std::vector<double> priority_;
@@ -1708,7 +1727,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Trace-driven fleet (cfg.arrival_trace_dir): loaded once on first use.
   apps::TraceFleet trace_fleet_;
   /// Flat pool of every user's later presence windows (commute cycles,
-  /// outage recovery); UserState addresses its slice by index.
+  /// outage recovery); windows_ holds each user's slice of it.
   std::vector<scenario::PresenceWindow> extra_windows_;
   /// Per-user netem-profile bitmasks (scenario degradations). Left empty
   /// when no user is degraded, so the fault-free begin_transfer path costs
@@ -1720,12 +1739,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::vector<ExperimentConfig::OutageWindow> outages_;
   std::size_t next_outage_ = 0;
   /// Fleet-shared arrival-script storage: every script-mode user's events
-  /// live here as the slice [script_begin, script_end) — one allocation for
-  /// the whole fleet instead of one vector per user. Indices (not
-  /// pointers), so growth during setup is safe.
+  /// live here as one slice ending in a kNoArrival event — one allocation
+  /// for the whole fleet instead of one vector per user. Feeds hold
+  /// indices (not pointers), so growth during setup is safe.
   std::vector<apps::ScriptedArrivals::Event> script_arena_;
-  /// Lazy stream mode: per-user arrival laws; UserState::stream_params
-  /// points into this (sized once before the user loop, never reallocated).
+  /// Lazy stream mode: per-user arrival laws (empty in script mode — the
+  /// switch feed_next dispatches on).
   std::vector<apps::ArrivalStreamParams> stream_params_;
 
   /// Calendar event queue: one bucket per slot (push_event drops slots past
@@ -1789,6 +1808,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   result.summary.timing.setup_s = setup_s;
   result.summary.timing.total_s = total.elapsed_s();
   return result;
+}
+
+UserStateBytes user_state_bytes(const ExperimentConfig& config) {
+  return Driver{config, RunHooks{}}.state_bytes();
 }
 
 }  // namespace fedco::core

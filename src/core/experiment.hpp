@@ -353,4 +353,15 @@ struct RunHooks {
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               const RunHooks& hooks);
 
+/// The per-user driver state of a run of `config` once set up (its driver
+/// is built, not stepped), in bytes per user: `hot`, the block every user
+/// carries, and `side`, the columns its modes switch on (battery, thermal,
+/// real training, an offline look-ahead, multi-window presence, lazy
+/// stream arrival laws). Throws as run_experiment does.
+struct UserStateBytes {
+  std::size_t hot = 0;
+  std::size_t side = 0;
+};
+[[nodiscard]] UserStateBytes user_state_bytes(const ExperimentConfig& config);
+
 }  // namespace fedco::core

@@ -168,7 +168,8 @@ class SchedulerContext {
   [[nodiscard]] virtual double recheck_gap(std::uint32_t user) = 0;
 
   /// Offline-oracle service: the user's first scripted app arrival in
-  /// [from, until), advancing the oracle cursor past stale entries.
+  /// [from, until), advancing the oracle cursor past stale entries. Only
+  /// for a scheme whose looks_ahead() is true.
   [[nodiscard]] virtual std::optional<apps::ScriptedArrivals::Event>
   next_arrival_between(std::size_t user, sim::Slot from, sim::Slot until) = 0;
 
@@ -314,6 +315,10 @@ class Scheduler {
   [[nodiscard]] virtual bool charges_decision_overhead() const noexcept {
     return false;
   }
+
+  /// Does the scheme read SchedulerContext::next_arrival_between? Only then
+  /// does the driver keep a look-ahead cursor per user.
+  [[nodiscard]] virtual bool looks_ahead() const noexcept { return false; }
 
   // ------------------------------------------------------ observables
 

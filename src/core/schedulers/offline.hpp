@@ -22,6 +22,9 @@ class OfflineScheduler final : public Scheduler {
     return SchedulerKind::kOffline;
   }
 
+  /// Window plans read every ready user's next in-window app arrival.
+  [[nodiscard]] bool looks_ahead() const noexcept override { return true; }
+
   /// Users start deferred until the first window plan runs.
   void on_experiment_begin(SchedulerContext& ctx) override;
 

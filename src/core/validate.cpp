@@ -42,6 +42,7 @@ std::optional<ConfigViolation> first_broken(const Rule (&rules)[N]) {
 std::optional<ConfigViolation> validate(const ExperimentConfig& c) {
   const device::BatteryConfig& b = c.battery;
   const data::SynthCifarConfig& d = c.dataset;
+  const device::ThermalConfig& h = c.thermal;
   const Rule rules[] = {
       {"num_users", c.num_users >= 1, kPositive},
       // ReadyRow::user is a uint32 and UINT32_MAX the never-scheduled mark.
@@ -83,6 +84,18 @@ std::optional<ConfigViolation> validate(const ExperimentConfig& c) {
       {"battery.recharge_at_soc",
        b.recharge_at_soc >= 0.0 && b.recharge_at_soc < 1.0, kHalfOpenUnit},
       {"min_soc_to_train", unit(c.min_soc_to_train), kUnitInterval},
+      // The lumped thermal model: a negative rate diverges, and the
+      // lag index is sized for the longest session times max_slowdown.
+      {"thermal.ambient_c", std::isfinite(h.ambient_c), "must be finite"},
+      {"thermal.throttle_onset_c",
+       std::isfinite(h.throttle_onset_c) && h.throttle_onset_c <= h.critical_c,
+       "must be finite and at most critical_c"},
+      {"thermal.heating_c_per_joule",
+       non_negative_finite(h.heating_c_per_joule), kNonNegativeFinite},
+      {"thermal.cooling_fraction_per_s",
+       non_negative_finite(h.cooling_fraction_per_s), kNonNegativeFinite},
+      {"thermal.max_slowdown", h.max_slowdown >= 1.0 && h.max_slowdown <= 100.0,
+       "must be in [1, 100]"},
       {"record_interval", c.record_interval > 0, kPositive},
   };
   if (auto broken = first_broken(rules)) return broken;

@@ -10,12 +10,13 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string_view>
 
 namespace fedco::device {
 
-enum class DeviceKind : std::size_t {
+enum class DeviceKind : std::uint8_t {
   kNexus6 = 0,
   kNexus6P = 1,
   kHikey970 = 2,
@@ -23,7 +24,7 @@ enum class DeviceKind : std::size_t {
 };
 inline constexpr std::size_t kDeviceKinds = 4;
 
-enum class AppKind : std::size_t {
+enum class AppKind : std::uint8_t {
   kMap = 0,
   kNews = 1,
   kEtrade = 2,

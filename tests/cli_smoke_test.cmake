@@ -25,7 +25,8 @@
 #   9. Out-of-range run knobs (epsilon, record_interval,
 #      offline_window_slots, horizon_slots, offline_lb, V, lb,
 #      upload_drop_probability, min_soc_to_train, num_users,
-#      decision_interval_slots, decision_eval_seconds, eta, beta) exit 2
+#      decision_interval_slots, decision_eval_seconds, eta, beta, and the
+#      thermal model's max_slowdown and cooling_fraction_per_s) exit 2
 #      before the run starts: in a --config file naming file and field, as
 #      a flag naming the flag. So do the usage errors (--replications 0,
 #      --jobs -1, --events-sample without --events or below 1, --events
@@ -334,6 +335,24 @@ foreach(bad "epsilon;-1" "record_interval;0" "offline_window_slots;0"
      OR NOT knob_err MATCHES "'${field}'")
     message(FATAL_ERROR
       "${field}: ${value} in --config exited ${knob_rc} (want 2, naming file and field):\n${knob_err}")
+  endif()
+endforeach()
+
+# A slowdown that would size the lag index past memory and a negative
+# cooling rate that makes the thermal model diverge, both with the model on.
+foreach(bad "max_slowdown;1e300" "cooling_fraction_per_s;-1")
+  list(GET bad 0 field)
+  list(GET bad 1 value)
+  file(WRITE ${work_dir}/bad_thermal_${field}.json
+    "{\"num_users\":2,\"horizon_slots\":300,\"enable_thermal\":true,\"thermal\":{\"${field}\":${value}}}\n")
+  execute_process(
+    COMMAND ${FEDCO_SIM} --config ${work_dir}/bad_thermal_${field}.json
+    RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
+  )
+  if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "bad_thermal_${field}\\.json"
+     OR NOT knob_err MATCHES "'thermal\\.${field}'")
+    message(FATAL_ERROR
+      "thermal.${field}: ${value} in --config exited ${knob_rc} (want 2, naming file and field):\n${knob_err}")
   endif()
 endforeach()
 

@@ -7,6 +7,7 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "core/config_io.hpp"
@@ -521,6 +522,23 @@ const std::vector<RangeRow>& range_rows() {
        [](ExperimentConfig& c, double v) { c.battery.recharge_at_soc = v; }},
       {"min_soc_to_train", 1, -0.5, R"({"min_soc_to_train":%})",
        [](ExperimentConfig& c, double v) { c.min_soc_to_train = v; }},
+      {"thermal.throttle_onset_c", 65, 65.5,
+       R"({"thermal":{"throttle_onset_c":%}})",
+       [](ExperimentConfig& c, double v) { c.thermal.throttle_onset_c = v; }},
+      {"thermal.heating_c_per_joule", 0, -1,
+       R"({"thermal":{"heating_c_per_joule":%}})",
+       [](ExperimentConfig& c, double v) {
+         c.thermal.heating_c_per_joule = v;
+       }},
+      {"thermal.cooling_fraction_per_s", 0, -1,
+       R"({"thermal":{"cooling_fraction_per_s":%}})",
+       [](ExperimentConfig& c, double v) {
+         c.thermal.cooling_fraction_per_s = v;
+       }},
+      {"thermal.max_slowdown", 1, 0.5, R"({"thermal":{"max_slowdown":%}})",
+       [](ExperimentConfig& c, double v) { c.thermal.max_slowdown = v; }},
+      {"thermal.max_slowdown", 100, 1e300, R"({"thermal":{"max_slowdown":%}})",
+       [](ExperimentConfig& c, double v) { c.thermal.max_slowdown = v; }},
       {"record_interval", 1, 0, R"({"record_interval":%})",
        [](ExperimentConfig& c, double v) { c.record_interval = sim::Slot(v); }},
       {"per_user[0].arrival_probability", 0, -0.5,
@@ -665,6 +683,31 @@ TEST(ConfigIo, BatteryRangesAreNamedAtLoad) {
           "'battery.voltage_v' must be positive and finite");
   rejects(R"({"battery":{"initial_soc":1.01}})",
           "'battery.initial_soc' must be in [0, 1]");
+}
+
+// The two thermal configs that used to run: a slowdown past the lag
+// index's reach (the run died allocating it) and a negative cooling rate
+// (the model diverged to ~1e85 C). Both fail at load, named. Non-finite
+// temperatures, which JSON cannot spell, fail validate and the driver.
+TEST(ConfigIo, ThermalRangesAreNamedAtLoad) {
+  rejects(R"({"enable_thermal":true,"thermal":{"max_slowdown":1e300}})",
+          "'thermal.max_slowdown' must be in [1, 100]");
+  rejects(R"({"num_users":2,"horizon_slots":300,"enable_thermal":true,
+             "thermal":{"cooling_fraction_per_s":-1}})",
+          "'thermal.cooling_fraction_per_s' must be non-negative and finite");
+  ExperimentConfig cfg;
+  cfg.num_users = 2;
+  cfg.horizon_slots = 50;
+  cfg.thermal.ambient_c = std::numeric_limits<double>::infinity();
+  auto violation = validate(cfg);
+  ASSERT_NE(violation, std::nullopt);
+  EXPECT_EQ(violation->field, "thermal.ambient_c");
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+  cfg.thermal.ambient_c = 25.0;
+  cfg.thermal.throttle_onset_c = std::numeric_limits<double>::quiet_NaN();
+  violation = validate(cfg);
+  ASSERT_NE(violation, std::nullopt);
+  EXPECT_EQ(violation->field, "thermal.throttle_onset_c");
 }
 
 TEST(ConfigIo, LoadsFromResultDocument) {
