@@ -13,6 +13,7 @@
 #include "apps/trace_feed.hpp"
 #include "core/gap_accrual.hpp"
 #include "core/scheduler.hpp"
+#include "core/training_end_index.hpp"
 #include "data/partition.hpp"
 #include "device/power_model.hpp"
 #include "fl/client.hpp"
@@ -165,42 +166,6 @@ struct OracleState {
   std::uint32_t window = 0;
 };
 
-/// Fenwick (binary-indexed) tree counting in-flight training end slots —
-/// the expected_lag index. count_le(end) returns exactly the integer the
-/// historical sorted-vector upper_bound produced, but insert/erase are
-/// O(log cap) instead of O(n) memmoves, which dominated large-fleet event
-/// processing.
-class TrainingEndIndex {
- public:
-  void init(sim::Slot cap) {
-    cap_ = cap;
-    tree_.assign(static_cast<std::size_t>(cap) + 2, 0);
-  }
-
-  void add(sim::Slot end, std::int32_t delta) noexcept {
-    for (std::size_t i = pos(end); i < tree_.size(); i += i & (~i + 1)) {
-      tree_[i] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(tree_[i]) + delta);
-    }
-  }
-
-  /// Number of indexed ends <= `end`.
-  [[nodiscard]] std::size_t count_le(sim::Slot end) const noexcept {
-    std::size_t sum = 0;
-    for (std::size_t i = pos(end); i > 0; i -= i & (~i + 1)) sum += tree_[i];
-    return sum;
-  }
-
- private:
-  [[nodiscard]] std::size_t pos(sim::Slot end) const noexcept {
-    const sim::Slot clamped = end < 0 ? 0 : (end > cap_ ? cap_ : end);
-    return static_cast<std::size_t>(clamped) + 1;
-  }
-
-  sim::Slot cap_ = 0;
-  std::vector<std::uint32_t> tree_;
-};
-
 nn::Network make_model(ModelKind kind, const data::SynthCifarConfig& data_cfg,
                        util::Rng& rng) {
   switch (kind) {
@@ -274,6 +239,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   ExperimentResult run() {
+    watch_.start();
     for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
       step(t);
     }
@@ -424,6 +390,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   void aggregate_round(sim::Slot t) override {
+    events_work_ = true;
     const double now_s = static_cast<double>(t) * cfg_.slot_seconds;
     if (cfg_.real_training) {
       const fl::UpdateReceipt receipt = server_->aggregate_sync();
@@ -459,6 +426,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   void note_replan(sim::Slot t, std::size_t items,
                    std::size_t scheduled) override {
     ++result_.summary.replans;
+    events_work_ = true;
     if (slot_sampled_) {
       events_->emit(obs::Event::replan(t, static_cast<std::int64_t>(items),
                                        static_cast<std::int64_t>(scheduled)));
@@ -804,6 +772,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   // ------------------------------------------------------------- per slot
 
   void step(sim::Slot t) {
+    // Phase timing laps only where a phase did work: this lap closes the
+    // previous slot, whose last phase (record) never laps itself, so a
+    // quiet slot costs one clock read (see RunSummary::Timing).
+    result_.summary.timing.record_s += watch_.lap_s();
+    events_work_ = false;
     cur_ = t;
     // Event emission this slot? One branch when events are off; emission
     // sites read only values the driver computed anyway, which is what
@@ -815,6 +788,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // with events on or off.
     while (next_outage_ < outages_.size() && outages_[next_outage_].start <= t) {
       if (slot_sampled_ && outages_[next_outage_].start == t) {
+        events_work_ = true;
         events_->emit(obs::Event::outage(
             t, static_cast<std::int64_t>(next_outage_),
             outages_[next_outage_].end));
@@ -829,6 +803,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           scenario::netem_active_bits(degrade_union_, hour);
       if (bits != link_bits_) {
         if (slot_sampled_) {
+          events_work_ = true;
           events_->emit(obs::Event::link_phase(
               t, static_cast<std::int64_t>(bits),
               static_cast<std::int64_t>(link_bits_)));
@@ -842,7 +817,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     slot_departed_ = 0.0;
     decide_scratch_.clear();
     left_ready_.clear();
-    watch_.start();
 
     // 1. Events due this slot, drained in the eager loop's per-user order.
     //    The bucket is sorted once, L1-resident, instead of sifting a
@@ -873,18 +847,23 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     if (barrier_count_ > 0) {
       ++result_.summary.barrier_stall_slots;
       if (slot_sampled_) {
+        events_work_ = true;
         events_->emit(obs::Event::stall(
             t, static_cast<std::int64_t>(barrier_count_),
             static_cast<std::int64_t>(active_present_)));
       }
     }
-    result_.summary.timing.events_s += watch_.lap_s();
+    if (events_work_ || due_events != 0) {
+      result_.summary.timing.events_s += watch_.lap_s();
+    }
 
     // 3. Scheduling decisions for ready, present users that are due one:
     //    the hot set (consulted every slot) merged with users that became
     //    ready, joined, or reached their parking horizon this slot.
-    decide_ready(t);
-    result_.summary.timing.decide_s += watch_.lap_s();
+    if (!hot_.empty() || !decide_scratch_.empty()) {
+      decide_ready(t);
+      result_.summary.timing.decide_s += watch_.lap_s();
+    }
 
     // 4. Gap accumulation (Eq. 12 idle branch) and queue updates: G(t) from
     //    the folded accumulators, O(1) per slot whatever the fleet size.
@@ -901,16 +880,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
     // 5. Traces.
     if (t % cfg_.record_interval == 0) {
+      if (q_series_ == nullptr) resolve_slot_series();
       const double now_s = static_cast<double>(t) * cfg_.slot_seconds;
-      result_.traces.record("Q", now_s, scheduler_->queue_q());
-      result_.traces.record("H", now_s, scheduler_->queue_h());
-      result_.traces.record("G", now_s, sum_gaps);
-      if (cfg_.record_per_user_gaps) {
-        for (std::size_t i = 0; i < users_.size(); ++i) {
-          // End-of-slot-t values, the ones G(t) summed.
-          result_.traces.record("gap_user" + std::to_string(i), now_s,
-                                gap_at(i, t));
-        }
+      q_series_->add(now_s, scheduler_->queue_q());
+      h_series_->add(now_s, scheduler_->queue_h());
+      g_series_->add(now_s, sum_gaps);
+      for (std::size_t i = 0; i < gap_user_series_.size(); ++i) {
+        // End-of-slot-t values, the ones G(t) summed.
+        gap_user_series_[i]->add(now_s, gap_at(i, t));
       }
     }
 
@@ -922,7 +899,22 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         next_eval_s_ += cfg_.eval_interval_s;
       }
     }
-    result_.summary.timing.record_s += watch_.lap_s();
+  }
+
+  /// The series step() records every record_interval, looked up once at
+  /// the first recorded slot (map nodes are stable across insertions), so
+  /// a run outputs the same series as a per-sample lookup would create.
+  void resolve_slot_series() {
+    q_series_ = &result_.traces.series("Q");
+    h_series_ = &result_.traces.series("H");
+    g_series_ = &result_.traces.series("G");
+    if (cfg_.record_per_user_gaps) {
+      gap_user_series_.reserve(users_.size());
+      for (std::size_t i = 0; i < users_.size(); ++i) {
+        gap_user_series_.push_back(
+            &result_.traces.series("gap_user" + std::to_string(i)));
+      }
+    }
   }
 
   void dispatch(const Event& e, sim::Slot t) {
@@ -1046,7 +1038,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// whose strategy promises kIdle until a future slot are parked on a
   /// kWake event instead of being re-consulted every slot.
   void decide_ready(sim::Slot t) {
-    if (hot_.empty() && decide_scratch_.empty()) return;
     due_.clear();
     gated_.clear();
     // Sized up front: a push_back reallocation would hold two copies.
@@ -1386,17 +1377,23 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return cached_lag_count(t + slots, t);
   }
 
-  /// Memoized Fenwick prefix count behind expected_lag/lag_count_at: within
-  /// one slot the fleet asks for only a handful of distinct end slots
-  /// (device kinds x co-run contexts), so counts are cached until the next
-  /// index mutation. The memo returns the stored integer — bit-identical by
-  /// construction.
+  /// Memoized Fenwick prefix count behind expected_lag/lag_count_at: the
+  /// fleet asks for only a handful of distinct end slots t + d (device
+  /// kinds x co-run contexts), so counts are cached until the next index
+  /// mutation. At the next slot each entry moves to end + 1 by adding the
+  /// index's count at that slot, which is count_le(end + 1) exactly while
+  /// the index is unchanged; a mutation or a skipped slot clears the memo.
+  /// Every count is the stored integer — bit-identical by construction.
   [[nodiscard]] double cached_lag_count(sim::Slot end, sim::Slot t) const {
-    if (lag_cache_slot_ != t || lag_cache_version_ != lag_index_version_) {
-      lag_cache_slot_ = t;
-      lag_cache_version_ = lag_index_version_;
+    if (lag_cache_version_ != lag_index_version_ || t > lag_cache_slot_ + 1) {
       lag_cache_.clear();
+    } else if (t == lag_cache_slot_ + 1) {
+      for (auto& [cached_end, count] : lag_cache_) {
+        count += training_ends_.count_at(++cached_end);
+      }
     }
+    lag_cache_slot_ = t;
+    lag_cache_version_ = lag_index_version_;
     for (const auto& [cached_end, count] : lag_cache_) {
       if (cached_end == end) return static_cast<double>(count);
     }
@@ -1627,7 +1624,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   // ------------------------------------------------------------- finalize
 
   ExperimentResult finalize() {
-    watch_.start();
+    result_.summary.timing.record_s += watch_.lap_s();  // the last slot
     // Materialize every outstanding lazy span through the last slot the
     // eager loop would have accrued.
     for (std::size_t i = 0; i < users_.size(); ++i) {
@@ -1786,10 +1783,19 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   sim::Slot events_every_ = 1;
   bool slot_sampled_ = false;
   /// Phase lap timer behind summary.timing (steady_clock; excluded from
-  /// fingerprints and --save-result archives).
+  /// fingerprints and --save-result archives). It laps only at the end of
+  /// a phase that did work; see step().
   util::Stopwatch watch_;
   ExperimentResult result_;
+  /// The events phase did work beyond its due events this slot (an
+  /// emission, a replan or a sync round), so it laps.
+  bool events_work_ = false;
   util::TimeSeries* server_gap_series_ = nullptr;  ///< see record_update
+  /// Series recorded every record_interval; see resolve_slot_series.
+  util::TimeSeries* q_series_ = nullptr;
+  util::TimeSeries* h_series_ = nullptr;
+  util::TimeSeries* g_series_ = nullptr;
+  std::vector<util::TimeSeries*> gap_user_series_;
 };
 
 }  // namespace

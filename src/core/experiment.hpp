@@ -268,12 +268,19 @@ struct RunSummary {
   std::uint64_t barrier_stall_slots = 0;  ///< slots a sync barrier waited
   std::uint64_t replans = 0;              ///< offline plan-window recomputes
 
-  /// Wall-time phase breakdown (steady_clock seconds).
+  /// Wall-time phase breakdown (steady_clock seconds). The driver reads
+  /// the clock only at the end of a phase that did work: events laps when
+  /// it dispatched or emitted an event or the slot hook replanned or ran a
+  /// sync round, decide when it had rows, and record never laps itself —
+  /// the next slot's first lap (or finalize's) closes it. So an empty
+  /// phase's few nanoseconds land in the next phase that laps, and a quiet
+  /// slot counts as record_s. A run with no due event and no hook work
+  /// reports events_s == 0 exactly. The phases sum to at most total_s.
   struct Timing {
     double setup_s = 0.0;     ///< fleet/scheduler construction
     double events_s = 0.0;    ///< calendar drain + scheduler hooks
     double decide_s = 0.0;    ///< decision batches incl. session starts
-    double record_s = 0.0;    ///< queue/gap accounting, traces, eval
+    double record_s = 0.0;    ///< queue/gap accounting, traces, eval, quiet slots
     double finalize_s = 0.0;  ///< catch-up + meter summation
     double total_s = 0.0;     ///< whole run_experiment call
   } timing;

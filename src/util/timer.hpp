@@ -1,9 +1,11 @@
 // Lightweight wall-clock phase timers for the driver's run-summary
 // breakdown. steady_clock only (monotonic; immune to NTP steps); a lap is
-// two now() calls (~20 ns), cheap enough to leave on unconditionally —
-// timings feed ExperimentResult::summary.timing, which is excluded from
-// golden fingerprints and from --save-result archives, so they can never
-// perturb determinism contracts.
+// one now() call, 20-40 ns on x86-64 Linux's vDSO TSC clock. That is not
+// free at millions of slots, so the driver laps only where a phase did
+// work (see RunSummary::Timing). Timings feed
+// ExperimentResult::summary.timing, which is excluded from golden
+// fingerprints and from --save-result archives, so they can never perturb
+// determinism contracts.
 #pragma once
 
 #include <chrono>

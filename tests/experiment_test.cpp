@@ -1,12 +1,15 @@
 // Integration tests of the full simulation driver: determinism, energy
-// accounting consistency, scheduler orderings the paper reports, and edge
-// cases (p = 0 / p = 1 arrivals, single user, tiny horizons).
+// accounting consistency, scheduler orderings the paper reports, edge
+// cases (p = 0 / p = 1 arrivals, single user, tiny horizons), and the
+// phase-timing contract of RunSummary::Timing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <string>
 
 #include "core/experiment.hpp"
+#include "obs/events.hpp"
 #include "util/stats.hpp"
 
 namespace fedco::core {
@@ -171,6 +174,72 @@ TEST(Experiment, TracesAreRecorded) {
   EXPECT_TRUE(r.traces.contains("gap_user0"));
   EXPECT_TRUE(r.traces.contains("server_gap"));
   EXPECT_GT(r.traces.find("Q")->size(), 100u);
+  // Exactly Q, H, G, server_gap and one gap series per user, each gap
+  // series sampled at every recorded slot.
+  EXPECT_EQ(r.traces.size(), 4 + cfg.num_users);
+  for (std::size_t i = 0; i < cfg.num_users; ++i) {
+    const auto* gap = r.traces.find("gap_user" + std::to_string(i));
+    ASSERT_NE(gap, nullptr) << i;
+    EXPECT_EQ(gap->size(), r.traces.find("Q")->size()) << i;
+  }
+}
+
+/// Counts what it is sent; attaching it turns the driver's emission on.
+struct CountingSink final : obs::EventSink {
+  void emit(const obs::Event&) override { ++events; }
+  std::size_t events = 0;
+};
+
+/// The phase timings of a run: finite, non-negative, and summing to at
+/// most the whole call, whichever phases lapped.
+void expect_timing_contract(const RunSummary::Timing& t,
+                            const std::string& label) {
+  for (const double s : {t.setup_s, t.events_s, t.decide_s, t.record_s,
+                         t.finalize_s, t.total_s}) {
+    EXPECT_TRUE(std::isfinite(s)) << label;
+    EXPECT_GE(s, 0.0) << label;
+  }
+  EXPECT_LE(t.setup_s + t.events_s + t.decide_s + t.record_s + t.finalize_s,
+            t.total_s)
+      << label;
+}
+
+TEST(Experiment, PhaseTimingsStayWithinTheRun) {
+  for (const auto kind : {SchedulerKind::kImmediate, SchedulerKind::kSyncSgd,
+                          SchedulerKind::kOffline, SchedulerKind::kOnline}) {
+    const auto cfg = fast_config(kind);
+    for (const bool events_on : {false, true}) {
+      CountingSink sink;
+      RunHooks hooks;
+      if (events_on) hooks.events = &sink;
+      const auto r = run_experiment(cfg, hooks);
+      const std::string label =
+          std::string{scheduler_name(kind)} + (events_on ? " events" : "");
+      expect_timing_contract(r.summary.timing, label);
+      // Every scheme trains here, so phase ends are dispatched and timed.
+      EXPECT_GT(r.summary.decisions_scheduled, 0u) << label;
+      EXPECT_GT(r.summary.timing.events_s, 0.0) << label;
+      EXPECT_EQ(events_on, sink.events > 0) << label;
+    }
+  }
+}
+
+TEST(Experiment, QuietEventsPhaseIsNeverTimed) {
+  // One slot of Immediate: every user starts training at slot 0, but no
+  // event is due (users present from slot 0 file no join) and the slot
+  // hook has nothing to do, so the events phase never reads the clock.
+  auto cfg = fast_config(SchedulerKind::kImmediate);
+  cfg.horizon_slots = 1;
+  for (const bool events_on : {false, true}) {
+    CountingSink sink;
+    RunHooks hooks;
+    if (events_on) hooks.events = &sink;
+    const auto r = run_experiment(cfg, hooks);
+    EXPECT_EQ(r.summary.decisions_scheduled, cfg.num_users);
+    EXPECT_EQ(r.summary.timing.events_s, 0.0) << events_on;
+    EXPECT_GT(r.summary.timing.decide_s, 0.0) << events_on;
+    expect_timing_contract(r.summary.timing, "one slot");
+  }
 }
 
 TEST(Experiment, LagAndGapArePositivelyCorrelated) {
