@@ -345,14 +345,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return cached_lag_count(end_slot, cur_);
   }
 
-  double recheck_gap(std::uint32_t user) override {
-    // A due entry's gap is the previous slot's closed form, written to the
-    // record, unless this user's schedule earlier in the batch rewrote it.
-    if (user == last_scheduled_) return gap_[user];
-    gap_[user] = fold_.eval(user, cur_ - 1);
-    return gap_[user];
-  }
-
   [[nodiscard]] std::optional<apps::ScriptedArrivals::Event>
   next_arrival_between(std::size_t user, sim::Slot from,
                        sim::Slot until) override {
@@ -483,28 +475,26 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // longest (possibly thermally-elongated) duration. Ends past the cap
     // clamp to it — always strictly above every reachable query slot, so
     // counts are unaffected.
-    double max_duration_s = 0.0;
     lag_slots_.resize(device::kDeviceKinds);
     for (std::size_t k = 0; k < device::kDeviceKinds; ++k) {
-      const auto kind = static_cast<device::DeviceKind>(k);
-      const device::DeviceProfile& dev = device::profile(kind);
+      const device::DeviceProfile& dev =
+          device::profile(static_cast<device::DeviceKind>(k));
       for (std::size_t a = 0; a < device::kAppKinds; ++a) {
-        const auto app = static_cast<device::AppKind>(a);
-        const double corun_s = device::training_duration_s(
-            dev, device::AppStatus::kApp, app);
-        lag_slots_[k][a] = clock_.slots_for_seconds(corun_s);
-        max_duration_s = std::max(max_duration_s, corun_s);
+        lag_slots_[k][a] = clock_.slots_for_seconds(device::training_duration_s(
+            dev, device::AppStatus::kApp, static_cast<device::AppKind>(a)));
       }
-      const double separate_s = device::training_duration_s(
-          dev, device::AppStatus::kNoApp, device::AppKind::kMap);
-      lag_slots_[k][device::kAppKinds] = clock_.slots_for_seconds(separate_s);
-      max_duration_s = std::max(max_duration_s, separate_s);
+      lag_slots_[k][device::kAppKinds] =
+          clock_.slots_for_seconds(device::training_duration_s(
+              dev, device::AppStatus::kNoApp, device::AppKind::kMap));
     }
-    if (cfg_.enable_thermal) {
-      max_duration_s *= cfg_.thermal.max_slowdown;
-    }
-    training_ends_.init(cfg_.horizon_slots +
-                        clock_.slots_for_seconds(max_duration_s) + 2);
+    // core::validate bounds the session term, like the horizon, by 2^31 - 1.
+    const double throttle =
+        cfg_.enable_thermal ? cfg_.thermal.max_slowdown : 1.0;
+    training_ends_.init(
+        cfg_.horizon_slots +
+        clock_.slots_for_seconds(device::longest_training_duration_s() *
+                                 throttle) +
+        2);
   }
 
   void setup_users() {
@@ -1074,12 +1064,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         if (b + kAhead < decide_scratch_.size()) {
           prefetch_user(decide_scratch_[b + kAhead]);
         }
+        // One row per user. A repeat in the scratch (a join or transfer
+        // plus a wake, or two wakes) is adjacent after the bucket sort; a
+        // user also in the hot set (a stale wake) takes the fresh row.
         const std::uint32_t i = decide_scratch_[b++];
+        if (b > 1 && decide_scratch_[b - 2] == i) continue;
+        if (a < hot_count && hot_[a].user == i) ++a;
         if (admit(i, t)) route(make_row(i, t));
       }
     }
     hot_.clear();  // fully merged; the batch's idle rows refill it
-    last_scheduled_ = std::numeric_limits<std::uint32_t>::max();
     if (!due_.empty()) {
       scheduler_->decide_batch(due_.data(), due_.size(), t, *this, *this);
     }
@@ -1116,23 +1110,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         return;
       }
     }
-    // A user hot and woken by a stale wake reaches the batch twice
-    // (ROADMAP's double-schedule bug), as adjacent copies: both are flagged
-    // kRecheck for good, as after the first outcome the gap fields may not
-    // describe the user.
+    assert(due_.empty() || due_.back().user < row.user);
     due_.push_back(row);
-    if (due_.size() > 1 && due_[due_.size() - 2].user == row.user) {
-      due_[due_.size() - 2].flags |= ReadyRow::kRecheck;
-      due_.back().flags |= ReadyRow::kRecheck;
-    }
   }
 
-  /// A fresh row for user i at slot t. A user outside the accruing class
-  /// (reachable only through a double entry) is flagged kRecheck.
+  /// A fresh row for user i at slot t: a ready, present user accrues gap.
   [[nodiscard]] ReadyRow make_row(std::uint32_t i, sim::Slot t) {
+    assert(gap_mode_[i] == kGapAccrue);
     ReadyRow row{fold_.base(i), fold_.anchor(i), i, 0,
-                 static_cast<std::uint8_t>(users_[i].dev_kind), 0, 0};
-    if (gap_mode_[i] != kGapAccrue) row.flags = ReadyRow::kRecheck;
+                 static_cast<std::uint8_t>(users_[i].dev_kind), 0};
     refresh_row(row, t);
     return row;
   }
@@ -1173,7 +1159,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     slot_served_ += 1.0;
     u.in_backlog = false;
     ++result_.summary.decisions_scheduled;
-    last_scheduled_ = i;
     if (slot_sampled_) {
       events_->emit(obs::Event::decision(cur_, i, u.training_corun));
     }
@@ -1754,8 +1739,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   std::vector<ReadyRow> gated_;   ///< battery-gated rows (stay in hot_)
   std::vector<std::uint32_t> decide_scratch_;  ///< became ready/woke this slot
   std::vector<std::uint32_t> left_ready_;      ///< ready users that left this slot
-  /// User of the batch's latest schedule() (recheck_gap); reset per batch.
-  std::uint32_t last_scheduled_ = 0;
   std::size_t barrier_count_ = 0;    ///< users parked at the sync barrier
   std::size_t active_present_ = 0;   ///< present users not at the barrier
   bool charges_overhead_ = false;

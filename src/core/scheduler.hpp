@@ -60,10 +60,6 @@ struct ReadyRow {
   std::int32_t app_until = 0;
   std::uint8_t device = 0;  ///< device::DeviceKind
   std::uint8_t app = 0;     ///< AppKind on screen, or kAppKinds for none
-  /// kRecheck: the gap fields may not describe the user (it reached the
-  /// batch twice, or is not accruing): evaluate exactly, with recheck_gap.
-  std::uint8_t flags = 0;
-  static constexpr std::uint8_t kRecheck = 1;
 
   /// Gap g_i (Eq. 12) at the end of slot `s`: FoldedGapAccrual::eval's
   /// closed form on the row's copy of its columns.
@@ -161,12 +157,6 @@ class SchedulerContext {
   /// completions run in the events phase.
   [[nodiscard]] virtual double lag_count_at(sim::Slot end_slot) const = 0;
 
-  /// Gap of a ReadyRow::kRecheck row's user when the batch evaluates it:
-  /// the previous slot's closed form from the gap engine's current columns
-  /// (also written to the user's record), or the recorded gap if this user
-  /// was scheduled earlier in the batch — a double entry's decisions hold.
-  [[nodiscard]] virtual double recheck_gap(std::uint32_t user) = 0;
-
   /// Offline-oracle service: the user's first scripted app arrival in
   /// [from, until), advancing the oracle cursor past stale entries. Only
   /// for a scheme whose looks_ahead() is true.
@@ -248,14 +238,14 @@ class Scheduler {
   };
 
   /// Batched decision pass: one call per slot covering every due ready
-  /// user as a ReadyRow (ascending user order, already driver-gated; a
-  /// user may appear twice, as adjacent kRecheck rows), replacing the
-  /// per-user decide() consult. The contract is strict sequential
-  /// equivalence — the sink must receive exactly the decisions the scalar
-  /// decide() loop would produce, with sink.schedule() invoked before the
-  /// next row is evaluated. The default implementation IS that scalar
-  /// loop, so immediate, sync_sgd and offline are untouched; the online
-  /// scheme overrides it with the one-pass Sec. V-A evaluation.
+  /// user as a ReadyRow (strictly ascending user order, one row per user,
+  /// already driver-gated), replacing the per-user decide() consult. The
+  /// contract is strict sequential equivalence — the sink must receive
+  /// exactly the decisions the scalar decide() loop would produce, with
+  /// sink.schedule() invoked before the next row is evaluated. The default
+  /// implementation IS that scalar loop, so immediate, sync_sgd and
+  /// offline are untouched; the online scheme overrides it with the
+  /// one-pass Sec. V-A evaluation.
   virtual void decide_batch(const ReadyRow* rows, std::size_t count,
                             sim::Slot t, SchedulerContext& ctx,
                             DecisionSink& sink) {

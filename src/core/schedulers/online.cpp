@@ -63,8 +63,8 @@ void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
   // Pass 1, the idle screen (OnlineScheduler::screened_idle): a row whose
   // idle cost is below its class's schedule cost at the slot-start lag
   // idles at every lag up to that lag plus the candidates before it (only
-  // candidates can be scheduled, each adding at most one). Other rows and
-  // kRecheck rows are candidates; the first kAhead are prefetched here.
+  // candidates can be scheduled, each adding at most one). Other rows are
+  // candidates; the first kAhead are prefetched here.
   constexpr std::size_t kAhead = 4;
   candidates_.clear();
   for (std::size_t k = 0; k < count; ++k) {
@@ -81,8 +81,7 @@ void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
       cls.screen = online_.idle_screen(power_[c].schedule, power_[c].idle,
                                        ctx.lag_count_at(cls.end), momentum, q);
     }
-    if ((row.flags & ReadyRow::kRecheck) != 0 ||
-        !online_.screened_idle(cls.screen, row.gap(t - 1, epsilon),
+    if (!online_.screened_idle(cls.screen, row.gap(t - 1, epsilon),
                                h_eff(row, cls), candidates_.size())) {
       if (candidates_.size() < kAhead) sink.prefetch(k);
       candidates_.push_back(static_cast<std::uint32_t>(k));
@@ -100,10 +99,8 @@ void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
     next = k + 1;
     const ReadyRow& row = rows[k];
     const ClassSlot& cls = class_slots_[row.device * kColumns + row.app];
-    const double gap = (row.flags & ReadyRow::kRecheck) != 0
-                           ? ctx.recheck_gap(row.user)
-                           : row.gap(t - 1, epsilon);
-    if (online_.decide_batched(cls.screen.p_schedule, cls.screen.p_idle, gap,
+    if (online_.decide_batched(cls.screen.p_schedule, cls.screen.p_idle,
+                               row.gap(t - 1, epsilon),
                                ctx.lag_count_at(cls.end), momentum, q,
                                h_eff(row, cls)) ==
         device::Decision::kSchedule) {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/experiment.hpp"
+#include "device/power_model.hpp"
 #include "scenario/netem_profiles.hpp"
 
 namespace fedco::core {
@@ -43,9 +44,16 @@ std::optional<ConfigViolation> validate(const ExperimentConfig& c) {
   const device::BatteryConfig& b = c.battery;
   const data::SynthCifarConfig& d = c.dataset;
   const device::ThermalConfig& h = c.thermal;
+  // The training-end index spans the horizon plus the longest session in
+  // slots, throttled when thermal is on: computed in double, so the slot
+  // count is range-checked before any cast to an integer.
+  const double longest_slots =
+      std::ceil(device::longest_training_duration_s() *
+                (c.enable_thermal ? h.max_slowdown : 1.0) / c.slot_seconds);
   const Rule rules[] = {
       {"num_users", c.num_users >= 1, kPositive},
-      // ReadyRow::user is a uint32 and UINT32_MAX the never-scheduled mark.
+      // ReadyRow::user and the driver's user lists are uint32, and so is
+      // the count itself.
       {"num_users", c.num_users <= std::numeric_limits<std::uint32_t>::max(),
        "must be at most 2^32 - 1"},
       {"horizon_slots", c.horizon_slots > 0, kPositive},
@@ -97,6 +105,10 @@ std::optional<ConfigViolation> validate(const ExperimentConfig& c) {
       {"thermal.max_slowdown", h.max_slowdown >= 1.0 && h.max_slowdown <= 100.0,
        "must be in [1, 100]"},
       {"record_interval", c.record_interval > 0, kPositive},
+      {"slot_seconds",
+       longest_slots <= static_cast<double>(sim::kMaxHorizonSlots),
+       "is too small: the longest training session must span at most "
+       "2^31 - 1 slots"},
   };
   if (auto broken = first_broken(rules)) return broken;
   if (c.fleet && c.fleet->size() != c.num_users) {

@@ -1,5 +1,7 @@
 #include "device/power_model.hpp"
 
+#include <algorithm>
+
 namespace fedco::device {
 
 std::string_view decision_name(Decision d) noexcept {
@@ -29,6 +31,18 @@ double training_duration_s(const DeviceProfile& dev, AppStatus status,
                            AppKind app) noexcept {
   return status == AppStatus::kApp ? dev.app(app).corun_time_s
                                    : dev.train_time_s;
+}
+
+double longest_training_duration_s() noexcept {
+  double longest = 0.0;
+  for (std::size_t k = 0; k < kDeviceKinds; ++k) {
+    const DeviceProfile& dev = profile(static_cast<DeviceKind>(k));
+    longest = std::max(longest, dev.train_time_s);
+    for (const AppPowerEntry& e : dev.apps) {
+      longest = std::max(longest, e.corun_time_s);
+    }
+  }
+  return longest;
 }
 
 bool satisfies_power_ordering(const DeviceProfile& dev, AppKind app) noexcept {

@@ -38,6 +38,8 @@ enum class AppStatus { kApp, kNoApp };
 /// measured (elongated) Table II co-run time.
 [[nodiscard]] double training_duration_s(const DeviceProfile& dev,
                                          AppStatus status, AppKind app) noexcept;
+/// The longest training_duration_s over every Table II device and context.
+[[nodiscard]] double longest_training_duration_s() noexcept;
 
 /// True iff the profile satisfies the paper's ordering
 /// P_a' > P_a > P_b > P_d for the given app.

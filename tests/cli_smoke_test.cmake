@@ -25,8 +25,9 @@
 #   9. Out-of-range run knobs (epsilon, record_interval,
 #      offline_window_slots, horizon_slots, offline_lb, V, lb,
 #      upload_drop_probability, min_soc_to_train, num_users,
-#      decision_interval_slots, decision_eval_seconds, eta, beta, and the
-#      thermal model's max_slowdown and cooling_fraction_per_s) exit 2
+#      decision_interval_slots, decision_eval_seconds, eta, beta, the
+#      thermal model's max_slowdown and cooling_fraction_per_s, and a
+#      slot_seconds too short for the longest training session) exit 2
 #      before the run starts: in a --config file naming file and field, as
 #      a flag naming the flag. So do the usage errors (--replications 0,
 #      --jobs -1, --events-sample without --events or below 1, --events
@@ -355,6 +356,20 @@ foreach(bad "max_slowdown;1e300" "cooling_fraction_per_s;-1")
       "thermal.${field}: ${value} in --config exited ${knob_rc} (want 2, naming file and field):\n${knob_err}")
   endif()
 endforeach()
+
+# A slot so short that the longest training session spans more than
+# 2^31 - 1 slots, so its slot count would overflow an int64 cast.
+file(WRITE ${work_dir}/tiny_slot.json
+  "{\"num_users\":3,\"horizon_slots\":100,\"slot_seconds\":1e-300}\n")
+execute_process(
+  COMMAND ${FEDCO_SIM} --config ${work_dir}/tiny_slot.json
+  RESULT_VARIABLE knob_rc ERROR_VARIABLE knob_err OUTPUT_QUIET
+)
+if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "tiny_slot\\.json"
+   OR NOT knob_err MATCHES "'slot_seconds'")
+  message(FATAL_ERROR
+    "slot_seconds: 1e-300 in --config exited ${knob_rc} (want 2, naming file and field):\n${knob_err}")
+endif()
 
 foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5"
             "--V;nan" "--V;-1" "--Lb;-5" "--Lb;nan" "--drop-p;2" "--drop-p;-1"

@@ -469,6 +469,10 @@ const std::vector<RangeRow>& range_rows() {
        [](ExperimentConfig& c, double v) { c.horizon_slots = sim::Slot(v); }},
       {"slot_seconds", 1e-3, 0, R"({"slot_seconds":%})",
        [](ExperimentConfig& c, double v) { c.slot_seconds = v; }},
+      // The longest Table II session (997 s) must span at most 2^31 - 1
+      // slots, or its slot count overflows an int64 cast (at 1e-300).
+      {"slot_seconds", 4.65e-7, 4.6e-7, R"({"slot_seconds":%})",
+       [](ExperimentConfig& c, double v) { c.slot_seconds = v; }},
       {"arrival_probability", 1, 1.5, R"({"arrival_probability":%})",
        [](ExperimentConfig& c, double v) { c.arrival_probability = v; }},
       {"diurnal_swing", 0, -0.1, R"({"diurnal_swing":%})",
@@ -646,8 +650,8 @@ TEST(ConfigIo, EveryRangedFieldIsRejectedByValidateTheLoaderAndTheDriver) {
   }
 }
 
-// ReadyRow::user is a uint32 and UINT32_MAX the never-scheduled mark, so
-// the fleet stops one short of 2^32. Checked without running a driver.
+// ReadyRow::user is a uint32, and so is the user count: the fleet stops
+// one short of 2^32. Checked without running a driver.
 TEST(ConfigIo, UserCountStopsShortOfTwoToThe32) {
   ExperimentConfig cfg;
   cfg.num_users = 4294967295u;
@@ -708,6 +712,13 @@ TEST(ConfigIo, ThermalRangesAreNamedAtLoad) {
   violation = validate(cfg);
   ASSERT_NE(violation, std::nullopt);
   EXPECT_EQ(violation->field, "thermal.throttle_onset_c");
+  // max_slowdown stretches the longest session, so it tightens the
+  // slot_seconds bound only while thermal is on.
+  EXPECT_NO_THROW((void)config_from_json(
+      R"({"slot_seconds":1e-5,"thermal":{"max_slowdown":100}})"));
+  rejects(R"({"slot_seconds":1e-5,"enable_thermal":true,
+             "thermal":{"max_slowdown":100}})",
+          "'slot_seconds' is too small");
 }
 
 TEST(ConfigIo, LoadsFromResultDocument) {

@@ -97,9 +97,11 @@ struct ColumnGolden {
 };
 
 // Captured with FEDCO_REGEN_GOLDENS=1 on the driver that still kept every
-// mode's state inside UserState, before the side columns existed.
+// mode's state inside UserState, before the side columns existed. The
+// stream-commute row was re-pinned when the decide batch became one row
+// per user (a stale wake used to schedule a user twice in one slot).
 constexpr ColumnGolden kColumnGoldens[] = {
-    {"stream-commute", SchedulerKind::kOffline, 0x5C757736B31C2ECCULL},
+    {"stream-commute", SchedulerKind::kOffline, 0xE8315E73D7B15F84ULL},
     {"real-mitigations", SchedulerKind::kImmediate, 0x9C6F9B8374BCBF86ULL},
     {"real-mitigations", SchedulerKind::kOnline, 0xFB8AF5C7DA287C3CULL},
 };

@@ -7,7 +7,9 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/config_io.hpp"
@@ -17,6 +19,7 @@
 #include "device/power_model.hpp"
 #include "golden_fingerprint.hpp"
 #include "obs/events.hpp"
+#include "scenario/scenario_io.hpp"
 #include "scenario/spec.hpp"
 #include "util/rng.hpp"
 
@@ -305,6 +308,20 @@ struct DecisionLog final : obs::EventSink {
   }
 };
 
+/// Decision events that repeat a (slot, user) pair: Algorithm 1 and
+/// Eq. (21) each decide a ready user at most once per slot, so this is 0.
+std::size_t repeated_decisions(const DecisionLog& log) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> decided;
+  for (const auto& row : log.rows) {
+    if (std::get<0>(row) == static_cast<int>(obs::EventKind::kDecision)) {
+      decided.emplace_back(std::get<1>(row), std::get<2>(row));
+    }
+  }
+  std::sort(decided.begin(), decided.end());
+  return static_cast<std::size_t>(
+      decided.end() - std::unique(decided.begin(), decided.end()));
+}
+
 void expect_batched_matches_scalar(ExperimentConfig cfg, const char* what) {
   cfg.scheduler = SchedulerKind::kOnline;
   cfg.online_batch_decide = true;
@@ -317,6 +334,7 @@ void expect_batched_matches_scalar(ExperimentConfig cfg, const char* what) {
   EXPECT_GT(batched.summary.decisions_scheduled, 0u) << what;
   EXPECT_GT(batched.summary.decisions_idle, 0u) << what;
   EXPECT_EQ(batched_log.rows, scalar_log.rows) << what;
+  EXPECT_EQ(repeated_decisions(batched_log), 0u) << what;
   EXPECT_EQ(batched.summary.decisions_scheduled,
             scalar.summary.decisions_scheduled) << what;
   EXPECT_EQ(batched.summary.decisions_idle, scalar.summary.decisions_idle)
@@ -392,12 +410,12 @@ TEST(ScreenedRegimes, CommuteMultiWindow) {
                                 "commute");
 }
 
-TEST(ScreenedRegimes, DoubleEntries) {
+TEST(ScreenedRegimes, StaleWakes) {
   // Presence gaps of 1-3 slots inside a 60-slot decision interval leave
-  // stale wakes behind, so users reach one decide batch twice (ROADMAP's
-  // double-schedule bug). Such rows skip the screen and read their gap
-  // through recheck_gap; the batched pass must still match the scalar
-  // loop decision for decision.
+  // stale wakes behind: a wake pushed before a leave comes due after the
+  // rejoin, often in the slot the user is due anyway. The driver merges
+  // them into one row per user, and the batched pass must match the
+  // scalar loop decision for decision.
   ExperimentConfig cfg = screened_config();
   cfg.num_users = 40;
   cfg.horizon_slots = 3000;
@@ -417,7 +435,7 @@ TEST(ScreenedRegimes, DoubleEntries) {
     }
   }
   testing::set_fleet(cfg, fleet);
-  expect_batched_matches_scalar(cfg, "double entries");
+  expect_batched_matches_scalar(cfg, "stale wakes");
 }
 
 // ------------------------------------------------------------------------
@@ -529,6 +547,27 @@ TEST(FaultInvariants, OutageCollidingWithPhaseEnds) {
     cfg.scheduler = kind;
     cfg.seed = 29;
     expect_fault_conservation(apply_scenario_arena(spec, cfg), "phase-collide");
+  }
+}
+
+TEST(FaultInvariants, EachUserIsDecidedAtMostOncePerSlot) {
+  // Outage recoveries give users a second presence window, so a wake
+  // pushed before a leave can come due after the rejoin, in a slot where
+  // the user is due anyway. Every scheduler must still decide each ready
+  // user at most once per slot, or a second session starts for the user.
+  const scenario::ScenarioSpec spec = scenario::load_scenario_json(
+      std::string{FEDCO_SCENARIOS_DIR} + "/regional_outage.json");
+  for (const auto kind : {SchedulerKind::kImmediate, SchedulerKind::kSyncSgd,
+                          SchedulerKind::kOffline, SchedulerKind::kOnline}) {
+    ExperimentConfig cfg;
+    cfg.scheduler = kind;
+    cfg.seed = 42;
+    DecisionLog log;
+    const ExperimentResult r =
+        run_experiment(apply_scenario_arena(spec, cfg), {&log, 1});
+    EXPECT_GT(r.summary.decisions_scheduled, 0u) << scheduler_name(kind);
+    EXPECT_GT(r.summary.joins, 0u) << scheduler_name(kind);
+    EXPECT_EQ(repeated_decisions(log), 0u) << scheduler_name(kind);
   }
 }
 

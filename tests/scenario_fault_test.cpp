@@ -144,11 +144,13 @@ struct FaultGolden {
 };
 
 // Captured from the initial fault-subsystem implementation (PR 9) with
-// FEDCO_REGEN_GOLDENS=1.
+// FEDCO_REGEN_GOLDENS=1. The fault-outage and fault-commute Offline rows
+// were re-pinned when the decide batch became one row per user: a stale
+// wake used to start a second session for a user already in the batch.
 constexpr FaultGolden kFaultGoldens[] = {
     {"fault-outage", SchedulerKind::kImmediate, 0x2C8A7D67396331A7ULL},
     {"fault-outage", SchedulerKind::kSyncSgd, 0xC4DB6DEE058275B2ULL},
-    {"fault-outage", SchedulerKind::kOffline, 0x5768CE7FFEA4811AULL},
+    {"fault-outage", SchedulerKind::kOffline, 0xBAA763CA8077E7C7ULL},
     {"fault-outage", SchedulerKind::kOnline, 0xEBF82833084F8372ULL},
     {"fault-degrade", SchedulerKind::kImmediate, 0x022837E60A322D43ULL},
     {"fault-degrade", SchedulerKind::kSyncSgd, 0x858761A7A811FB2FULL},
@@ -156,7 +158,7 @@ constexpr FaultGolden kFaultGoldens[] = {
     {"fault-degrade", SchedulerKind::kOnline, 0xFCCEFD9A6E8B338FULL},
     {"fault-commute", SchedulerKind::kImmediate, 0x01C52570BEF40A87ULL},
     {"fault-commute", SchedulerKind::kSyncSgd, 0x0190480DEFFA78BAULL},
-    {"fault-commute", SchedulerKind::kOffline, 0x6309C64E00201095ULL},
+    {"fault-commute", SchedulerKind::kOffline, 0x5FE5D30BAEC22D9FULL},
     {"fault-commute", SchedulerKind::kOnline, 0x9DB471B899FD38E2ULL},
     {"fault-trace", SchedulerKind::kImmediate, 0x6C90B3E99B7F3935ULL},
     {"fault-trace", SchedulerKind::kSyncSgd, 0x4D94E7F6A43A2B79ULL},
