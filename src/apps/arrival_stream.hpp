@@ -90,7 +90,7 @@ void stream_arrivals_next(const ArrivalStreamParams& params,
 
 /// Materialize every arrival of the stream in [from, end) as a script.
 /// Byte-for-byte the events a lazy cursor over the same (key, from, end)
-/// would yield — the A/B half of the stream-equivalence battery.
+/// would yield — what the tests' stream oracle replays as a trace.
 [[nodiscard]] std::vector<ScriptedArrivals::Event> materialize_stream(
     const ArrivalStreamParams& params, std::uint64_t key, sim::Slot from,
     sim::Slot end);

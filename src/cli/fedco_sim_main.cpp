@@ -69,9 +69,6 @@ Scheduling:
   --decision-interval K  evaluate Eq.(21) every K slots      (default 1)
   --offline-window K   offline look-ahead window slots       (default 500)
   --offline-Lb X       offline staleness budget              (default 1000)
-  --scalar-decide      force the per-user scalar decide() path (the
-                       batched one-pass evaluation is the default and is
-                       bit-identical; this exists for A/B verification)
   --churn-aware        departure-aware scheduling: the offline planner
                        drops co-runs that cannot finish before a user's
                        leave slot and deweights deferred work near
@@ -207,8 +204,6 @@ core::ExperimentConfig effective_config(const util::ArgParser& args) {
   cfg.offline_window_slots =
       args.get_int("offline-window", cfg.offline_window_slots);
   cfg.offline_lb = args.get_double("offline-Lb", cfg.offline_lb);
-  cfg.online_batch_decide =
-      !args.get_bool("scalar-decide", !cfg.online_batch_decide);
   if (args.has("churn-aware")) {
     // One switch for both schemes: the flag pair exists so configs can
     // A/B each side independently, but the CLI treats departure-awareness
@@ -429,16 +424,25 @@ int run(const util::ArgParser& args) {
     return 2;
   }
 
-  // Trace-driven fleets fail fast with a path-bearing message before the
-  // driver starts: a missing directory, an empty one, or a malformed CSV
-  // row is an input error (exit 2, like a misspelled option), not a crash.
-  if (!cfg.arrival_trace_dir.empty()) {
-    try {
+  // Trace-driven arrivals fail fast with a path-bearing message before the
+  // driver starts: a missing file or directory, an empty directory, or a
+  // malformed CSV row is an input error (exit 2, like a misspelled
+  // option), not a crash. The directory takes precedence, as in the driver.
+  try {
+    if (!cfg.arrival_trace_dir.empty()) {
       (void)apps::load_arrival_trace_dir(cfg.arrival_trace_dir);
-    } catch (const std::exception& error) {
-      std::cerr << "fedco_sim: " << error.what() << '\n';
-      return 2;
+    } else if (!cfg.arrival_trace_path.empty()) {
+      try {
+        (void)apps::load_arrival_trace_csv(cfg.arrival_trace_path);
+      } catch (const std::invalid_argument& error) {
+        // Row errors know only the line number (cannot-open names the path).
+        throw std::invalid_argument{std::string{error.what()} + " in " +
+                                    cfg.arrival_trace_path};
+      }
     }
+  } catch (const std::exception& error) {
+    std::cerr << "fedco_sim: " << error.what() << '\n';
+    return 2;
   }
 
   if (!save_config_path.empty()) {

@@ -314,7 +314,6 @@ void write_config_members(util::JsonWriter& json,
     json.member("arrival_trace_dir", config.arrival_trace_dir);
   }
   json.member("arrival_streams", config.arrival_streams);
-  json.member("pregenerate_streams", config.pregenerate_streams);
   json.member("fixed_device", device_token(config.fixed_device));
   json.member("V", config.V);
   json.member("lb", config.lb);
@@ -322,7 +321,6 @@ void write_config_members(util::JsonWriter& json,
   json.member("offline_window_slots",
               static_cast<std::int64_t>(config.offline_window_slots));
   json.member("offline_lb", config.offline_lb);
-  json.member("online_batch_decide", config.online_batch_decide);
   json.member("offline_churn_aware", config.offline_churn_aware);
   json.member("online_churn_aware", config.online_churn_aware);
   json.member("eta", config.eta);
@@ -484,8 +482,6 @@ ExperimentConfig config_from_json(const std::string& text) {
           config.arrival_trace_dir = read_string(value, key);
         } else if (key == "arrival_streams") {
           config.arrival_streams = read_bool(value, key);
-        } else if (key == "pregenerate_streams") {
-          config.pregenerate_streams = read_bool(value, key);
         } else if (key == "fixed_device") {
           config.fixed_device = parse_device_token(read_string(value, key));
         } else if (key == "V") {
@@ -509,13 +505,15 @@ ExperimentConfig config_from_json(const std::string& text) {
             reject_field(key,
                          "is retired; only the incremental planner remains");
           }
-        } else if (key == "online_batch_decide") {
-          config.online_batch_decide = read_bool(value, key);
-        } else if (key == "folded_gap_accrual") {
-          // Retired G(t) engine switch. Archives written with it carry
+        } else if (key == "folded_gap_accrual" ||
+                   key == "online_batch_decide" ||
+                   key == "pregenerate_streams") {
+          // Retired engine switches. folded_gap_accrual archives carry
           // false (the per-slot sweep and the lazy chain); the folded
           // engine, now the only one, reproduces those runs up to
-          // floating-point associativity, so either value loads.
+          // floating-point associativity. The scalar decide loop and the
+          // pregenerated stream arena were bit-identical to the batched
+          // pass and the lazy streams. So either value loads.
           (void)read_bool(value, key);
         } else if (key == "offline_churn_aware") {
           config.offline_churn_aware = read_bool(value, key);

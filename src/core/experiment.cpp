@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -349,9 +350,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   next_arrival_between(std::size_t user, sim::Slot from,
                        sim::Slot until) override {
     // Lazy stream mode: the oracle walks presence windows itself (see
-    // oracle_advance_window) — the pregenerated arena concatenates every
-    // window, so a script feed crosses boundaries for free, and the lazy
-    // oracle must match it look-ahead for look-ahead.
+    // oracle_advance_window) — a script arena concatenates every window,
+    // so a script feed crosses boundaries for free, and the lazy oracle
+    // must match a script of the same stream look-ahead for look-ahead.
     OracleState& o = oracles_[user];
     const bool lazy = !stream_params_.empty();
     if (lazy && o.feed.at == Feed::kNoArrival) oracle_advance_window(user);
@@ -528,14 +529,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // Stream mode: arrivals, device picks, and runtime draws come from
     // counter-based streams keyed on (seed, user, concern) — no per-user
     // master forks, so user i's state is independent of fleet size and
-    // construction order. Lazy unless pregenerate_streams materializes the
-    // streams into the script arena (bit-identical by construction — the
-    // parity battery's A/B switch). A replayed trace is already a script.
+    // construction order. A replayed trace is already a script: it
+    // supplies the arrivals, while the streams still key the draws.
     const bool stream_mode = cfg_.arrival_streams &&
                              cfg_.arrival_trace_path.empty() &&
                              cfg_.arrival_trace_dir.empty();
-    const bool lazy_streams = stream_mode && !cfg_.pregenerate_streams;
-    if (lazy_streams) stream_params_.resize(cfg_.num_users);
+    if (stream_mode) stream_params_.resize(cfg_.num_users);
     for (std::size_t i = 0; i < cfg_.num_users; ++i) {
       UserState& u = users_[i];
       const scenario::PerUserConfig pu = user_overrides(i);
@@ -586,37 +585,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         priority_[i] = pu.priority;
       }
       Feed feed;
-      const std::size_t begin = script_arena_.size();
       if (stream_mode) {
-        const apps::ArrivalStreamParams params{
+        stream_params_[i] = {
             pu.arrival_probability.value_or(cfg_.arrival_probability),
             pu.diurnal.value_or(cfg_.diurnal),
             pu.diurnal_swing.value_or(cfg_.diurnal_swing),
             pu.diurnal_peak_hour, cfg_.slot_seconds};
-        if (lazy_streams) {
-          stream_params_[i] = params;
-          feed = stream_feed(i, u.join, arrivals_end(u));
-        } else {
-          // Every window's events, in slot order: the script feeds cross
-          // window boundaries without re-positioning (the lazy path re-inits
-          // its cursors at each window advance; stream cursors are
-          // from-independent, so both paths see the same events).
-          const auto append = [&](sim::Slot from, sim::Slot end) {
-            const auto events = apps::materialize_stream(
-                params, arrival_key(i), from, end);
-            script_arena_.insert(script_arena_.end(), events.begin(),
-                                 events.end());
-          };
-          append(u.join, arrivals_end(u));
-          const WindowSlice later = windows_of(i);
-          for (std::uint32_t w = later.next; w < later.end; ++w) {
-            const scenario::PresenceWindow win = extra_windows_[w];
-            const sim::Slot end = std::min(cfg_.horizon_slots, win.leave);
-            if (win.join < end) append(win.join, end);
-          }
-          feed = end_script(begin);
-        }
+        feed = stream_feed(i, u.join, arrivals_end(u));
       } else {
+        const std::size_t begin = script_arena_.size();
         generate_script(u, pu);
         feed = end_script(begin);
       }
@@ -982,8 +959,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // Drain the retiring window's remaining arrivals (all strictly before
     // the leave slot) through the live machine before repositioning its
     // feed: the lazy re-init below skips past them, so consuming them now
-    // keeps the session state identical between the lazy and pregenerated
-    // stream paths (the replay machine was drained by the leave event's
+    // keeps the session state identical to a script feed of the same
+    // stream (the replay machine was drained by the leave event's
     // catch_up).
     advance_session(u.live_sess, index, t);
     const scenario::PresenceWindow w = extra_windows_[windows_[index].next++];
@@ -1075,6 +1052,19 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
     hot_.clear();  // fully merged; the batch's idle rows refill it
     if (!due_.empty()) {
+#ifndef NDEBUG
+      // The cached rows (hot across slots, refreshed at app_until, screened
+      // through left_ready_) must carry what decide() reads per user.
+      for (const ReadyRow& row : due_) {
+        assert(row.device ==
+               static_cast<std::uint8_t>(users_[row.user].dev_kind));
+        const std::optional<device::AppKind> app = user_app(row.user);
+        assert(row.app == (app ? static_cast<std::uint8_t>(*app)
+                               : static_cast<std::uint8_t>(device::kAppKinds)));
+        assert(std::bit_cast<std::uint64_t>(row.gap(t - 1, cfg_.epsilon)) ==
+               std::bit_cast<std::uint64_t>(user_gap(row.user)));
+      }
+#endif
       scheduler_->decide_batch(due_.data(), due_.size(), t, *this, *this);
     }
     // Gated rows stay hot, re-sorted into the ascending order the next

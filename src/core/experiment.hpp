@@ -59,7 +59,8 @@ struct ExperimentConfig {
   /// Trace-driven fleet (scenario faults.trace_dir): a directory of
   /// per-user "slot,app" CSV logs; user i replays file i mod file-count
   /// (sorted by name, see apps::load_arrival_trace_dir). Takes precedence
-  /// over arrival_trace_path; incompatible with arrival_streams.
+  /// over arrival_trace_path. Combines with arrival_streams (see there);
+  /// only the scenario layer rejects trace_dir together with stream_rng.
   std::string arrival_trace_dir;
 
   /// Counter-based arrival streams (apps/arrival_stream.hpp): sample each
@@ -68,14 +69,11 @@ struct ExperimentConfig {
   /// O(arrival events) instead of O(users x horizon) — the 1M-user mode.
   /// Changes the RNG layout (per-user streams replace the master-fork
   /// chain), so trajectories differ from the legacy default; the
-  /// stream-parity goldens pin this mode. Ignored when an arrival trace is
-  /// replayed (the trace is already materialized).
+  /// stream-parity goldens pin this mode. Under an arrival trace the trace
+  /// supplies the arrivals, but the streams still key each user's device
+  /// pick and runtime draws: a trace holding a user's materialized stream
+  /// replays the lazy run exactly (the tests' stream oracle).
   bool arrival_streams = false;
-  /// Stream mode only: materialize every user's stream into the script
-  /// arena up front instead of iterating it lazily. Bit-identical results
-  /// to the lazy path by construction (same stream, same draws) — the A/B
-  /// switch the stream-equivalence test battery flips.
-  bool pregenerate_streams = false;
 
   /// Device fleet: by default each user uniformly picks one of the four
   /// testbed devices; set `fixed_device` to pin every user to one model.
@@ -108,13 +106,6 @@ struct ExperimentConfig {
   /// deferred work by the fraction of the window the user remains present.
   /// Off by default — the oblivious plan of every committed golden.
   bool offline_churn_aware = false;
-
-  /// Batched online decide (the paper's centralized Sec. V-A variant):
-  /// evaluate Eq. (21) for all due ready users of a slot in one pass over
-  /// flat per-user arrays. Bit-identical to the per-user scalar path (the
-  /// same arithmetic in the same order), so it defaults on; turn off to
-  /// force the scalar reference (tests compare the two fingerprints).
-  bool online_batch_decide = true;
 
   /// Churn-aware online rule: discount the Eq. (21) H(t)·gap pressure by a
   /// remaining-presence factor — a user whose departure precedes the end of

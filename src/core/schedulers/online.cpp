@@ -28,10 +28,6 @@ void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
                                            std::size_t count, sim::Slot t,
                                            SchedulerContext& ctx,
                                            DecisionSink& sink) {
-  if (!batch_enabled_) {
-    Scheduler::decide_batch(rows, count, t, ctx, sink);  // scalar reference
-    return;
-  }
   // The parking promise is uniform across the batch (ready_parked_until
   // ignores the user), so it is computed once and every idle run is
   // reported with one sink call.
@@ -54,8 +50,8 @@ void OnlineLyapunovScheduler::decide_batch(const ReadyRow* rows,
   const double epsilon = online_.config().epsilon;
   const bool scaled = churn_aware_ || has_priority_;
   // Same h * scale product as the scalar path's queues_.h() * h_scale —
-  // the batched-vs-scalar goldens stay pinned in the churn/VIP modes too,
-  // and the screen weighs both costs with the value the evaluation uses.
+  // the batch matches decide() in the churn/VIP modes too, and the screen
+  // weighs both costs with the value the evaluation uses.
   const auto h_eff = [&](const ReadyRow& row, const ClassSlot& cls) {
     return scaled ? h * h_scale_for(ctx, row.user, t, cls.end) : h;
   };

@@ -1,13 +1,13 @@
 // Online scheduling: the distributed Lyapunov drift-plus-penalty rule of
 // Algorithm 2 / Eq. (21). The strategy owns the OnlineScheduler (queue
 // state + decision rule) and feeds it per-user inputs assembled from the
-// driver context; the driver stays scheme-agnostic. When
-// config.online_batch_decide is set (the default) the per-slot consults
+// driver context; the driver stays scheme-agnostic. The per-slot consults
 // arrive through decide_batch — the paper's centralized Sec. V-A variant:
 // one pass over the due ReadyRows, slot-invariant terms hoisted, an exact
 // idle screen settling most rows without a lag lookup. Decisions are
-// bit-identical to the scalar path (same arithmetic, same order, same
-// intra-slot coupling through the DecisionSink).
+// bit-identical to the per-user decide() loop (same arithmetic, same
+// order, same intra-slot coupling through the DecisionSink);
+// core_batch_engine_test holds the two against each other.
 #pragma once
 
 #include <array>
@@ -24,7 +24,6 @@ class OnlineLyapunovScheduler final : public Scheduler {
       : online_({config.V, config.lb, config.epsilon, config.slot_seconds,
                  config.eta, config.beta}),
         decision_interval_slots_(config.decision_interval_slots),
-        batch_enabled_(config.online_batch_decide),
         churn_aware_(config.online_churn_aware) {
     // Eq. (10) power levels of the two candidate actions, precomputed per
     // (device kind, foreground app | no-app): the same device::power_w
@@ -55,8 +54,7 @@ class OnlineLyapunovScheduler final : public Scheduler {
   [[nodiscard]] device::Decision decide(std::size_t user, sim::Slot t,
                                         SchedulerContext& ctx) override;
 
-  /// The batched Sec. V-A pass (see the file comment). Falls back to the
-  /// scalar base-class loop when config.online_batch_decide is off.
+  /// The batched Sec. V-A pass (see the file comment).
   void decide_batch(const ReadyRow* rows, std::size_t count, sim::Slot t,
                     SchedulerContext& ctx, DecisionSink& sink) override;
 
@@ -146,7 +144,6 @@ class OnlineLyapunovScheduler final : public Scheduler {
 
   OnlineScheduler online_;
   sim::Slot decision_interval_slots_;
-  bool batch_enabled_;
   bool churn_aware_;
   /// Any user with a priority weight != 1.0? (see on_experiment_begin)
   bool has_priority_ = false;

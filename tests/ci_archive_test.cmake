@@ -9,6 +9,10 @@
 # The engines differ by floating-point associativity only, so G/H drift
 # stays far below 1e-6; every decision, update, drop, session and energy
 # value must match, and any integer change (>= 1) trips the gate.
+# Every committed ci/*.json document also reloads through
+# fedco_sim --config <archive> --save-config: the retired engine switches
+# it carries (folded_gap_accrual, online_batch_decide,
+# pregenerate_streams) load, and the saved config writes none of them.
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DMETRICS_DIFF=<binary>
 #             -DFEDCO_SOURCE=<repo root> -P ci_archive_test.cmake
 
@@ -48,5 +52,29 @@ check_archive(churn_online_archive --scenario ${churn} --scheduler online
               --drop-p 0.2 --seed 42)
 check_archive(churn_offline_archive --scenario ${churn} --scheduler offline
               --drop-p 0.2 --seed 42)
+
+file(GLOB archives ${FEDCO_SOURCE}/ci/*.json)
+list(LENGTH archives archive_count)
+if(archive_count LESS 5)
+  message(FATAL_ERROR "expected the ci/*.json archives, found: ${archives}")
+endif()
+foreach(archive ${archives})
+  get_filename_component(name ${archive} NAME_WE)
+  set(saved ${work_dir}/${name}-config.json)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --config ${archive} --save-config ${saved}
+    RESULT_VARIABLE reload_rc OUTPUT_QUIET ERROR_VARIABLE reload_err
+  )
+  if(NOT reload_rc EQUAL 0)
+    message(FATAL_ERROR
+      "${name}: --config reload exited ${reload_rc}:\n${reload_err}")
+  endif()
+  file(READ ${saved} saved_text)
+  foreach(key folded_gap_accrual online_batch_decide pregenerate_streams)
+    if(saved_text MATCHES "\"${key}\"")
+      message(FATAL_ERROR "${name}: the saved config still writes ${key}")
+    endif()
+  endforeach()
+endforeach()
 
 message(STATUS "ci archive contract passed")

@@ -15,8 +15,10 @@
 #      --save-summary writes a summary artifact; an unopenable events path
 #      exits non-zero; --save-result with --replications archives one
 #      document per replication.
-#   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir is
-#      rejected up front with exit 2 and a path-bearing message.
+#   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir,
+#      and a missing or malformed single trace (arrival_trace_path in a
+#      --config file, --arrival-trace), is rejected up front with exit 2
+#      and a path-bearing message.
 #   8. A malformed --config (a bad per_user entry) or --scenario file
 #      exits 2, and stderr names both the file and the field (also for an
 #      out-of-range per_user arrival law or a scenario horizon past
@@ -277,6 +279,32 @@ endif()
 if(NOT bad_csv_err MATCHES "bad.csv")
   message(FATAL_ERROR
     "malformed trace-CSV error did not name the file:\n${bad_csv_err}")
+endif()
+
+# The single shared trace is preflighted the same way: a missing file
+# named by a --config document, and a bad slot in a --arrival-trace file.
+file(WRITE ${work_dir}/missing_trace.json
+  "{\"num_users\":3,\"horizon_slots\":100,"
+  "\"arrival_trace_path\":\"${work_dir}/no-such-trace.csv\"}\n")
+execute_process(
+  COMMAND ${FEDCO_SIM} --config ${work_dir}/missing_trace.json
+  RESULT_VARIABLE no_trace_rc ERROR_VARIABLE no_trace_err OUTPUT_QUIET
+)
+if(NOT no_trace_rc EQUAL 2 OR NOT no_trace_err MATCHES "no-such-trace.csv")
+  message(FATAL_ERROR
+    "missing arrival_trace_path exited ${no_trace_rc} (want 2, naming the "
+    "path):\n${no_trace_err}")
+endif()
+file(WRITE ${work_dir}/bad_trace.csv "slot,app\n12x,map\n")  # line 1: header
+execute_process(
+  COMMAND ${FEDCO_SIM} --scheduler online --horizon 60 --users 4
+          --arrival-trace ${work_dir}/bad_trace.csv
+  RESULT_VARIABLE bad_trace_rc ERROR_VARIABLE bad_trace_err OUTPUT_QUIET
+)
+if(NOT bad_trace_rc EQUAL 2 OR NOT bad_trace_err MATCHES "bad_trace.csv")
+  message(FATAL_ERROR
+    "malformed --arrival-trace exited ${bad_trace_rc} (want 2, naming the "
+    "file):\n${bad_trace_err}")
 endif()
 
 # --- 8. malformed --config / --scenario files -------------------------------

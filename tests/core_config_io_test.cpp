@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <string_view>
 
 #include "core/config_io.hpp"
@@ -341,15 +342,24 @@ TEST(ConfigIo, OutOfRangeTrainingKnobsAreNamedAtLoad) {
 
 TEST(ConfigIo, RetiredGapEngineKeyLoadsAtEitherValueAndIsNotWritten) {
   // Every archive written before the folded engine became the only one
-  // carries folded_gap_accrual (false); it selects nothing now.
-  EXPECT_TRUE(config_from_json(R"({"folded_gap_accrual":false})") ==
-              ExperimentConfig{});
-  EXPECT_TRUE(config_from_json(R"({"folded_gap_accrual":true})") ==
-              ExperimentConfig{});
-  EXPECT_THROW((void)config_from_json(R"({"folded_gap_accrual":1})"),
-               std::invalid_argument);
-  EXPECT_EQ(config_to_json(ExperimentConfig{}).find("folded_gap_accrual"),
-            std::string::npos);
+  // carries folded_gap_accrual (false), and before the batched decide and
+  // the lazy streams became the only engines, online_batch_decide (true)
+  // and pregenerate_streams (false). Each retired engine was bit-identical
+  // to its survivor, so the keys select nothing now.
+  for (const std::string key :
+       {"folded_gap_accrual", "online_batch_decide", "pregenerate_streams"}) {
+    EXPECT_TRUE(config_from_json("{\"" + key + "\":false}") ==
+                ExperimentConfig{})
+        << key;
+    EXPECT_TRUE(config_from_json("{\"" + key + "\":true}") ==
+                ExperimentConfig{})
+        << key;
+    EXPECT_THROW((void)config_from_json("{\"" + key + "\":1}"),
+                 std::invalid_argument)
+        << key;
+    EXPECT_EQ(config_to_json(ExperimentConfig{}).find(key), std::string::npos)
+        << key;
+  }
 }
 
 TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {

@@ -12,9 +12,9 @@
 // ("environment" in core_scheduler_parity_test: gated slots, recharges
 // and throttled sessions under all four schemes), plain real training
 // ("real-training" there), script-arena feeds (every legacy-mode golden,
-// the pregenerated half of the stream battery, the trace-driven fault
-// golden) and the lazy oracle over single-window stream users
-// ("stream-churn" offline in scenario_stream_parity_test).
+// the traced half of the stream battery, the trace-driven fault golden)
+// and the lazy oracle over single-window stream users ("stream-churn"
+// offline in scenario_stream_parity_test).
 //
 // Re-pin after an intentional trajectory change with
 //   FEDCO_REGEN_GOLDENS=1 ./core_user_state_test
@@ -27,9 +27,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/arrival_stream.hpp"
 #include "core/config_io.hpp"
 #include "golden_fingerprint.hpp"
 #include "scenario/spec.hpp"
+#include "stream_oracle.hpp"
 
 namespace fedco::core {
 namespace {
@@ -117,11 +119,9 @@ TEST(SideColumnGoldens, EveryColumnIsPinned) {
     const ExperimentConfig cfg = column_config(golden.scenario, golden.kind);
     const std::uint64_t fp = testing::fingerprint(run_experiment(cfg));
     if (cfg.arrival_streams) {
-      // The pregenerated arena spans every window; the lazy oracle walks
-      // them itself. Both must see the same look-ahead.
-      ExperimentConfig pregen = cfg;
-      pregen.pregenerate_streams = true;
-      EXPECT_EQ(testing::fingerprint(run_experiment(pregen)), fp)
+      // The traced script spans every window; the lazy oracle walks them
+      // itself. Both must see the same look-ahead.
+      EXPECT_EQ(testing::fingerprint(testing::run_stream_oracle(cfg)), fp)
           << golden.scenario << " / " << scheduler_name(golden.kind);
     }
     if (regen_mode()) {
@@ -191,11 +191,14 @@ TEST(UserStateColumns, EveryModeOffAllocatesNoSideColumn) {
   }
   // The paper-scale configuration the sweep campaigns run.
   EXPECT_EQ(user_state_bytes(ExperimentConfig{}).side, 0u);
-  // Pregenerated streams live in the script arena too.
-  ExperimentConfig pregen = small_run();
-  pregen.arrival_streams = true;
-  pregen.pregenerate_streams = true;
-  EXPECT_EQ(user_state_bytes(pregen).side, 0u);
+  // Lazy streams hold one arrival law per user. Replayed as a trace (the
+  // stream oracle, whose guard checks the traced run allocates one law
+  // less per user), they live in the script arena and need none.
+  ExperimentConfig streams = small_run();
+  streams.arrival_streams = true;
+  EXPECT_EQ(user_state_bytes(streams).side, sizeof(apps::ArrivalStreamParams));
+  EXPECT_EQ(testing::fingerprint(testing::run_stream_oracle(streams)),
+            testing::fingerprint(run_experiment(streams)));
 }
 
 TEST(UserStateColumns, EachModeAllocatesOnlyItsColumn) {

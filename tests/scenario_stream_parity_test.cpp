@@ -12,15 +12,16 @@
 //      fleet_from round-trip every fleet.
 //   3. Driver level (the headline goldens): for churn, diurnal-shifted,
 //      LTE-heavy, and per-user-override scenarios under all four schedulers,
-//      a lazy-stream run is bit-identical to a pregenerated-stream run
-//      (pregenerate_streams materializes the very same streams into the
-//      script arena). The fingerprints are additionally pinned as golden
-//      constants so the stream mode's trajectories cannot drift silently
-//      between releases.
+//      a lazy-stream run is bit-identical to the stream oracle's run, which
+//      replays the very same streams, materialized up front, as a trace
+//      directory through the script feed (stream_oracle.hpp). The
+//      fingerprints are additionally pinned as golden constants so the
+//      stream mode's trajectories cannot drift silently between releases.
 //
 // Like the core_scheduler_parity goldens, the pinned constants are IEEE-754
-// bit patterns from the reference x86-64/libstdc++ toolchain; the A/B
-// equality (lazy == pregenerated) must hold on every platform. Re-pin after an intentional stream-layout change with
+// bit patterns from the reference x86-64/libstdc++ toolchain; the oracle
+// equality (lazy == traced) must hold on every platform. Re-pin after an
+// intentional stream-layout change with
 //   FEDCO_REGEN_GOLDENS=1 ./scenario_stream_parity_test
 // and paste the printed table (see tests/README.md).
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "core/config_io.hpp"
 #include "golden_fingerprint.hpp"
 #include "scenario/spec.hpp"
+#include "stream_oracle.hpp"
 #include "util/stream_rng.hpp"
 
 namespace fedco::core {
@@ -305,9 +307,9 @@ struct StreamGolden {
   std::uint64_t fingerprint;
 };
 
-// Captured from the initial stream-mode implementation (PR 6) with
+// Captured from the initial stream-mode implementation with
 // FEDCO_REGEN_GOLDENS=1; every row is the fingerprint of BOTH the lazy and
-// the pregenerated run (the test asserts they agree before comparing).
+// the traced run (the test asserts they agree before comparing).
 constexpr StreamGolden kStreamGoldens[] = {
     {"stream-churn", SchedulerKind::kImmediate, 0x16112152BA2F85D0ULL},
     {"stream-churn", SchedulerKind::kSyncSgd, 0x95D831B433286C93ULL},
@@ -327,20 +329,17 @@ constexpr StreamGolden kStreamGoldens[] = {
     {"stream-overrides", SchedulerKind::kOnline, 0x200264372E7838B7ULL},
 };
 
-TEST(StreamParity, LazyStreamsMatchPregeneratedScriptsAndGoldens) {
+TEST(StreamParity, LazyStreamsMatchTracedScriptsAndGoldens) {
   for (const StreamGolden& golden : kStreamGoldens) {
-    ExperimentConfig lazy = battery_config(golden.scenario, golden.kind);
+    const ExperimentConfig lazy = battery_config(golden.scenario, golden.kind);
     ASSERT_TRUE(lazy.arrival_streams) << golden.scenario;
-    lazy.pregenerate_streams = false;
-    ExperimentConfig pregen = lazy;
-    pregen.pregenerate_streams = true;
 
     const std::uint64_t lazy_fp = testing::fingerprint(run_experiment(lazy));
-    const std::uint64_t pregen_fp =
-        testing::fingerprint(run_experiment(pregen));
+    const std::uint64_t traced_fp =
+        testing::fingerprint(testing::run_stream_oracle(lazy));
     // The equivalence proof: on-demand consumption is bit-identical to
     // materializing the same streams up front. Platform-independent.
-    EXPECT_EQ(lazy_fp, pregen_fp)
+    EXPECT_EQ(lazy_fp, traced_fp)
         << golden.scenario << " / " << scheduler_name(golden.kind);
 
     if (regen_mode()) {
