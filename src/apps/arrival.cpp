@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace fedco::apps {
 
 device::AppKind random_app(util::Rng& rng) noexcept {
@@ -85,12 +87,6 @@ std::vector<ScriptedArrivals::Event> load_arrival_trace_csv(
            (app_text.back() == '\r' || app_text.back() == ' ')) {
       app_text.pop_back();
     }
-    // Skip a header row (anything in the slot column beyond digits and
-    // blank padding — which is tolerated on data rows below — is a name).
-    if (line_number == 1 && slot_text.find_first_not_of("0123456789 \t") !=
-                                std::string::npos) {
-      continue;
-    }
     // Slots must be whole non-negative numbers: a sign, stray characters
     // ("12x"), or anything stoll would silently truncate is a malformed
     // row, and an over-range value would wrap into a bogus slot. Blank
@@ -100,6 +96,9 @@ std::vector<ScriptedArrivals::Event> load_arrival_trace_csv(
     const std::string trimmed =
         begin == std::string::npos ? std::string{}
                                    : slot_text.substr(begin, finish - begin + 1);
+    // Line 1 is a header only when its slot column is named "slot" (in any
+    // case); any other first line is data, so a malformed one fails.
+    if (line_number == 1 && util::ascii_lowered(trimmed) == "slot") continue;
     if (trimmed.empty() ||
         trimmed.find_first_not_of("0123456789") != std::string::npos) {
       throw std::invalid_argument{

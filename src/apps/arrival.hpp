@@ -115,8 +115,9 @@ class ScriptedArrivals final : public ArrivalProcess {
 /// kind; returns false on an unknown name.
 [[nodiscard]] bool parse_app_name(std::string_view name, device::AppKind& out) noexcept;
 
-/// Load a usage trace from CSV with rows "slot,app" (header optional; app by
-/// name or numeric index). Real deployments can replay measured usage logs
+/// Load a usage trace from CSV with rows "slot,app" (app by name or numeric
+/// index). Line 1 is skipped as a header only when its slot column reads
+/// "slot", in any case. Real deployments can replay measured usage logs
 /// through ScriptedArrivals with this. Throws std::runtime_error on I/O
 /// failure and std::invalid_argument on malformed rows.
 [[nodiscard]] std::vector<ScriptedArrivals::Event> load_arrival_trace_csv(

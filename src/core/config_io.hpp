@@ -12,6 +12,8 @@
 // Loading is strict about keys (an unknown key throws — it is almost
 // always a typo) but lenient about omissions: absent keys keep their
 // ExperimentConfig defaults, so scenario files only state what they change.
+// Load and save walk one field table per JSON object (util::JsonField), so
+// each key is spelled once.
 #pragma once
 
 #include <optional>

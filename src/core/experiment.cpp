@@ -1424,9 +1424,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     } else {
       ++result_.separate_sessions;
     }
-    gap_[index] = fl::gradient_gap(
-        cfg_.eta, cfg_.beta, expected_lag(u, status, u.train_app, t),
-        momentum_norm());
+    const double lag = expected_lag(u, status, u.train_app, t);
+    gap_[index] = fl::gradient_gap(cfg_.eta, cfg_.beta, lag, momentum_norm());
     u.phase = Phase::kTraining;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(duration), 1);
     if (cfg_.real_training) {
@@ -1437,8 +1436,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         // Adopt the Eq. (3) prediction of where the global model will be by
         // the time this session's update lands (lag steps of decayed
         // server-side momentum).
-        const double lag =
-            expected_lag(u, status, u.train_app, t);
         std::vector<float> predicted;
         fl::predict_weights(adopted, server_->momentum_estimate(), cfg_.eta,
                             cfg_.beta, lag, predicted);

@@ -1,23 +1,8 @@
 #include "core/online_scheduler.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace fedco::core {
-
-std::vector<OnlineDecisionOutcome> OnlineScheduler::decide_all(
-    const std::vector<const device::DeviceProfile*>& devices,
-    const std::vector<OnlineDecisionInput>& inputs) const {
-  if (devices.size() != inputs.size()) {
-    throw std::invalid_argument{"decide_all: devices/inputs size mismatch"};
-  }
-  std::vector<OnlineDecisionOutcome> out;
-  out.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    out.push_back(decide(*devices[i], inputs[i]));
-  }
-  return out;
-}
 
 double OnlineScheduler::amplification(double lag) const {
   const auto index = static_cast<std::size_t>(lag);

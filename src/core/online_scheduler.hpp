@@ -59,14 +59,6 @@ class OnlineScheduler {
   [[nodiscard]] OnlineDecisionOutcome decide(
       const device::DeviceProfile& dev, const OnlineDecisionInput& input) const;
 
-  /// Centralized implementation (Sec. V-A): the parameter server evaluates
-  /// all n users in one O(n) pass. Produces exactly the same decisions as
-  /// per-user decide() — the difference is purely where the app-usage
-  /// information lives (the privacy trade-off the paper discusses).
-  [[nodiscard]] std::vector<OnlineDecisionOutcome> decide_all(
-      const std::vector<const device::DeviceProfile*>& devices,
-      const std::vector<OnlineDecisionInput>& inputs) const;
-
   /// Batched core of decide() for the one-pass Sec. V-A evaluation: the
   /// caller hoists the slot-invariant queue backlogs and precomputes the
   /// two candidate power levels (the same device::power_w values decide()

@@ -6,7 +6,8 @@
 // (an unknown key throws — it is almost always a typo) but lenient about
 // omissions: absent keys keep their ScenarioSpec defaults, so scenario
 // files only state what they change. save/load round-trips to an
-// operator== equal spec (doubles in shortest-round-trip form).
+// operator== equal spec (doubles in shortest-round-trip form); both walk
+// one field table per JSON object (util::JsonField).
 #pragma once
 
 #include <string>

@@ -257,9 +257,21 @@ TEST(TraceCsvTest, ErrorPaths) {
   EXPECT_THROW(load_arrival_trace_csv(path), std::invalid_argument);
   {
     std::ofstream out{path};
-    out << "xyz,Map\n0,Map\n";  // first line treated as header, second OK
+    out << "xyz,Map\n0,Map\n";  // only a "slot" column names a header
+  }
+  EXPECT_THROW(load_arrival_trace_csv(path), std::invalid_argument);
+  {
+    std::ofstream out{path};
+    out << " SLOT ,App\n0,Map\n";  // a header in any case, blank-padded
   }
   EXPECT_EQ(load_arrival_trace_csv(path).size(), 1u);
+  {
+    std::ofstream out{path};
+    out << " 42 ,Map\n";  // a blank-padded first row is data
+  }
+  const auto first_row = load_arrival_trace_csv(path);
+  ASSERT_EQ(first_row.size(), 1u);
+  EXPECT_EQ(first_row[0].at, 42);
 }
 
 TEST(TraceCsvTest, OutOfRangeAndMalformedSlotsThrow) {

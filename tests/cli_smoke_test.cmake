@@ -17,8 +17,9 @@
 #      document per replication.
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir,
 #      and a missing or malformed single trace (arrival_trace_path in a
-#      --config file, --arrival-trace), is rejected up front with exit 2
-#      and a path-bearing message.
+#      --config file, --arrival-trace, including a bad first row that
+#      no "slot" column marks as a header), is rejected up front with
+#      exit 2 and a path-bearing message.
 #   8. A malformed --config (a bad per_user entry) or --scenario file
 #      exits 2, and stderr names both the file and the field (also for an
 #      out-of-range per_user arrival law or a scenario horizon past
@@ -295,17 +296,22 @@ if(NOT no_trace_rc EQUAL 2 OR NOT no_trace_err MATCHES "no-such-trace.csv")
     "missing arrival_trace_path exited ${no_trace_rc} (want 2, naming the "
     "path):\n${no_trace_err}")
 endif()
-file(WRITE ${work_dir}/bad_trace.csv "slot,app\n12x,map\n")  # line 1: header
-execute_process(
-  COMMAND ${FEDCO_SIM} --scheduler online --horizon 60 --users 4
-          --arrival-trace ${work_dir}/bad_trace.csv
-  RESULT_VARIABLE bad_trace_rc ERROR_VARIABLE bad_trace_err OUTPUT_QUIET
-)
-if(NOT bad_trace_rc EQUAL 2 OR NOT bad_trace_err MATCHES "bad_trace.csv")
-  message(FATAL_ERROR
-    "malformed --arrival-trace exited ${bad_trace_rc} (want 2, naming the "
-    "file):\n${bad_trace_err}")
-endif()
+# Only a slot column named "slot" makes line 1 a header, so a malformed
+# first data row fails as well.
+file(WRITE ${work_dir}/bad_trace.csv "slot,app\n12x,map\n")
+file(WRITE ${work_dir}/bad_first_row.csv "12x,map\n")
+foreach(trace bad_trace.csv bad_first_row.csv)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --scheduler online --horizon 60 --users 4
+            --arrival-trace ${work_dir}/${trace}
+    RESULT_VARIABLE bad_trace_rc ERROR_VARIABLE bad_trace_err OUTPUT_QUIET
+  )
+  if(NOT bad_trace_rc EQUAL 2 OR NOT bad_trace_err MATCHES "${trace}")
+    message(FATAL_ERROR
+      "malformed --arrival-trace ${trace} exited ${bad_trace_rc} (want 2, "
+      "naming the file):\n${bad_trace_err}")
+  endif()
+endforeach()
 
 # --- 8. malformed --config / --scenario files -------------------------------
 file(WRITE ${work_dir}/bad_per_user.json

@@ -6,8 +6,11 @@
 
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -746,6 +749,62 @@ TEST(ConfigIo, LoadsFromResultDocument) {
   const ExperimentConfig reloaded =
       config_from_json(result_to_json(cfg, result));
   EXPECT_TRUE(reloaded == cfg);
+}
+
+// ------------------------------------------------------------- pinned bytes
+//
+// FNV-1a hashes of the writer's output, captured before the loader and the
+// writer were folded into one field table: any change to the written bytes
+// (a key's spelling, order or omission rule, a number's form) fails here.
+
+std::uint64_t hash_bytes(const std::string& text) {
+  testing::Fingerprint fp;
+  fp.add(text);
+  return fp.value();
+}
+
+TEST(ConfigIoPinnedBytes, DefaultConfig) {
+  EXPECT_EQ(hash_bytes(config_to_json(ExperimentConfig{})),
+            0x9620EBC43B77A6D1ULL);
+}
+
+TEST(ConfigIoPinnedBytes, FullyPopulatedConfig) {
+  // Every nested object off its defaults, outages, a trace directory, and
+  // per_user entries using every override (exotic_config's fleet: both
+  // extra-window forms, a degradation mask, a priority).
+  ExperimentConfig cfg = exotic_config();
+  cfg.arrival_trace_dir = "/tmp/fedco traces";
+  cfg.arrival_streams = true;
+  cfg.offline_churn_aware = true;
+  cfg.online_churn_aware = true;
+  cfg.outages = {{10, 20}, {300, 450}};
+  EXPECT_EQ(hash_bytes(config_to_json(cfg)), 0x98718EE54CF92B5FULL);
+}
+
+TEST(ConfigIoPinnedBytes, EveryCiConfigReloadsToTheSameBytes) {
+  // Each committed ci/*.json document (result and summary archives with an
+  // embedded config, some carrying retired keys) loads and saves to the
+  // same bytes as before the field table.
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"churn_offline_archive.json", 0x3D8EB487D03B02E4ULL},
+      {"churn_online_archive.json", 0x47238727ACE8F262ULL},
+      {"offline_summary.json", 0x3D8EB487D03B02E4ULL},
+      {"online_archive.json", 0xEA479D124933BF8CULL},
+      {"smoke_summary.json", 0xEA479D124933BF8CULL},
+  };
+  const std::filesystem::path ci =
+      std::filesystem::path{FEDCO_SCENARIOS_DIR}.parent_path().parent_path() /
+      "ci";
+  std::map<std::string, std::uint64_t> seen;
+  for (const auto& entry : std::filesystem::directory_iterator{ci}) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in{entry.path()};
+    std::ostringstream text;
+    text << in.rdbuf();
+    seen[entry.path().filename().string()] =
+        hash_bytes(config_to_json(config_from_json(text.str())));
+  }
+  EXPECT_EQ(seen, pinned);
 }
 
 TEST(ConfigIo, SchedulerTokensAcceptBothVocabularies) {

@@ -158,37 +158,6 @@ TEST(OnlineDecision, VZeroSchedulesWheneverQueued) {
             Decision::kSchedule);
 }
 
-TEST(OnlineDecision, CentralizedEqualsDistributed) {
-  // Sec. V-A: the O(n) centralized pass and the per-user distributed
-  // evaluation of Eq. (21) make identical decisions.
-  util::Rng rng{99};
-  OnlineScheduler sched{base_config()};
-  sched.update_queues(12.0, 3.0, 80.0);
-  std::vector<const device::DeviceProfile*> devices;
-  std::vector<OnlineDecisionInput> inputs;
-  for (int i = 0; i < 50; ++i) {
-    devices.push_back(&device::profile(static_cast<device::DeviceKind>(
-        rng.uniform_int(device::kDeviceKinds))));
-    OnlineDecisionInput input;
-    input.app_status = rng.bernoulli(0.5) ? AppStatus::kApp : AppStatus::kNoApp;
-    input.app = static_cast<AppKind>(rng.uniform_int(device::kAppKinds));
-    input.current_gap = rng.uniform(0.0, 30.0);
-    input.expected_lag = rng.uniform(0.0, 24.0);
-    input.momentum_norm = rng.uniform(0.0, 20.0);
-    inputs.push_back(input);
-  }
-  const auto central = sched.decide_all(devices, inputs);
-  ASSERT_EQ(central.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto local = sched.decide(*devices[i], inputs[i]);
-    EXPECT_EQ(central[i].decision, local.decision);
-    EXPECT_DOUBLE_EQ(central[i].cost_schedule, local.cost_schedule);
-    EXPECT_DOUBLE_EQ(central[i].cost_idle, local.cost_idle);
-  }
-  EXPECT_THROW(sched.decide_all(devices, std::vector<OnlineDecisionInput>{}),
-               std::invalid_argument);
-}
-
 /// Property sweep: the decision must be consistent with its own reported
 /// costs for random states, and costs must be finite.
 class OnlineDecisionProperty : public ::testing::TestWithParam<std::uint64_t> {};

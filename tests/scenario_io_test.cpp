@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 
+#include "golden_fingerprint.hpp"
 #include "scenario/scenario_io.hpp"
 
 namespace fedco::scenario {
@@ -220,6 +224,73 @@ TEST(ScenarioIo, FileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_THROW((void)load_scenario_json("/no/such/scenario.json"),
                std::runtime_error);
+}
+
+// ------------------------------------------------------------- pinned bytes
+//
+// FNV-1a hashes of the writer's output, captured before the loader and the
+// writer were folded into one field table: any change to the written bytes
+// (a key's spelling, order or omission rule, a number's form) fails here.
+
+std::uint64_t hash_bytes(const std::string& text) {
+  testing::Fingerprint fp;
+  fp.add(text);
+  return fp.value();
+}
+
+TEST(ScenarioIoPinnedBytes, DefaultSpec) {
+  EXPECT_EQ(hash_bytes(spec_to_json(ScenarioSpec{})), 0x6CC5D1C717CB1E15ULL);
+}
+
+TEST(ScenarioIoPinnedBytes, EveryOptionalSection) {
+  // device_mix, a fraction and a band outage, degradations, commute and a
+  // trace directory; the priority section changes only vip_weight, which
+  // must still be written.
+  ScenarioSpec spec = exotic_spec();
+  spec.priority = PrioritySpec{};
+  spec.priority.vip_weight = 6.5;
+  EXPECT_EQ(hash_bytes(spec_to_json(spec)), 0x6C14239609EB103AULL);
+  EXPECT_EQ(hash_bytes(spec_to_json(exotic_spec())), 0xE371651151EC7AF3ULL);
+}
+
+std::map<std::string, std::uint64_t> reload_hashes(const std::string& dir) {
+  const std::filesystem::path root =
+      std::filesystem::path{FEDCO_SCENARIOS_DIR}.parent_path().parent_path();
+  std::map<std::string, std::uint64_t> seen;
+  for (const auto& entry : std::filesystem::directory_iterator{root / dir}) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in{entry.path()};
+    std::ostringstream text;
+    text << in.rdbuf();
+    seen[entry.path().filename().string()] =
+        hash_bytes(spec_to_json(spec_from_json(text.str())));
+  }
+  return seen;
+}
+
+TEST(ScenarioIoPinnedBytes, EveryShippedSpecReloadsToTheSameBytes) {
+  // The example specs and the benchmark's workload specs (read, never
+  // written) load and save to the same bytes as before the field table.
+  const std::map<std::string, std::uint64_t> examples = {
+      {"churn.json", 0xFA121BEBA790ECB7ULL},
+      {"commute.json", 0x66B410CC68D77B29ULL},
+      {"congested_evenings.json", 0x39C236F2C0204924ULL},
+      {"fleet_100k.json", 0x517DA40FEA2F4580ULL},
+      {"fleet_1m.json", 0x36FA956E90162CEBULL},
+      {"global_diurnal.json", 0xDA9D081F426DB21AULL},
+      {"heterogeneous_fleet.json", 0x258254E2026E1217ULL},
+      {"homogeneous_paper.json", 0x7272DBF9E3E3AF78ULL},
+      {"regional_outage.json", 0x38EE13C70408B199ULL},
+      {"trace_replay.json", 0x137F24FA580AA477ULL},
+      {"vip_priority.json", 0xFD94ECF30F4E93B6ULL},
+  };
+  EXPECT_EQ(reload_hashes("examples/scenarios"), examples);
+  const std::map<std::string, std::uint64_t> workloads = {
+      {"fleet_100k.json", 0x517DA40FEA2F4580ULL},
+      {"fleet_1m.json", 0x36FA956E90162CEBULL},
+      {"paper.json", 0x7272DBF9E3E3AF78ULL},
+  };
+  EXPECT_EQ(reload_hashes("benchmark/workloads"), workloads);
 }
 
 TEST(ScenarioIo, TokenVocabularies) {

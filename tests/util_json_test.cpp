@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -155,6 +158,126 @@ TEST(JsonParser, DeepNestingIsBounded) {
   std::string hostile;
   for (int i = 0; i < 1000; ++i) hostile += '[';
   EXPECT_THROW((void)parse_json(hostile), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- field tables
+
+enum class Color { kRed, kGreen };
+
+constexpr JsonToken<Color> kColors[] = {
+    {Color::kRed, "red"},
+    {Color::kGreen, "green"},
+    {Color::kGreen, "verde"},  // parse-only alias
+};
+
+const char* color_token(Color c) noexcept { return json_token(kColors, c); }
+Color parse_color(const std::string& name) {
+  return json_parse_token(kColors, name, "color");
+}
+
+struct Point {
+  std::int64_t x = 0;
+  std::int64_t y = -1;
+
+  friend bool operator==(const Point&, const Point&) = default;
+};
+
+struct Shape {
+  std::string name = "shape";
+  std::size_t sides = 3;
+  std::optional<double> scale;
+  Color color = Color::kRed;
+  Point origin;
+  std::vector<Point> path;
+  bool hidden = false;
+};
+
+constexpr JsonField<Point> kPointFields[] = {
+    json_field<&Point::x>("x"),
+    json_field<&Point::y>("y", kOmitDefault),
+};
+
+constexpr JsonField<Shape> kShapeFields[] = {
+    json_field<&Shape::name>("name"),
+    json_field<&Shape::sides>("sides"),
+    json_field<&Shape::scale>("scale", kOmitDefault),
+    json_token_field<&Shape::color, parse_color, color_token>("color"),
+    json_object_field<&Shape::origin, kPointFields>("origin"),
+    json_array_field<&Shape::path, kPointFields>("path", kOmitDefault),
+    json_field<&Shape::hidden>(
+        "hidden", [](const Shape& s) { return !s.hidden; }),
+    {"edges", json_read_member<&Shape::sides>},  // load-only alias
+};
+
+std::string write_shape(const Shape& shape) {
+  JsonWriter json;
+  json_write_object(json, kShapeFields, shape);
+  return json.str();
+}
+
+Shape read_shape(const std::string& text) {
+  Shape shape;
+  json_read_fields(parse_json(text), {"shape_io", "shape", true},
+                   kShapeFields, shape);
+  return shape;
+}
+
+std::string read_error(const std::string& text) {
+  try {
+    (void)read_shape(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "no error";
+}
+
+TEST(JsonFields, WriterWalksRowsInOrderAndOmitsByRule) {
+  EXPECT_EQ(write_shape(Shape{}),
+            R"({"name":"shape","sides":3,"color":"red","origin":{"x":0}})");
+  Shape shape;
+  shape.scale = 2.5;
+  shape.color = Color::kGreen;
+  shape.origin = {4, 5};
+  shape.path = {{1, -1}, {2, 7}};
+  shape.hidden = true;
+  EXPECT_EQ(write_shape(shape),
+            R"({"name":"shape","sides":3,"scale":2.5,"color":"green",)"
+            R"("origin":{"x":4,"y":5},"path":[{"x":1},{"x":2,"y":7}],)"
+            R"("hidden":true})");
+}
+
+TEST(JsonFields, ReaderRoundTripsAndAcceptsLoadOnlyRows) {
+  const Shape shape = read_shape(
+      R"({"edges":5,"scale":0.5,"color":"VERDE","origin":{"x":2},)"
+      R"("path":[{"x":1,"y":2}],"hidden":true})");
+  EXPECT_EQ(shape.sides, 5u);
+  EXPECT_EQ(shape.scale, 0.5);
+  EXPECT_EQ(shape.color, Color::kGreen);
+  EXPECT_EQ(shape.origin.x, 2);
+  EXPECT_EQ(shape.origin.y, -1);
+  ASSERT_EQ(shape.path.size(), 1u);
+  EXPECT_EQ(shape.path[0].y, 2);
+  EXPECT_TRUE(shape.hidden);
+  EXPECT_EQ(write_shape(read_shape(write_shape(shape))), write_shape(shape));
+  EXPECT_EQ(color_token(Color::kGreen), std::string{"green"});
+}
+
+TEST(JsonFields, ErrorsNameTheLoaderAndThePath) {
+  EXPECT_EQ(read_error("[]"), "shape_io: 'shape' must be an object");
+  EXPECT_EQ(read_error(R"({"size":1})"),
+            "shape_io: unknown key 'shape.size'");
+  EXPECT_EQ(read_error(R"({"sides":-1})"),
+            "shape_io: 'sides' must be a non-negative integer");
+  EXPECT_EQ(read_error(R"({"scale":"big"})"),
+            "shape_io: 'scale' must be a number");
+  EXPECT_EQ(read_error(R"({"color":"blue"})"), "unknown color 'blue'");
+  EXPECT_EQ(read_error(R"({"origin":{"z":1}})"),
+            "shape_io: unknown key 'origin.z'");
+  EXPECT_EQ(read_error(R"({"path":{}})"), "shape_io: 'path' must be an array");
+  EXPECT_EQ(read_error(R"({"path":[1]})"),
+            "shape_io: 'path[]' must be an object");
+  EXPECT_EQ(read_error(R"({"path":[{"x":0.5}]})"),
+            "shape_io: 'x' must be an integer");
 }
 
 }  // namespace
