@@ -5,18 +5,28 @@
 
 namespace fedco::apps {
 
-// Both delegate to DiurnalArrivals so the instantaneous rate and its
-// envelope are the paper formula itself, not re-derivations that could drift.
 double ArrivalStreamParams::probability_at(sim::Slot t) const noexcept {
   if (!diurnal) return probability;
-  return DiurnalArrivals{probability, swing, slot_seconds, peak_hour}
-      .probability_at(t);
+  constexpr double kSecondsPerDay = 86400.0;
+  const double seconds = slot_seconds > 0.0 ? slot_seconds : 1.0;
+  const double hour =
+      std::fmod(static_cast<double>(t) * seconds, kSecondsPerDay) / 3600.0;
+  const double phase = (hour - peak_hour) / 24.0 * 2.0 * 3.14159265358979323846;
+  const double factor = 1.0 + std::clamp(swing, 0.0, 1.0) * std::cos(phase);
+  return std::clamp(probability * factor, 0.0, 1.0);
 }
 
 double ArrivalStreamParams::max_probability() const noexcept {
   if (!diurnal) return std::clamp(probability, 0.0, 1.0);
-  return DiurnalArrivals{probability, swing, slot_seconds, peak_hour}
-      .peak_probability();
+  // The envelope is exact under IEEE monotone rounding, so fires() may
+  // reject against it without changing a single outcome:
+  //   - the swing is clamped to [0,1] and cos <= 1, so swing*cos <= swing,
+  //     then 1 + swing*cos <= 1 + swing, then p*f <= p*(1 + swing) for
+  //     p >= 0 (each step is a monotone rounded operation);
+  //   - for p < 0 both sides clamp to 0;
+  //   - a NaN anywhere compares false on both sides.
+  return std::clamp(probability * (1.0 + std::clamp(swing, 0.0, 1.0)), 0.0,
+                    1.0);
 }
 
 void stream_arrivals_next(const ArrivalStreamParams& params,
@@ -65,10 +75,10 @@ ArrivalCursor stream_arrivals_begin(const ArrivalStreamParams& params,
   return cursor;
 }
 
-std::vector<ScriptedArrivals::Event> materialize_stream(
+std::vector<ArrivalEvent> materialize_stream(
     const ArrivalStreamParams& params, std::uint64_t key, sim::Slot from,
     sim::Slot end) {
-  std::vector<ScriptedArrivals::Event> events;
+  std::vector<ArrivalEvent> events;
   for (ArrivalCursor cursor = stream_arrivals_begin(params, key, from, end);
        cursor.at != ArrivalCursor::kNoArrival;
        stream_arrivals_next(params, cursor, end)) {

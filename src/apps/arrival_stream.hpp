@@ -41,21 +41,38 @@ enum class StreamConcern : std::uint64_t {
   kRuntime = 2,   ///< transfer retries, upload drops, client seeding
 };
 
-/// The arrival law of one user's stream (what BernoulliArrivals or
-/// DiurnalArrivals would be constructed with).
+/// The arrival law of one user: a per-slot Bernoulli draw at
+/// `probability`, uniform over the 8 apps, and when `diurnal` is set
+/// sinusoidally modulated with a 24-hour period — the rate peaks at
+/// `peak_hour` and bottoms out twelve hours later at the same 24-hour mean;
+/// `swing` in [0,1] scales the peak-to-trough amplitude. Both the driver's
+/// legacy per-slot walk and the stream cursor read this one type.
 struct ArrivalStreamParams {
   double probability = 0.0;  ///< mean per-slot arrival probability
   bool diurnal = false;
-  double swing = 0.0;
+  double swing = 0.0;         ///< read clamped to [0,1]
   double peak_hour = 20.0;
-  double slot_seconds = 1.0;
+  double slot_seconds = 1.0;  ///< a non-positive length reads as 1 s
 
-  /// Instantaneous per-slot probability (DiurnalArrivals' formula when
-  /// diurnal, the flat rate otherwise).
+  /// Instantaneous per-slot probability: the diurnal curve clamped to
+  /// [0,1] when diurnal, the flat rate otherwise.
   [[nodiscard]] double probability_at(sim::Slot t) const noexcept;
 
-  /// The thinning envelope: the peak instantaneous rate, clamped to [0,1].
+  /// The envelope: the peak of probability_at over all slots, clamped to
+  /// [0,1]. No slot's probability exceeds it (see the proof in the .cpp),
+  /// so the legacy walk may reject against it and the stream path thins
+  /// from it.
   [[nodiscard]] double max_probability() const noexcept;
+
+  /// Whether a uniform `draw` in [0,1) is an arrival at slot `t` — exactly
+  /// `draw < probability_at(t)`, but the curve is evaluated only for draws
+  /// under `peak`, which must be max_probability(); a per-slot walk hoists
+  /// it, so the envelope is evaluated once per user. One draw per slot,
+  /// like rng.bernoulli.
+  [[nodiscard]] bool fires(sim::Slot t, double draw,
+                           double peak) const noexcept {
+    return draw < peak && draw < probability_at(t);
+  }
 };
 
 /// Iteration state over one user's arrival stream. {rng.counter, scan} is
@@ -91,7 +108,7 @@ void stream_arrivals_next(const ArrivalStreamParams& params,
 /// Materialize every arrival of the stream in [from, end) as a script.
 /// Byte-for-byte the events a lazy cursor over the same (key, from, end)
 /// would yield — what the tests' stream oracle replays as a trace.
-[[nodiscard]] std::vector<ScriptedArrivals::Event> materialize_stream(
+[[nodiscard]] std::vector<ArrivalEvent> materialize_stream(
     const ArrivalStreamParams& params, std::uint64_t key, sim::Slot from,
     sim::Slot end);
 

@@ -29,21 +29,20 @@ TraceFleet load_arrival_trace_dir(const std::string& dir) {
   }
   std::sort(files.begin(), files.end());
 
-  std::vector<std::vector<ScriptedArrivals::Event>> per_file;
+  std::vector<std::vector<ArrivalEvent>> per_file;
   per_file.reserve(files.size());
   for (const std::string& file : files) {
-    try {
-      per_file.push_back(load_arrival_trace_csv(file));
-    } catch (const std::invalid_argument& error) {
-      // Re-annotate malformed-row errors with the file they came from
-      // (load_arrival_trace_csv only knows the line number).
-      throw std::invalid_argument{std::string{error.what()} + " in " + file};
-    }
-    std::sort(per_file.back().begin(), per_file.back().end(),
-              [](const ScriptedArrivals::Event& a,
-                 const ScriptedArrivals::Event& b) { return a.at < b.at; });
+    per_file.push_back(load_arrival_trace_csv(file));
   }
-  return TraceFleet{std::move(files), std::move(per_file)};
+  return TraceFleet{std::move(per_file)};
+}
+
+TraceFleet load_trace_fleet(const std::string& dir, const std::string& path) {
+  if (!dir.empty()) return load_arrival_trace_dir(dir);
+  if (path.empty()) return {};
+  std::vector<std::vector<ArrivalEvent>> one_file;
+  one_file.push_back(load_arrival_trace_csv(path));
+  return TraceFleet{std::move(one_file)};
 }
 
 }  // namespace fedco::apps

@@ -1,11 +1,11 @@
-// Trace-driven fleet arrivals: a directory of per-user CSV usage logs
-// ("slot,app" rows, the load_arrival_trace_csv format) replayed as the
-// fleet's arrival source. This is the third arrival path beside the
-// pre-generated script arena and the counter-based stream cursors: the
-// driver copies each user's trace events (filtered to their presence
-// windows) into the shared script arena and replays them through the
-// script feed, so a trace-driven run is deterministic and RNG-free on the
-// arrival axis.
+// Trace-driven fleet arrivals: measured "slot,app" usage logs (the
+// load_arrival_trace_csv format) replayed as the fleet's arrival source,
+// beside the per-user arrival law (legacy scripts or stream cursors). A
+// single file (every user replays it) or a directory of per-user files is
+// loaded as one TraceFleet; the driver copies each user's events (filtered
+// to their presence windows) into the shared script arena and replays them
+// through the script feed, so a trace-driven run is deterministic and
+// RNG-free on the arrival axis.
 #pragma once
 
 #include <string>
@@ -15,40 +15,40 @@
 
 namespace fedco::apps {
 
-/// A loaded trace directory: every *.csv file parsed once, sorted by file
-/// name so assignment is stable across platforms. User i replays file
+/// Loaded usage traces, one slot-sorted event list per file, in file-name
+/// order so assignment is stable across platforms. User i replays file
 /// i mod file-count.
 class TraceFleet {
  public:
   TraceFleet() = default;
-  TraceFleet(std::vector<std::string> files,
-             std::vector<std::vector<ScriptedArrivals::Event>> per_file)
-      : files_(std::move(files)), per_file_(std::move(per_file)) {}
+  explicit TraceFleet(std::vector<std::vector<ArrivalEvent>> per_file)
+      : per_file_(std::move(per_file)) {}
 
   [[nodiscard]] bool empty() const noexcept { return per_file_.empty(); }
   [[nodiscard]] std::size_t file_count() const noexcept {
     return per_file_.size();
   }
-  [[nodiscard]] const std::string& file_name(std::size_t index) const {
-    return files_[index];
-  }
 
   /// The (slot-ascending) events user `user` replays.
-  [[nodiscard]] const std::vector<ScriptedArrivals::Event>& events_for_user(
+  [[nodiscard]] const std::vector<ArrivalEvent>& events_for_user(
       std::size_t user) const {
     return per_file_[user % per_file_.size()];
   }
 
  private:
-  std::vector<std::string> files_;
-  std::vector<std::vector<ScriptedArrivals::Event>> per_file_;
+  std::vector<std::vector<ArrivalEvent>> per_file_;
 };
 
-/// Load every *.csv under `dir` (sorted by name; events sorted by slot).
-/// Throws std::runtime_error naming the path when the directory is
-/// missing, contains no CSV traces, or a file cannot be opened, and
-/// propagates load_arrival_trace_csv's std::invalid_argument (annotated
-/// with the file path) for malformed rows.
+/// Load every *.csv under `dir` (sorted by name) through
+/// load_arrival_trace_csv. Throws std::runtime_error naming the path when
+/// the directory is missing or contains no CSV traces, and propagates
+/// load_arrival_trace_csv's errors for each file.
 [[nodiscard]] TraceFleet load_arrival_trace_dir(const std::string& dir);
+
+/// The configured trace source: the directory when `dir` is set (it wins),
+/// else the single file `path` as a one-file fleet every user replays,
+/// else an empty fleet. Throws as the loaders do.
+[[nodiscard]] TraceFleet load_trace_fleet(const std::string& dir,
+                                          const std::string& path);
 
 }  // namespace fedco::apps

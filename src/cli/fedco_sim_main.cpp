@@ -83,7 +83,8 @@ Workload:
   --arrival-p X        app arrival probability per slot, in [0, 1]
                                                              (default 0.001)
   --diurnal            modulate arrivals over a 24 h cycle
-  --arrival-trace F    replay a "slot,app" CSV usage log instead
+  --arrival-trace F    replay a "slot,app" CSV usage log instead (every
+                       user replays it; rows sorted by slot)
   --arrival-trace-dir D  replay a directory of per-user "slot,app" CSV
                        logs (sorted by name; user i replays file i mod
                        file-count). Takes precedence over --arrival-trace
@@ -425,21 +426,12 @@ int run(const util::ArgParser& args) {
   }
 
   // Trace-driven arrivals fail fast with a path-bearing message before the
-  // driver starts: a missing file or directory, an empty directory, or a
-  // malformed CSV row is an input error (exit 2, like a misspelled
-  // option), not a crash. The directory takes precedence, as in the driver.
+  // driver starts: a missing file or directory, a directory given as a
+  // file, an empty directory, or a malformed CSV row is an input error
+  // (exit 2, like a misspelled option), not a crash. The directory takes
+  // precedence, as in the driver.
   try {
-    if (!cfg.arrival_trace_dir.empty()) {
-      (void)apps::load_arrival_trace_dir(cfg.arrival_trace_dir);
-    } else if (!cfg.arrival_trace_path.empty()) {
-      try {
-        (void)apps::load_arrival_trace_csv(cfg.arrival_trace_path);
-      } catch (const std::invalid_argument& error) {
-        // Row errors know only the line number (cannot-open names the path).
-        throw std::invalid_argument{std::string{error.what()} + " in " +
-                                    cfg.arrival_trace_path};
-      }
-    }
+    (void)apps::load_trace_fleet(cfg.arrival_trace_dir, cfg.arrival_trace_path);
   } catch (const std::exception& error) {
     std::cerr << "fedco_sim: " << error.what() << '\n';
     return 2;

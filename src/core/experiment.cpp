@@ -108,8 +108,9 @@ struct alignas(64) UserState {
   /// touched, so batched catch-up is bit-identical to the eager slot loop.
   sim::Slot synced = -1;
 
-  // Driver-owned foreground-session timeline. Replaces the old per-slot
-  // AppSessionTracker ticks bit for bit: with a deterministic arrival feed
+  // Driver-owned foreground-session timeline: an app that arrives while
+  // none is on screen stays for its measured Table II co-run time, and an
+  // arrival during a session is absorbed. With a deterministic arrival feed
   // a session's whole future is determined, so the machine is advanced on
   // demand. Two copies of the same deterministic machine run at different
   // times: `live` answers reads at the current slot, `replay` paces the
@@ -346,7 +347,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return cached_lag_count(end_slot, cur_);
   }
 
-  [[nodiscard]] std::optional<apps::ScriptedArrivals::Event>
+  [[nodiscard]] std::optional<apps::ArrivalEvent>
   next_arrival_between(std::size_t user, sim::Slot from,
                        sim::Slot until) override {
     // Lazy stream mode: the oracle walks presence windows itself (see
@@ -361,7 +362,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       if (lazy && o.feed.at == Feed::kNoArrival) oracle_advance_window(user);
     }
     if (o.feed.at < until) {
-      return apps::ScriptedArrivals::Event{o.feed.at, o.feed.app};
+      return apps::ArrivalEvent{o.feed.at, o.feed.app};
     }
     return std::nullopt;
   }
@@ -586,11 +587,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       Feed feed;
       if (stream_mode) {
-        stream_params_[i] = {
-            pu.arrival_probability.value_or(cfg_.arrival_probability),
-            pu.diurnal.value_or(cfg_.diurnal),
-            pu.diurnal_swing.value_or(cfg_.diurnal_swing),
-            pu.diurnal_peak_hour, cfg_.slot_seconds};
+        stream_params_[i] = arrival_law(pu);
         feed = stream_feed(i, u.join, arrivals_end(u));
       } else {
         const std::size_t begin = script_arena_.size();
@@ -634,8 +631,18 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return scenario::PerUserConfig{};
   }
 
-  /// Legacy script generation, appended to the shared arena (end_script
-  /// closes the user's slice). Draw-for-draw the historical per-user
+  /// User i's arrival law: its per-user overrides over the config's.
+  [[nodiscard]] apps::ArrivalStreamParams arrival_law(
+      const scenario::PerUserConfig& pu) const {
+    return {pu.arrival_probability.value_or(cfg_.arrival_probability),
+            pu.diurnal.value_or(cfg_.diurnal),
+            pu.diurnal_swing.value_or(cfg_.diurnal_swing),
+            pu.diurnal_peak_hour, cfg_.slot_seconds};
+  }
+
+  /// Script generation, appended to the shared arena (end_script closes
+  /// the user's slice): the user's trace when the run replays one, else
+  /// the legacy walk. The walk is draw-for-draw the historical per-user
   /// vector build: the full-horizon Bernoulli walk runs even for churned
   /// users (identical RNG consumption across presence windows) and the app
   /// draw fires on every arrival; only in-window events are stored.
@@ -650,39 +657,27 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       return false;
     };
-    if (!cfg_.arrival_trace_dir.empty()) {
-      // Trace-driven fleet: each user replays its own CSV from the trace
-      // directory (loaded once, shared across users).
+    if (!cfg_.arrival_trace_dir.empty() || !cfg_.arrival_trace_path.empty()) {
+      // Trace-driven fleet: loaded once, shared across users; each user
+      // replays its file (every user the same one for a single trace).
       if (trace_fleet_.empty()) {
-        trace_fleet_ = apps::load_arrival_trace_dir(cfg_.arrival_trace_dir);
+        trace_fleet_ = apps::load_trace_fleet(cfg_.arrival_trace_dir,
+                                              cfg_.arrival_trace_path);
       }
       const auto index = static_cast<std::size_t>(&u - users_.data());
-      for (const apps::ScriptedArrivals::Event& e :
-           trace_fleet_.events_for_user(index)) {
+      for (const apps::ArrivalEvent& e : trace_fleet_.events_for_user(index)) {
         if (in_any_window(e.at)) script_arena_.push_back(e);
       }
-    } else if (!cfg_.arrival_trace_path.empty()) {
-      if (trace_events_.empty()) {
-        trace_events_ = apps::load_arrival_trace_csv(cfg_.arrival_trace_path);
-      }
-      for (const apps::ScriptedArrivals::Event& e : trace_events_) {
-        if (in_any_window(e.at)) script_arena_.push_back(e);
-      }
-    } else {
-      const double p =
-          pu.arrival_probability.value_or(cfg_.arrival_probability);
-      const bool diurnal_on = pu.diurnal.value_or(cfg_.diurnal);
-      const apps::DiurnalArrivals diurnal{
-          p, pu.diurnal_swing.value_or(cfg_.diurnal_swing), cfg_.slot_seconds,
-          pu.diurnal_peak_hour};
-      // One uniform draw per slot, exactly rng.bernoulli's; the diurnal
-      // curve is evaluated only for draws under its peak (fires()).
-      for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
-        const double draw = u.rng.uniform();
-        if (diurnal_on ? diurnal.fires(t, draw) : draw < p) {
-          const device::AppKind app = apps::random_app(u.rng);
-          if (in_any_window(t)) script_arena_.push_back({t, app});
-        }
+      return;
+    }
+    const apps::ArrivalStreamParams law = arrival_law(pu);
+    const double peak = law.max_probability();  // once per user
+    // One uniform draw per slot, exactly rng.bernoulli's; the curve is
+    // evaluated only for draws under its peak (fires()).
+    for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
+      if (law.fires(t, u.rng.uniform(), peak)) {
+        const device::AppKind app = apps::random_app(u.rng);
+        if (in_any_window(t)) script_arena_.push_back({t, app});
       }
     }
   }
@@ -727,7 +722,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// `end` bounds a stream feed's arrivals.
   void feed_next(Feed& f, std::size_t i, sim::Slot end) {
     if (stream_params_.empty()) {
-      const apps::ScriptedArrivals::Event& e =
+      const apps::ArrivalEvent& e =
           script_arena_[static_cast<std::size_t>(++f.scan)];
       f.at = e.at;
       f.app = e.app;
@@ -1692,8 +1687,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Folded-accrual engine: closed-form per-user gaps and the O(1) G(t)
   /// accumulators.
   FoldedGapAccrual fold_;
-  std::vector<apps::ScriptedArrivals::Event> trace_events_;  ///< CSV replay
-  /// Trace-driven fleet (cfg.arrival_trace_dir): loaded once on first use.
+  /// Trace-driven fleet (cfg.arrival_trace_dir, else arrival_trace_path):
+  /// loaded once on first use.
   apps::TraceFleet trace_fleet_;
   /// Flat pool of every user's later presence windows (commute cycles,
   /// outage recovery); windows_ holds each user's slice of it.
@@ -1711,7 +1706,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// live here as one slice ending in a kNoArrival event — one allocation
   /// for the whole fleet instead of one vector per user. Feeds hold
   /// indices (not pointers), so growth during setup is safe.
-  std::vector<apps::ScriptedArrivals::Event> script_arena_;
+  std::vector<apps::ArrivalEvent> script_arena_;
   /// Lazy stream mode: per-user arrival laws (empty in script mode — the
   /// switch feed_next dispatches on).
   std::vector<apps::ArrivalStreamParams> stream_params_;

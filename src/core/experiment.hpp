@@ -54,7 +54,8 @@ struct ExperimentConfig {
   bool diurnal = false;
   double diurnal_swing = 0.8;
   /// When non-empty, replay a measured usage log instead: a CSV of
-  /// "slot,app" rows (apps::load_arrival_trace_csv) applied to every user.
+  /// "slot,app" rows (apps::load_arrival_trace_csv, sorted by slot) that
+  /// every user replays — a one-file apps::TraceFleet.
   std::string arrival_trace_path;
   /// Trace-driven fleet (scenario faults.trace_dir): a directory of
   /// per-user "slot,app" CSV logs; user i replays file i mod file-count

@@ -160,7 +160,7 @@ class SchedulerContext {
   /// Offline-oracle service: the user's first scripted app arrival in
   /// [from, until), advancing the oracle cursor past stale entries. Only
   /// for a scheme whose looks_ahead() is true.
-  [[nodiscard]] virtual std::optional<apps::ScriptedArrivals::Event>
+  [[nodiscard]] virtual std::optional<apps::ArrivalEvent>
   next_arrival_between(std::size_t user, sim::Slot from, sim::Slot until) = 0;
 
   /// Sync-SGD service: aggregate the staged round now and send every user

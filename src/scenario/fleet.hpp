@@ -55,7 +55,7 @@ struct PerUserConfig {
   /// Peak-to-trough swing; unset = config value.
   std::optional<double> diurnal_swing;
   /// Hour-of-day of the arrival-rate peak — the timezone shift of this
-  /// user's diurnal phase. 20.0 is the DiurnalArrivals default.
+  /// user's diurnal phase. 20.0 is the ArrivalStreamParams default.
   double diurnal_peak_hour = 20.0;
 
   /// Network tier for model exchange; unset = config use_lte.

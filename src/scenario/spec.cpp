@@ -233,8 +233,8 @@ FleetArena generate_fleet_arena(const ScenarioSpec& spec,
   }
 
   // Per-user diurnal phases are only materialised when they deviate from
-  // the DiurnalArrivals default (peak 20.0, no spread); the on/off flag and
-  // the swing stay config-level (apply_scenario sets them).
+  // the ArrivalStreamParams default (peak 20.0, no spread); the on/off flag
+  // and the swing stay config-level (apply_scenario sets them).
   if (spec.diurnal.enabled && (spec.diurnal.timezone_spread_hours > 0.0 ||
                                spec.diurnal.peak_hour != 20.0)) {
     const double spread = spec.diurnal.timezone_spread_hours;

@@ -18,8 +18,9 @@
 #   7. Trace-driven fleets: a missing or malformed --arrival-trace-dir,
 #      and a missing or malformed single trace (arrival_trace_path in a
 #      --config file, --arrival-trace, including a bad first row that
-#      no "slot" column marks as a header), is rejected up front with
-#      exit 2 and a path-bearing message.
+#      no "slot" column marks as a header and an app index with trailing
+#      junk), or a directory given as the single trace, is rejected up
+#      front with exit 2 and a path-bearing message.
 #   8. A malformed --config (a bad per_user entry) or --scenario file
 #      exits 2, and stderr names both the file and the field (also for an
 #      out-of-range per_user arrival law or a scenario horizon past
@@ -297,10 +298,12 @@ if(NOT no_trace_rc EQUAL 2 OR NOT no_trace_err MATCHES "no-such-trace.csv")
     "path):\n${no_trace_err}")
 endif()
 # Only a slot column named "slot" makes line 1 a header, so a malformed
-# first data row fails as well.
+# first data row fails as well; the app column is as strict as the slot
+# column ("3x" is not app 3).
 file(WRITE ${work_dir}/bad_trace.csv "slot,app\n12x,map\n")
 file(WRITE ${work_dir}/bad_first_row.csv "12x,map\n")
-foreach(trace bad_trace.csv bad_first_row.csv)
+file(WRITE ${work_dir}/bad_app.csv "slot,app\n5,3x\n")
+foreach(trace bad_trace.csv bad_first_row.csv bad_app.csv)
   execute_process(
     COMMAND ${FEDCO_SIM} --scheduler online --horizon 60 --users 4
             --arrival-trace ${work_dir}/${trace}
@@ -310,6 +313,29 @@ foreach(trace bad_trace.csv bad_first_row.csv)
     message(FATAL_ERROR
       "malformed --arrival-trace ${trace} exited ${bad_trace_rc} (want 2, "
       "naming the file):\n${bad_trace_err}")
+  endif()
+endforeach()
+
+# A directory is not a trace file, as a flag or as arrival_trace_path in a
+# --config document: it fails naming the path instead of replaying nothing.
+file(WRITE ${work_dir}/dir_trace.json
+  "{\"num_users\":3,\"horizon_slots\":100,"
+  "\"arrival_trace_path\":\"${bad_trace_dir}\"}\n")
+foreach(source flag config)
+  if(source STREQUAL "flag")
+    set(dir_trace_args --scheduler online --horizon 60 --users 4
+                       --arrival-trace ${bad_trace_dir})
+  else()
+    set(dir_trace_args --config ${work_dir}/dir_trace.json)
+  endif()
+  execute_process(
+    COMMAND ${FEDCO_SIM} ${dir_trace_args}
+    RESULT_VARIABLE dir_trace_rc ERROR_VARIABLE dir_trace_err OUTPUT_QUIET
+  )
+  if(NOT dir_trace_rc EQUAL 2 OR NOT dir_trace_err MATCHES "bad_traces")
+    message(FATAL_ERROR
+      "a directory as the single trace (${source}) exited ${dir_trace_rc} "
+      "(want 2, naming the path):\n${dir_trace_err}")
   endif()
 endforeach()
 

@@ -129,7 +129,7 @@ class RowContext final : public SchedulerContext {
         std::count_if(training_ends.begin(), training_ends.end(),
                       [&](sim::Slot e) { return e <= end_slot; }));
   }
-  [[nodiscard]] std::optional<apps::ScriptedArrivals::Event>
+  [[nodiscard]] std::optional<apps::ArrivalEvent>
   next_arrival_between(std::size_t, sim::Slot, sim::Slot) override {
     return std::nullopt;
   }

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
+#include "device/profiles.hpp"
 #include "obs/events.hpp"
 #include "util/stats.hpp"
 
@@ -331,6 +335,148 @@ TEST(Experiment, ArrivalTraceReplayDrivesCorunning) {
   // Missing file reported.
   cfg.arrival_trace_path = "/no/such/trace.csv";
   EXPECT_THROW(run_experiment(cfg), std::runtime_error);
+}
+
+TEST(Experiment, TraceRowOrderDoesNotMatter) {
+  // A usage log is replayed in slot order whatever its row order, and a
+  // single file behaves exactly like a directory holding only that file.
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "fedco_trace_order";
+  std::filesystem::create_directories(root / "dir");
+  const std::filesystem::path sorted = root / "sorted.csv";
+  const std::filesystem::path unsorted = root / "dir" / "unsorted.csv";
+  {
+    std::ofstream out{sorted, std::ios::trunc};
+    out << "slot,app\n100,Zoom\n900,Map\n2000,Youtube\n3000,Tiktok\n";
+  }
+  {
+    std::ofstream out{unsorted, std::ios::trunc};
+    out << "slot,app\n3000,Tiktok\n100,Zoom\n2000,Youtube\n900,Map\n";
+  }
+  ExperimentConfig cfg;
+  cfg.scheduler = SchedulerKind::kOnline;
+  cfg.num_users = 3;
+  cfg.horizon_slots = 4000;
+  cfg.seed = 42;
+  cfg.arrival_trace_path = sorted.string();
+  const ExperimentResult want = run_experiment(cfg);
+  cfg.arrival_trace_path = unsorted.string();
+  const ExperimentResult from_file = run_experiment(cfg);
+  cfg.arrival_trace_path.clear();
+  cfg.arrival_trace_dir = (root / "dir").string();
+  const ExperimentResult from_dir = run_experiment(cfg);
+  ASSERT_GT(want.app_j, 0.0);
+  for (const ExperimentResult* got : {&from_file, &from_dir}) {
+    EXPECT_EQ(got->total_energy_j, want.total_energy_j);
+    EXPECT_EQ(got->app_j, want.app_j);
+    EXPECT_EQ(got->corun_j, want.corun_j);
+    EXPECT_EQ(got->total_updates, want.total_updates);
+    EXPECT_EQ(got->corun_sessions, want.corun_sessions);
+    EXPECT_EQ(got->avg_lag, want.avg_lag);
+  }
+}
+
+// Foreground sessions through the driver. One pinned Pixel2 replays a
+// trace; the gated runs hold its state of charge below the training gate,
+// so app_j counts exactly the slots an app is on screen.
+
+/// Write `body` to a temp trace named `name` and return its path.
+std::string write_trace(const std::string& name, const std::string& body) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / name;
+  std::ofstream out{path, std::ios::trunc};
+  out << body;
+  return path.string();
+}
+
+ExperimentConfig pixel2_trace_config(const std::string& trace_path) {
+  ExperimentConfig cfg;
+  cfg.scheduler = SchedulerKind::kImmediate;
+  cfg.num_users = 1;
+  cfg.horizon_slots = 600;
+  cfg.seed = 3;
+  cfg.fixed_device = device::DeviceKind::kPixel2;
+  cfg.arrival_trace_path = trace_path;
+  return cfg;
+}
+
+ExperimentConfig gated(ExperimentConfig cfg) {
+  cfg.track_battery = true;
+  cfg.battery.initial_soc = 0.99;
+  cfg.min_soc_to_train = 1.0;  // never reached: no training at all
+  return cfg;
+}
+
+const device::DeviceProfile& pixel2() {
+  return device::profile(device::DeviceKind::kPixel2);
+}
+
+TEST(Sessions, AZoomSessionLastsItsTableIICorunTime) {
+  const ExperimentResult r = run_experiment(gated(pixel2_trace_config(
+      write_trace("fedco_session_zoom.csv", "0,Zoom\n"))));
+  ASSERT_EQ(r.total_updates, 0u);
+  EXPECT_EQ(r.corun_sessions, 0u);
+  const double on_screen =
+      r.app_j / pixel2().app(device::AppKind::kZoom).app_power_w;
+  EXPECT_NEAR(on_screen,
+              std::ceil(pixel2().app(device::AppKind::kZoom).corun_time_s),
+              1e-6);
+}
+
+TEST(Sessions, AnArrivalWhileAnAppRunsIsAbsorbed) {
+  const ExperimentResult alone = run_experiment(gated(pixel2_trace_config(
+      write_trace("fedco_session_zoom.csv", "0,Zoom\n"))));
+  const ExperimentResult overlapped = run_experiment(gated(pixel2_trace_config(
+      write_trace("fedco_session_zoom_map.csv", "0,Zoom\n5,Map\n"))));
+  ASSERT_GT(alone.app_j, 0.0);
+  EXPECT_EQ(overlapped.app_j, alone.app_j);
+  EXPECT_EQ(overlapped.total_energy_j, alone.total_energy_j);
+}
+
+/// Slots of the run's decision events, and whether each co-ran.
+struct DecisionLog final : obs::EventSink {
+  void emit(const obs::Event& e) override {
+    if (e.kind != obs::EventKind::kDecision) return;
+    slots.push_back(e.slot);
+    corun.push_back(e.a != 0);
+  }
+  std::vector<std::int64_t> slots;
+  std::vector<bool> corun;
+};
+
+TEST(Sessions, ACorunSessionExtendsToCoverTraining) {
+  // Without apps the user trains from slot 0, uploads, and is ready again
+  // at slot R. A Zoom session opened during the upload, one slot before R,
+  // has one slot fewer left than the co-run task takes, so it must stretch
+  // to the task's end: every slot of the co-run task is a co-run slot.
+  DecisionLog quiet_log;
+  RunHooks hooks;
+  hooks.events = &quiet_log;
+  (void)run_experiment(
+      pixel2_trace_config(write_trace("fedco_session_none.csv", "slot,app\n")),
+      hooks);
+  ASSERT_GE(quiet_log.slots.size(), 2u);
+  ASSERT_EQ(quiet_log.slots[0], 0);
+  const std::int64_t ready = quiet_log.slots[1];
+  const std::int64_t arrival = ready - 1;
+  ASSERT_GE(arrival,
+            static_cast<std::int64_t>(std::ceil(pixel2().train_time_s)));
+
+  DecisionLog log;
+  hooks.events = &log;
+  const ExperimentResult r = run_experiment(
+      pixel2_trace_config(write_trace(
+          "fedco_session_late_zoom.csv",
+          std::to_string(arrival) + ",Zoom\n")),
+      hooks);
+  ASSERT_GE(log.slots.size(), 2u);
+  EXPECT_EQ(log.slots[1], ready);
+  EXPECT_TRUE(log.corun[1]);
+  EXPECT_EQ(r.corun_sessions, 1u);
+  const device::AppPowerEntry& zoom = pixel2().app(device::AppKind::kZoom);
+  EXPECT_NEAR(r.corun_j / zoom.corun_power_w, std::ceil(zoom.corun_time_s),
+              1e-6);
+  EXPECT_NEAR(r.app_j / zoom.app_power_w, 1.0, 1e-6);
 }
 
 TEST(Experiment, BatteryTrackingAccumulatesCycles) {

@@ -2,8 +2,10 @@
 //
 // Four fault features — scheduled regional outages, netem-style link
 // degradation profiles, commute presence cycles, and trace-driven fleets —
-// each pinned as a golden FNV fingerprint under all four schedulers, plus
-// the two contracts that make the subsystem safe to ship:
+// each pinned as a golden FNV fingerprint under all four schedulers, the
+// single usage log every user replays (arrival_trace_path) pinned the same
+// way with arrival_streams off and on, plus the two contracts that make the
+// subsystem safe to ship:
 //
 //   1. Fault-free specs are bit-identical to the pre-fault goldens: the
 //      FaultFree suite re-runs the scenario_stream_parity "stream-churn"
@@ -181,6 +183,72 @@ TEST(FaultGoldens, EveryFaultFeatureIsPinned) {
     }
     EXPECT_EQ(fp, golden.fingerprint)
         << golden.scenario << " / " << scheduler_name(golden.kind);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One usage log replayed by every user (arrival_trace_path).
+// ---------------------------------------------------------------------------
+
+/// examples/traces/user_a.csv, pinned here like trace_dir() so the golden
+/// cannot drift with the example file.
+const std::string& single_trace_file() {
+  static const std::string path = [] {
+    const std::filesystem::path file =
+        std::filesystem::temp_directory_path() / "fedco_single_trace_a.csv";
+    std::ofstream out{file, std::ios::trunc};
+    out << "slot,app\n40,Map\n180,Youtube\n420,News\n700,Tiktok\n1100,Zoom\n"
+           "1500,CandyCrush\n";
+    return file.string();
+  }();
+  return path;
+}
+
+ExperimentConfig single_trace_config(SchedulerKind kind, bool streams) {
+  ExperimentConfig cfg = base_config(kind);
+  cfg.num_users = 12;
+  cfg.horizon_slots = 2400;
+  cfg.arrival_trace_path = single_trace_file();
+  cfg.arrival_streams = streams;
+  return cfg;
+}
+
+struct SingleTraceGolden {
+  SchedulerKind kind;
+  bool streams;
+  std::uint64_t fingerprint;
+};
+
+// Captured with FEDCO_REGEN_GOLDENS=1 while the single file still had its
+// own loader beside the directory loader; the one-file TraceFleet must
+// replay it bit for bit.
+constexpr SingleTraceGolden kSingleTraceGoldens[] = {
+    {SchedulerKind::kImmediate, false, 0xD8C4EBAEF7953B97ULL},
+    {SchedulerKind::kSyncSgd, false, 0xB53DAB5BE97E1E43ULL},
+    {SchedulerKind::kOffline, false, 0x95DC35E56555F097ULL},
+    {SchedulerKind::kOnline, false, 0xDEF9F3B59F9320E2ULL},
+    {SchedulerKind::kImmediate, true, 0x57361932A9D4FBA9ULL},
+    {SchedulerKind::kSyncSgd, true, 0x6E793CB9C5977A0FULL},
+    {SchedulerKind::kOffline, true, 0x424CBA3BC3C3E4BEULL},
+    {SchedulerKind::kOnline, true, 0x8868F8130478036CULL},
+};
+
+TEST(SingleTraceGoldens, EveryUserReplaysOneFile) {
+  for (const SingleTraceGolden& golden : kSingleTraceGoldens) {
+    const ExperimentConfig cfg =
+        single_trace_config(golden.kind, golden.streams);
+    const std::uint64_t fp = testing::fingerprint(run_experiment(cfg));
+    if (regen_mode()) {
+      std::printf("    {SchedulerKind::k%s, %s, 0x%016llXULL},\n",
+                  std::string{scheduler_name(golden.kind)} == "Sync-SGD"
+                      ? "SyncSgd"
+                      : scheduler_name(golden.kind),
+                  golden.streams ? "true" : "false",
+                  static_cast<unsigned long long>(fp));
+      continue;
+    }
+    EXPECT_EQ(fp, golden.fingerprint)
+        << scheduler_name(golden.kind) << " streams " << golden.streams;
   }
 }
 

@@ -52,10 +52,10 @@ bool regen_mode() {
 // 1. Cursor level: lazy iteration == up-front materialization.
 // ---------------------------------------------------------------------------
 
-std::vector<apps::ScriptedArrivals::Event> drain_lazy(
+std::vector<apps::ArrivalEvent> drain_lazy(
     const apps::ArrivalStreamParams& params, std::uint64_t key, sim::Slot from,
     sim::Slot end) {
-  std::vector<apps::ScriptedArrivals::Event> events;
+  std::vector<apps::ArrivalEvent> events;
   for (apps::ArrivalCursor cur = apps::stream_arrivals_begin(params, key, from, end);
        cur.at != apps::ArrivalCursor::kNoArrival;
        apps::stream_arrivals_next(params, cur, end)) {
@@ -114,7 +114,7 @@ TEST(StreamCursor, WindowedBeginMatchesFilteredFullStream) {
       7, 3, static_cast<std::uint64_t>(apps::StreamConcern::kArrivals));
   const auto full = apps::materialize_stream(params, key, 0, kEnd);
   for (const sim::Slot from : {sim::Slot{1}, sim::Slot{997}, sim::Slot{15000}}) {
-    std::vector<apps::ScriptedArrivals::Event> expected;
+    std::vector<apps::ArrivalEvent> expected;
     for (const auto& e : full) {
       if (e.at >= from) expected.push_back(e);
     }
@@ -144,7 +144,7 @@ TEST(StreamCursor, MidStreamRecreationAgreesWithAdvancedCursor) {
   ASSERT_NE(advanced.at, apps::ArrivalCursor::kNoArrival)
       << "grid param too sparse for the test horizon";
   const auto rest_from_fresh = drain_lazy(params, key, advanced.at, kEnd);
-  std::vector<apps::ScriptedArrivals::Event> rest_from_advanced;
+  std::vector<apps::ArrivalEvent> rest_from_advanced;
   for (; advanced.at != apps::ArrivalCursor::kNoArrival;
        apps::stream_arrivals_next(params, advanced, kEnd)) {
     rest_from_advanced.push_back({advanced.at, advanced.app});

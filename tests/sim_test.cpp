@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "sim/clock.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/trace.hpp"
 
 namespace fedco::sim {
@@ -34,58 +33,6 @@ TEST(ClockTest, SlotsForSecondsRoundsUp) {
 TEST(ClockTest, NonPositiveSlotLengthFallsBackToOne) {
   Clock clock{0.0};
   EXPECT_EQ(clock.slot_seconds(), 1.0);
-}
-
-TEST(EventQueueTest, FiresInSlotOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(5, [&fired](Slot) { fired.push_back(5); });
-  q.schedule(1, [&fired](Slot) { fired.push_back(1); });
-  q.schedule(3, [&fired](Slot) { fired.push_back(3); });
-  EXPECT_EQ(q.run_until(10), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
-}
-
-TEST(EventQueueTest, SameSlotPreservesInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(7, [&fired, i](Slot) { fired.push_back(i); });
-  }
-  q.run_until(7);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueueTest, RunUntilStopsAtBoundary) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1, [&fired](Slot) { ++fired; });
-  q.schedule(2, [&fired](Slot) { ++fired; });
-  q.schedule(3, [&fired](Slot) { ++fired; });
-  EXPECT_EQ(q.run_until(2), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_slot(), 3);
-}
-
-TEST(EventQueueTest, CallbackMaySchedule) {
-  EventQueue q;
-  std::vector<Slot> fired;
-  q.schedule(0, [&](Slot at) {
-    fired.push_back(at);
-    q.schedule(at, [&fired](Slot inner) { fired.push_back(inner + 100); });
-    q.schedule(at + 2, [&fired](Slot inner) { fired.push_back(inner); });
-  });
-  q.run_until(5);
-  EXPECT_EQ(fired, (std::vector<Slot>{0, 100, 2}));
-}
-
-TEST(EventQueueTest, ClearEmpties) {
-  EventQueue q;
-  q.schedule(1, [](Slot) {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.run_until(100), 0u);
 }
 
 TEST(TraceRecorderTest, CreatesAndRecords) {

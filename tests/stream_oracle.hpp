@@ -69,7 +69,7 @@ inline core::ExperimentResult run_stream_oracle(
     const auto write = [&](sim::Slot join, sim::Slot leave) {
       const sim::Slot end = std::min(lazy.horizon_slots, leave);
       if (join >= end) return;
-      for (const apps::ScriptedArrivals::Event& e :
+      for (const apps::ArrivalEvent& e :
            apps::materialize_stream(params, key, join, end)) {
         out << e.at << ',' << static_cast<unsigned>(e.app) << '\n';
       }
