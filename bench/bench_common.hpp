@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/campaign.hpp"
 #include "util/args.hpp"
@@ -17,9 +19,16 @@
 namespace fedco::bench {
 
 /// Parse --jobs (default 0 = resolve via FEDCO_JOBS / hardware threads).
+/// A malformed command line (a bare or non-numeric --jobs, a stray value)
+/// exits 2 with the parser's message instead of escaping main.
 inline std::size_t jobs_from_args(int argc, char** argv) {
-  const util::ArgParser args{argc, argv};
-  return static_cast<std::size_t>(args.get_int("jobs", 0));
+  try {
+    const util::ArgParser args{argc, argv};
+    return static_cast<std::size_t>(args.get_int("jobs", 0));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    std::exit(2);
+  }
 }
 
 /// Accumulates campaign reports across a bench's sweeps so multi-campaign

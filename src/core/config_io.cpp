@@ -50,10 +50,6 @@ constexpr util::JsonToken<fl::AggregationKind> kAggregations[] = {
     {fl::AggregationKind::kDelayComp, "delay-comp"},
 };
 
-const char* aggregation_token(fl::AggregationKind kind) noexcept {
-  return util::json_token(kAggregations, kind);
-}
-
 // ------------------------------------------------------------- field tables
 
 using Config = ExperimentConfig;
@@ -283,6 +279,10 @@ const char* scheduler_token(SchedulerKind kind) noexcept {
 
 const char* model_token(ModelKind kind) noexcept {
   return util::json_token(kModels, kind);
+}
+
+const char* aggregation_token(fl::AggregationKind kind) noexcept {
+  return util::json_token(kAggregations, kind);
 }
 
 const char* device_token(

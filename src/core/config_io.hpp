@@ -28,6 +28,7 @@ namespace fedco::core {
 // Enum <-> token vocabularies, shared with the CLI flag parsers.
 [[nodiscard]] const char* scheduler_token(SchedulerKind kind) noexcept;
 [[nodiscard]] const char* model_token(ModelKind kind) noexcept;
+[[nodiscard]] const char* aggregation_token(fl::AggregationKind kind) noexcept;
 [[nodiscard]] const char* device_token(
     const std::optional<device::DeviceKind>& kind) noexcept;
 

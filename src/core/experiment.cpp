@@ -259,20 +259,12 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   // ------------------------------------------------- SchedulerContext
 
-  [[nodiscard]] const ExperimentConfig& config() const noexcept override {
-    return cfg_;
-  }
-
   [[nodiscard]] std::size_t num_users() const noexcept override {
     return users_.size();
   }
 
   [[nodiscard]] bool user_ready(std::size_t user) const override {
     return users_[user].phase == Phase::kReady;
-  }
-
-  [[nodiscard]] bool user_at_barrier(std::size_t user) const override {
-    return users_[user].phase == Phase::kBarrier;
   }
 
   [[nodiscard]] bool user_present(std::size_t user,

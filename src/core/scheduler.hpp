@@ -77,13 +77,10 @@ class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
 
-  [[nodiscard]] virtual const ExperimentConfig& config() const noexcept = 0;
   [[nodiscard]] virtual std::size_t num_users() const noexcept = 0;
 
   /// Is the user idle and eligible for a scheduling decision this slot?
   [[nodiscard]] virtual bool user_ready(std::size_t user) const = 0;
-  /// Is the user parked at the synchronous round barrier?
-  [[nodiscard]] virtual bool user_at_barrier(std::size_t user) const = 0;
   /// Is the user inside its scenario presence window this slot (or still
   /// draining in-flight work)? Homogeneous fleets: always true. Schemes
   /// must not wait on (or plan for) absent users — a churned-out user at a

@@ -4,14 +4,6 @@
 
 namespace fedco::device {
 
-std::string_view decision_name(Decision d) noexcept {
-  return d == Decision::kSchedule ? "schedule" : "idle";
-}
-
-std::string_view app_status_name(AppStatus s) noexcept {
-  return s == AppStatus::kApp ? "app" : "no_app";
-}
-
 double power_w(const DeviceProfile& dev, Decision decision, AppStatus status,
                AppKind app) noexcept {
   if (decision == Decision::kSchedule) {

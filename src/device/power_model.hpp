@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "device/profiles.hpp"
 
@@ -14,9 +13,6 @@ enum class Decision { kSchedule, kIdle };
 
 /// Foreground application status s(t).
 enum class AppStatus { kApp, kNoApp };
-
-[[nodiscard]] std::string_view decision_name(Decision d) noexcept;
-[[nodiscard]] std::string_view app_status_name(AppStatus s) noexcept;
 
 /// Instantaneous power draw (W) for a control decision and app status —
 /// Eq. (10):

@@ -4,10 +4,6 @@
 
 namespace fedco::net {
 
-std::string_view link_tech_name(LinkTech tech) noexcept {
-  return tech == LinkTech::kWifi ? "wifi" : "lte";
-}
-
 LinkConfig wifi_link() noexcept { return LinkConfig{}; }
 
 LinkConfig lte_link() noexcept {

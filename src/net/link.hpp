@@ -9,15 +9,12 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 
 #include "util/rng.hpp"
 
 namespace fedco::net {
 
 enum class LinkTech { kWifi, kLte };
-
-[[nodiscard]] std::string_view link_tech_name(LinkTech tech) noexcept;
 
 struct LinkConfig {
   LinkTech tech = LinkTech::kWifi;

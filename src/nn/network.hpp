@@ -61,7 +61,6 @@ class Network {
   [[nodiscard]] std::vector<float> flatten_params() const;
   void load_params(std::span<const float> flat);
 
-  [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_.at(i); }
   [[nodiscard]] std::string summary() const;
 

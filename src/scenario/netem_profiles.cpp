@@ -32,10 +32,6 @@ static_assert(std::size(kProfiles) <= 32, "profile index must fit a bitmask");
 
 std::size_t netem_profile_count() noexcept { return std::size(kProfiles); }
 
-const NetemProfile& netem_profile(std::size_t index) noexcept {
-  return kProfiles[index];
-}
-
 const NetemProfile* find_netem_profile(std::string_view name) noexcept {
   for (const NetemProfile& profile : kProfiles) {
     if (name == profile.name) return &profile;

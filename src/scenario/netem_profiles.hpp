@@ -40,8 +40,6 @@ struct NetemProfile {
 /// (1u << i) in the per-user degradation mask.
 [[nodiscard]] std::size_t netem_profile_count() noexcept;
 
-[[nodiscard]] const NetemProfile& netem_profile(std::size_t index) noexcept;
-
 /// Registry lookup by name; nullptr when unknown (spec validation turns
 /// that into an "unknown degradation profile" error).
 [[nodiscard]] const NetemProfile* find_netem_profile(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <numeric>
 #include <stdexcept>
 
@@ -15,9 +16,27 @@ namespace {
 /// driver's master RNG (both start from the same user-facing seed).
 constexpr std::uint64_t kFleetSeedSalt = 0xF1EE7C0DE5CEA21FULL;
 
-void require(bool condition, const char* message) {
-  if (!condition) throw std::invalid_argument{std::string{"scenario: "} + message};
+/// One range a spec must hold, in the shape of core/validate.cpp's rows; a
+/// broken rule throws "scenario: <field> <reason>".
+struct Rule {
+  const char* field;
+  bool holds;
+  const char* reason;
+};
+
+void require_all(std::initializer_list<Rule> rules) {
+  for (const Rule& rule : rules) {
+    if (rule.holds) continue;
+    throw std::invalid_argument{std::string{"scenario: "} + rule.field + " " +
+                                rule.reason};
+  }
 }
+
+constexpr const char* kPositive = "must be positive";
+constexpr const char* kUnitInterval = "must be in [0, 1]";
+
+bool unit(double v) { return v >= 0.0 && v <= 1.0; }
+bool hour(double v) { return v >= 0.0 && v < 24.0; }
 
 /// Largest-remainder apportionment of `n` users over the mix fractions:
 /// exact floors first, then the leftover seats go to the largest fractional
@@ -65,81 +84,90 @@ std::vector<device::DeviceKind> apportion_devices(
 }  // namespace
 
 void validate(const ScenarioSpec& spec) {
-  require(spec.num_users > 0, "num_users must be positive");
-  require(spec.horizon_slots > 0, "horizon_slots must be positive");
-  require(spec.horizon_slots <= sim::kMaxHorizonSlots,
-          "horizon_slots must be at most 2^31 - 1");
-
-  if (!spec.device_mix.empty()) {
-    double sum = 0.0;
-    for (const DeviceMixEntry& entry : spec.device_mix) {
-      require(entry.fraction >= 0.0 && entry.fraction <= 1.0,
-              "device_mix fractions must be in [0, 1]");
-      for (const DeviceMixEntry& other : spec.device_mix) {
-        require(&entry == &other || entry.device != other.device,
-                "device_mix lists a device twice");
-      }
-      sum += entry.fraction;
-    }
-    require(std::abs(sum - 1.0) <= 1e-6, "device_mix fractions must sum to 1");
-  }
-
   const ArrivalSpec& a = spec.arrival;
-  require(a.mean_probability >= 0.0 && a.mean_probability <= 1.0,
-          "arrival.mean_probability must be in [0, 1]");
-  if (a.distribution == ArrivalSpec::Distribution::kUniform) {
-    require(a.min_probability >= 0.0 && a.min_probability <= a.max_probability &&
-                a.max_probability <= 1.0,
-            "arrival uniform bounds need 0 <= min <= max <= 1");
-  }
-  if (a.distribution == ArrivalSpec::Distribution::kLogNormal) {
-    require(a.sigma >= 0.0, "arrival.sigma must be non-negative");
-    require(a.mean_probability > 0.0,
-            "arrival.mean_probability must be positive for lognormal rates");
-  }
-
   const DiurnalSpec& d = spec.diurnal;
-  require(d.swing >= 0.0 && d.swing <= 1.0, "diurnal.swing must be in [0, 1]");
-  require(d.peak_hour >= 0.0 && d.peak_hour < 24.0,
-          "diurnal.peak_hour must be in [0, 24)");
-  require(d.timezone_spread_hours >= 0.0 && d.timezone_spread_hours <= 24.0,
-          "diurnal.timezone_spread_hours must be in [0, 24]");
-
-  require(spec.network.lte_fraction >= 0.0 && spec.network.lte_fraction <= 1.0,
-          "network.lte_fraction must be in [0, 1]");
-
   const ChurnSpec& c = spec.churn;
-  require(c.churn_fraction >= 0.0 && c.churn_fraction <= 1.0,
-          "churn.churn_fraction must be in [0, 1]");
-  if (c.churn_fraction > 0.0) {
-    require(c.min_presence > 0.0 && c.min_presence <= c.max_presence &&
-                c.max_presence <= 1.0,
-            "churn presence needs 0 < min_presence <= max_presence <= 1");
-  }
-
   const FaultSpec& f = spec.faults;
+  const CommuteSpec& commute = f.commute;
+  const PrioritySpec& p = spec.priority;
+  using enum ArrivalSpec::Distribution;
+  require_all({
+      {"num_users", spec.num_users > 0, kPositive},
+      {"horizon_slots", spec.horizon_slots > 0, kPositive},
+      {"horizon_slots", spec.horizon_slots <= sim::kMaxHorizonSlots,
+       "must be at most 2^31 - 1"},
+      {"arrival.mean_probability", unit(a.mean_probability), kUnitInterval},
+      {"arrival",
+       a.distribution != kUniform || (a.min_probability >= 0.0 &&
+                                      a.min_probability <= a.max_probability &&
+                                      a.max_probability <= 1.0),
+       "uniform bounds need 0 <= min <= max <= 1"},
+      {"arrival.sigma", a.distribution != kLogNormal || a.sigma >= 0.0,
+       "must be non-negative"},
+      {"arrival.mean_probability",
+       a.distribution != kLogNormal || a.mean_probability > 0.0,
+       "must be positive for lognormal rates"},
+      {"diurnal.swing", unit(d.swing), kUnitInterval},
+      {"diurnal.peak_hour", hour(d.peak_hour), "must be in [0, 24)"},
+      {"diurnal.timezone_spread_hours",
+       d.timezone_spread_hours >= 0.0 && d.timezone_spread_hours <= 24.0,
+       "must be in [0, 24]"},
+      {"network.lte_fraction", unit(spec.network.lte_fraction), kUnitInterval},
+      {"churn.churn_fraction", unit(c.churn_fraction), kUnitInterval},
+      {"churn",
+       c.churn_fraction == 0.0 ||
+           (c.min_presence > 0.0 && c.min_presence <= c.max_presence &&
+            c.max_presence <= 1.0),
+       "presence needs 0 < min_presence <= max_presence <= 1"},
+      {"commute.fraction", unit(commute.fraction), kUnitInterval},
+      {"commute",
+       !commute.enabled() ||
+           (commute.period_slots > 0 && commute.on_slots > 0 &&
+            commute.on_slots < commute.period_slots),
+       "needs 0 < on_slots < period_slots"},
+      {"faults.trace_dir", f.trace_dir.empty() || !spec.stream_rng,
+       "is incompatible with stream_rng"},
+      {"priority.vip_fraction", unit(p.vip_fraction), kUnitInterval},
+      {"priority.vip_weight", p.vip_weight > 0.0, kPositive},
+      {"priority.default_weight", p.default_weight > 0.0, kPositive},
+  });
+
+  const std::vector<DeviceMixEntry>& mix = spec.device_mix;
+  double mix_sum = 0.0;
+  for (const DeviceMixEntry& entry : mix) {
+    const auto same = [&](const DeviceMixEntry& e) {
+      return e.device == entry.device;
+    };
+    require_all({{"device_mix fractions", unit(entry.fraction), kUnitInterval},
+                 {"device_mix", std::count_if(mix.begin(), mix.end(), same) < 2,
+                  "lists a device twice"}});
+    mix_sum += entry.fraction;
+  }
+  require_all({{"device_mix fractions",
+                mix.empty() || std::abs(mix_sum - 1.0) <= 1e-6,
+                "must sum to 1"}});
+
   for (const OutageSpec& o : f.outages) {
-    require(!o.region.empty(), "outage region must be non-empty");
-    require(o.start_slot >= 0 && o.end_slot >= 0,
-            "outage slots must be non-negative");
-    require(o.start_slot < o.end_slot,
-            "outage window is empty (needs start_slot < end_slot)");
-    if (o.has_band()) {
-      require(o.band_begin_hour >= 0.0 && o.band_begin_hour < 24.0 &&
-                  o.band_end_hour >= 0.0 && o.band_end_hour < 24.0,
-              "outage band hours must be in [0, 24)");
-    } else {
-      require(o.fraction > 0.0 && o.fraction <= 1.0,
-              "outage needs fraction in (0, 1] or a band_begin_hour/"
-              "band_end_hour pair");
-    }
+    require_all({
+        {"outage region", !o.region.empty(), "must be non-empty"},
+        {"outage slots", o.start_slot >= 0 && o.end_slot >= 0,
+         "must be non-negative"},
+        {"outage window", o.start_slot < o.end_slot,
+         "is empty (needs start_slot < end_slot)"},
+        {"outage band hours",
+         !o.has_band() || (hour(o.band_begin_hour) && hour(o.band_end_hour)),
+         "must be in [0, 24)"},
+        {"outage", o.has_band() || (o.fraction > 0.0 && o.fraction <= 1.0),
+         "needs fraction in (0, 1] or a band_begin_hour/band_end_hour pair"},
+    });
   }
   for (std::size_t i = 0; i < f.outages.size(); ++i) {
     for (std::size_t j = 0; j < i; ++j) {
       if (f.outages[i].region != f.outages[j].region) continue;
-      require(f.outages[i].start_slot >= f.outages[j].end_slot ||
-                  f.outages[j].start_slot >= f.outages[i].end_slot,
-              "outage windows for the same region overlap");
+      require_all({{"outage windows for the same region",
+                    f.outages[i].start_slot >= f.outages[j].end_slot ||
+                        f.outages[j].start_slot >= f.outages[i].end_slot,
+                    "overlap"}});
     }
   }
 
@@ -148,26 +176,10 @@ void validate(const ScenarioSpec& spec) {
       throw std::invalid_argument{"scenario: unknown degradation profile '" +
                                   dg.profile + "'"};
     }
-    require(dg.fraction > 0.0 && dg.fraction <= 1.0,
-            "degradation fraction must be in (0, 1]");
+    require_all({{"degradation fraction",
+                  dg.fraction > 0.0 && dg.fraction <= 1.0,
+                  "must be in (0, 1]"}});
   }
-
-  require(f.commute.fraction >= 0.0 && f.commute.fraction <= 1.0,
-          "commute.fraction must be in [0, 1]");
-  if (f.commute.enabled()) {
-    require(f.commute.period_slots > 0 && f.commute.on_slots > 0 &&
-                f.commute.on_slots < f.commute.period_slots,
-            "commute needs 0 < on_slots < period_slots");
-  }
-
-  require(f.trace_dir.empty() || !spec.stream_rng,
-          "faults.trace_dir is incompatible with stream_rng");
-
-  const PrioritySpec& p = spec.priority;
-  require(p.vip_fraction >= 0.0 && p.vip_fraction <= 1.0,
-          "priority.vip_fraction must be in [0, 1]");
-  require(p.vip_weight > 0.0, "priority.vip_weight must be positive");
-  require(p.default_weight > 0.0, "priority.default_weight must be positive");
 }
 
 std::vector<PerUserConfig> generate_fleet(const ScenarioSpec& spec,

@@ -1,8 +1,64 @@
 #include "util/args.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 namespace fedco::util {
+
+namespace {
+
+/// Parses the whole of `text` with std::stoll or std::stod.
+template <typename T>
+T parse_number(const std::string& text, const char* expected) {
+  if (text.empty()) throw std::invalid_argument{"needs a value"};
+  const std::string got =
+      std::string{"expects "} + expected + ", got '" + text + "'";
+  std::size_t consumed = 0;
+  try {
+    T value{};
+    if constexpr (std::is_integral_v<T>) {
+      value = std::stoll(text, &consumed);
+    } else {
+      value = std::stod(text, &consumed);
+    }
+    if (consumed == text.size()) return value;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument{got + " (out of range)"};
+  } catch (const std::invalid_argument&) {
+  }
+  throw std::invalid_argument{got};
+}
+
+template <typename T>
+T parse_flag(const std::string& name, const std::string& value,
+             T (*parse)(const std::string&)) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument{"--" + name + ": " + error.what()};
+  }
+}
+
+}  // namespace
+
+std::int64_t parse_int(const std::string& text) {
+  return parse_number<std::int64_t>(text, "an integer");
+}
+
+double parse_double(const std::string& text) {
+  return parse_number<double>(text, "a number");
+}
+
+bool parse_bool(const std::string& text) {
+  if (text.empty() || text == "1" || text == "true" || text == "yes" ||
+      text == "on") {
+    return true;
+  }
+  if (text == "0" || text == "false" || text == "no" || text == "off") {
+    return false;
+  }
+  throw std::invalid_argument{"expects a boolean, got '" + text + "'"};
+}
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -10,26 +66,26 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     if (token.rfind("---", 0) == 0) {
       throw std::invalid_argument{"ArgParser: malformed option " + token};
     }
-    if (token.rfind("--", 0) == 0) {
-      const std::string body = token.substr(2);
-      if (body.empty()) {
-        throw std::invalid_argument{"ArgParser: empty option name"};
-      }
-      const auto eq = body.find('=');
-      if (eq != std::string::npos) {
-        options_[body.substr(0, eq)] = body.substr(eq + 1);
-        continue;
-      }
-      // Look ahead: a following token that is not an option is this
-      // option's value.
-      if (i + 1 < argc && std::string{argv[i + 1]}.rfind("--", 0) != 0) {
-        options_[body] = argv[++i];
-      } else {
-        options_[body] = "";
-      }
+    if (token.rfind("--", 0) != 0) {
+      throw std::invalid_argument{"ArgParser: '" + token +
+                                  "' follows no option"};
+    }
+    const std::string body = token.substr(2);
+    if (body.empty()) {
+      throw std::invalid_argument{"ArgParser: empty option name"};
+    }
+    const auto eq = body.find('=');
+    if (eq != std::string::npos) {
+      options_[body.substr(0, eq)] = body.substr(eq + 1);
       continue;
     }
-    positional_.push_back(token);
+    // Look ahead: a following token that is not an option is this
+    // option's value.
+    if (i + 1 < argc && std::string{argv[i + 1]}.rfind("--", 0) != 0) {
+      options_[body] = argv[++i];
+    } else {
+      options_[body] = "";
+    }
   }
 }
 
@@ -46,42 +102,12 @@ std::string ArgParser::get(const std::string& name,
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
-  std::size_t consumed = 0;
-  const double parsed = std::stod(value, &consumed);
-  if (consumed != value.size()) {
-    throw std::invalid_argument{"ArgParser: --" + name + " expects a number, got '" +
-                                value + "'"};
-  }
-  return parsed;
+  return has(name) ? parse_flag(name, get(name), parse_double) : fallback;
 }
 
 std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
-  std::size_t consumed = 0;
-  const long long parsed = std::stoll(value, &consumed);
-  if (consumed != value.size()) {
-    throw std::invalid_argument{"ArgParser: --" + name +
-                                " expects an integer, got '" + value + "'"};
-  }
-  return parsed;
-}
-
-bool ArgParser::get_bool(const std::string& name, bool fallback) const {
-  if (!has(name)) return fallback;
-  const std::string value = get(name);
-  if (value.empty() || value == "1" || value == "true" || value == "yes" ||
-      value == "on") {
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "no" || value == "off") {
-    return false;
-  }
-  throw std::invalid_argument{"ArgParser: --" + name +
-                              " expects a boolean, got '" + value + "'"};
+  return has(name) ? parse_flag(name, get(name), parse_int) : fallback;
 }
 
 std::vector<std::string> ArgParser::unused() const {

@@ -9,6 +9,15 @@
 
 namespace fedco::util {
 
+/// Whole-string value parsers shared with fedco_sim's flag table. Empty
+/// text, trailing junk and a value out of range throw std::invalid_argument
+/// saying what was expected; the caller prefixes the flag's name.
+[[nodiscard]] std::int64_t parse_int(const std::string& text);
+[[nodiscard]] double parse_double(const std::string& text);
+/// Empty text (a bare switch), 1, true, yes and on are true; 0, false, no
+/// and off are false.
+[[nodiscard]] bool parse_bool(const std::string& text);
+
 class ArgParser {
  public:
   /// Parses argv[1..argc). Throws std::invalid_argument on a malformed
@@ -23,16 +32,12 @@ class ArgParser {
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback = "") const;
 
-  /// Numeric accessors; throw std::invalid_argument when the present value
-  /// does not parse.
+  /// Numeric accessors: `fallback` when --name is absent; a present value
+  /// goes through parse_*, and a failure (an empty value too) throws
+  /// std::invalid_argument "--name: <why>".
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
 
   /// Option names seen but never queried via has/get*; used to report
   /// probable typos.
@@ -40,7 +45,6 @@ class ArgParser {
 
  private:
   std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
   mutable std::map<std::string, bool> touched_;
 };
 

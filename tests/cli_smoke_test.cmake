@@ -36,6 +36,14 @@
 #      a flag naming the flag. So do the usage errors (--replications 0,
 #      --jobs -1, --events-sample without --events or below 1, --events
 #      with several replications), naming the flag.
+#  10. A flag that takes a value exits 2 naming the flag when the value is
+#      missing (`--scenario --scheduler offline`, a bare `--V`) or
+#      malformed (`--users abc`, `--scheduler bogus`, `--horizon 1e3`); a
+#      value that follows no flag exits 2 naming it.
+#  11. Flag-built configs save to pinned bytes: the defaults, one command
+#      line that sets every config-bound flag, and the flag-only rules
+#      (--min-soc implies --battery; real LeNet-small gets the 16x16
+#      dataset).
 # Invoked as: cmake -DFEDCO_SIM=<binary> -DFEDCO_SCENARIOS=<dir>
 #             -P cli_smoke_test.cmake
 
@@ -447,6 +455,88 @@ foreach(bad "--epsilon;-1" "--offline-window;0" "--horizon;0" "--offline-Lb;-5"
   if(NOT knob_rc EQUAL 2 OR NOT knob_err MATCHES "${flag}")
     message(FATAL_ERROR
       "${flag} ${value} exited ${knob_rc} (want 2, naming the flag):\n${knob_err}")
+  endif()
+endforeach()
+
+# --- 10. missing and malformed flag values ---------------------------------
+# A bare value flag used to be ignored (`--scenario --scheduler offline` ran
+# the default fleet), and a malformed number or token exited 1 naming
+# nothing but `stoll`. Both are input errors now.
+foreach(flag --scenario --config --V --users --json --save-result
+             --save-summary --save-config --events --csv-dir --arrival-trace
+             --arrival-trace-dir --scheduler --device --seed --replications)
+  execute_process(
+    COMMAND ${FEDCO_SIM} ${flag} --horizon 60
+    RESULT_VARIABLE bare_rc ERROR_VARIABLE bare_err OUTPUT_QUIET
+  )
+  if(NOT bare_rc EQUAL 2 OR NOT bare_err MATCHES "${flag}: needs a value")
+    message(FATAL_ERROR
+      "bare ${flag} exited ${bare_rc} (want 2, naming the flag):\n${bare_err}")
+  endif()
+endforeach()
+
+foreach(bad "--users;abc" "--users;99999999999999999999" "--horizon;1e3"
+            "--V;4x" "--arrival-p;1e999" "--scheduler;bogus" "--device;foo"
+            "--model;resnet" "--aggregation;mean" "--diurnal;maybe"
+            "--jobs;two")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --horizon 60 --users 2 ${flag} ${value}
+    RESULT_VARIABLE bad_value_rc ERROR_VARIABLE bad_value_err OUTPUT_QUIET
+  )
+  if(NOT bad_value_rc EQUAL 2 OR NOT bad_value_err MATCHES "${flag}: ")
+    message(FATAL_ERROR
+      "${flag} ${value} exited ${bad_value_rc} (want 2, naming the flag):\n"
+      "${bad_value_err}")
+  endif()
+endforeach()
+
+# A value no flag takes (say, a scenario file given without --scenario)
+# used to be dropped silently, running the default fleet.
+execute_process(
+  COMMAND ${FEDCO_SIM} --horizon 60 --users 2 stray_scenario.json
+  RESULT_VARIABLE stray_rc ERROR_VARIABLE stray_err OUTPUT_QUIET
+)
+if(NOT stray_rc EQUAL 2 OR NOT stray_err MATCHES "stray_scenario\\.json")
+  message(FATAL_ERROR
+    "a stray argument exited ${stray_rc} (want 2, naming it):\n${stray_err}")
+endif()
+
+# --- 11. flag-built configs save to pinned bytes ----------------------------
+# Hashes of --save-config documents; the trace paths are relative so the
+# bytes do not depend on the build directory.
+set(pin_dir ${work_dir}/pinned)
+file(MAKE_DIRECTORY ${pin_dir}/traces)
+file(WRITE ${pin_dir}/trace.csv "slot,app\n5,Map\n")
+file(WRITE ${pin_dir}/traces/a.csv "slot,app\n7,Map\n")
+set(pin_args_every_flag --scheduler offline --users 7 --horizon 321 --arrival-p 0.004
+    --diurnal --arrival-trace trace.csv --arrival-trace-dir traces
+    --device pixel2 --seed 9 --V 123.5 --Lb 77 --epsilon 0.07
+    --decision-interval 3 --offline-window 50 --offline-Lb 900 --churn-aware
+    --eta 0.03 --beta 0.8 --real-training --model mlp --aggregation fedasync
+    --thermal --battery --min-soc 0.2 --drop-p 0.1)
+set(pin_args_flag_rules --real-training --min-soc 0.3)
+foreach(pin
+    "defaults|7cb62f4ce65e0ab1d606105b91fefbc3582f448e825864f99dece245fef139aa"
+    "every_flag|9482f877512ffa731745368f31529382d82335a98b3c7ce33ac3233510db2036"
+    "flag_rules|4531e97e07c68ea4cdde1df7dacc678044abb53e354b69b8381698bbeb92b18f")
+  string(REPLACE "|" ";" pin "${pin}")
+  list(GET pin 0 name)
+  list(GET pin 1 want)
+  execute_process(
+    COMMAND ${FEDCO_SIM} ${pin_args_${name}} --save-config ${name}.json
+    WORKING_DIRECTORY ${pin_dir}
+    RESULT_VARIABLE pin_rc ERROR_VARIABLE pin_err OUTPUT_QUIET
+  )
+  if(NOT pin_rc EQUAL 0)
+    message(FATAL_ERROR "--save-config (${name}) exited ${pin_rc}:\n${pin_err}")
+  endif()
+  file(SHA256 ${pin_dir}/${name}.json got)
+  if(NOT got STREQUAL want)
+    file(READ ${pin_dir}/${name}.json pin_doc)
+    message(FATAL_ERROR
+      "--save-config (${name}) hashes to ${got}, pinned ${want}:\n${pin_doc}")
   endif()
 endforeach()
 

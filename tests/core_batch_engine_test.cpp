@@ -72,16 +72,10 @@ class RowContext final : public SchedulerContext {
                                    device::AppKind::kMap, t);
   }
 
-  [[nodiscard]] const ExperimentConfig& config() const noexcept override {
-    return config_;
-  }
   [[nodiscard]] std::size_t num_users() const noexcept override {
     return users_.size();
   }
   [[nodiscard]] bool user_ready(std::size_t) const override { return true; }
-  [[nodiscard]] bool user_at_barrier(std::size_t) const override {
-    return false;
-  }
   [[nodiscard]] bool user_present(std::size_t, sim::Slot) const override {
     return true;
   }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/args.hpp"
 
 namespace fedco::util {
@@ -31,22 +33,69 @@ TEST(ArgParser, NumericParsingAndErrors) {
   EXPECT_THROW((void)args.get_double("bad", 0.0), std::invalid_argument);
 }
 
-TEST(ArgParser, Booleans) {
-  const auto args = parse({"--on", "--yes", "true", "--no=false", "--odd", "maybe"});
-  EXPECT_TRUE(args.get_bool("on", false));
-  EXPECT_TRUE(args.get_bool("yes", false));
-  EXPECT_FALSE(args.get_bool("no", true));
-  EXPECT_FALSE(args.get_bool("absent", false));
-  EXPECT_TRUE(args.get_bool("absent2", true));
-  EXPECT_THROW((void)args.get_bool("odd", false), std::invalid_argument);
+/// The message of the std::invalid_argument `call` throws ("" if none).
+template <typename Call>
+std::string error_of(Call call) {
+  try {
+    (void)call();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
-TEST(ArgParser, PositionalAndValueLookahead) {
-  const auto args = parse({"input.csv", "--k", "3", "output.csv"});
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "input.csv");
-  EXPECT_EQ(args.positional()[1], "output.csv");
-  EXPECT_EQ(args.get_int("k", 0), 3);
+TEST(ArgParser, ValueErrorsNameTheFlag) {
+  const auto args = parse({"--abc", "abc", "--huge", "99999999999999999999",
+                           "--tiny", "1e999", "--frac", "1e3"});
+  EXPECT_EQ(error_of([&] { return args.get_int("abc", 0); }),
+            "--abc: expects an integer, got 'abc'");
+  EXPECT_EQ(error_of([&] { return args.get_double("abc", 0.0); }),
+            "--abc: expects a number, got 'abc'");
+  EXPECT_EQ(error_of([&] { return args.get_int("huge", 0); }),
+            "--huge: expects an integer, got '99999999999999999999' "
+            "(out of range)");
+  EXPECT_EQ(error_of([&] { return args.get_double("tiny", 0.0); }),
+            "--tiny: expects a number, got '1e999' (out of range)");
+  EXPECT_EQ(error_of([&] { return args.get_int("frac", 0); }),
+            "--frac: expects an integer, got '1e3'");
+}
+
+TEST(ArgParser, PresentNumericFlagWithoutValueThrows) {
+  const auto args = parse({"--n", "--f="});
+  EXPECT_EQ(error_of([&] { return args.get_int("n", 7); }),
+            "--n: needs a value");
+  EXPECT_EQ(error_of([&] { return args.get_double("f", 0.5); }),
+            "--f: needs a value");
+}
+
+TEST(ParseValue, WholeStringOrThrow) {
+  EXPECT_EQ(parse_int("-12"), -12);
+  EXPECT_DOUBLE_EQ(parse_double("2.5e-3"), 2.5e-3);
+  for (const char* bad : {"", "4x2", "x", "1.5"}) {
+    EXPECT_THROW((void)parse_int(bad), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"", "4x2", "x", "1e999"}) {
+    EXPECT_THROW((void)parse_double(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(ParseValue, Booleans) {
+  for (const char* yes : {"", "1", "true", "yes", "on"}) {
+    EXPECT_TRUE(parse_bool(yes)) << yes;
+  }
+  for (const char* no : {"0", "false", "no", "off"}) {
+    EXPECT_FALSE(parse_bool(no)) << no;
+  }
+  EXPECT_EQ(error_of([] { return parse_bool("maybe"); }),
+            "expects a boolean, got 'maybe'");
+}
+
+TEST(ArgParser, ValueLookaheadAndStrayValues) {
+  EXPECT_EQ(parse({"--k", "3"}).get_int("k", 0), 3);
+  // A value-looking token no option takes is an error, not a silently
+  // ignored positional argument.
+  EXPECT_THROW(parse({"input.csv", "--k", "3"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--k", "3", "output.csv"}), std::invalid_argument);
 }
 
 TEST(ArgParser, NegativeNumberAsValue) {
