@@ -20,11 +20,12 @@ out=${1:-bench_1m_ci.jsonl}
 
 # Peak-RSS ceilings in MiB: 1.15x (the peak_rss_mib bound in BENCHMARK.json)
 # the medians measured on x86-64 Linux with GCC after the per-user driver
-# state became a 256-byte hot block with mode-only side columns: 545.6
-# (online, 10 runs; 932.5 before) and 711.3 (offline, 5 runs; 1046.0
-# before). Raise a ceiling only with a change that explains its footprint.
+# state became a 192-byte hot block (one session machine per user) with
+# mode-only side columns: 484.5 (online, 15 runs; 545.5 before) and 650.4
+# (offline, 8 runs; 711.4 before). Raise a ceiling only with a change that
+# explains its footprint.
 status=0
-for gate in fleet_1m_online:627 fleet_1m_offline:818; do
+for gate in fleet_1m_online:557 fleet_1m_offline:748; do
   workload=${gate%%:*}
   ceiling=${gate#*:}
   log=$(mktemp)

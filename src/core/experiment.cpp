@@ -66,7 +66,7 @@ enum class Phase : std::uint8_t { kReady, kTraining, kBarrier, kTransferring };
 enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 };
 
 /// One independent reader over a user's arrival sequence. The driver runs
-/// two per user (live and replay session) and a third for a look-ahead
+/// one per user (its session machine) and a second for a look-ahead
 /// scheme's oracle, each at its own position. `at` is the next unconsumed
 /// arrival (the kNoArrival sentinel compares greater than every reachable
 /// slot, so `feed.at <= t` loops need no exhaustion flag) regardless of the
@@ -77,7 +77,7 @@ enum GapMode : unsigned char { kGapAbsent = 0, kGapTraining = 1, kGapAccrue = 2 
 using Feed = apps::ArrivalCursor;
 
 /// The hot per-user block: what every transition and the decide path read
-/// in every mode, in four cache lines (prefetch_user fetches exactly
+/// in every mode, in three cache lines (prefetch_user fetches exactly
 /// these). State that only one mode reads lives in a side column of the
 /// driver, allocated only when that mode is on: battery_, thermal_,
 /// training_, oracles_, windows_ (and stream_params_ for lazy streams).
@@ -97,6 +97,7 @@ struct alignas(64) UserState {
   bool training_corun = false;
   bool lte = false;  ///< network tier: LTE, else wifi
   device::AppKind train_app = device::AppKind::kMap;
+  device::AppKind session_app{};  ///< app of the latest session (see feed)
   sim::Slot phase_end = 0;
   /// Presence window [join, leave): churned users are absent outside it.
   sim::Slot join = 0;
@@ -108,29 +109,21 @@ struct alignas(64) UserState {
   /// touched, so batched catch-up is bit-identical to the eager slot loop.
   sim::Slot synced = -1;
 
-  // Driver-owned foreground-session timeline: an app that arrives while
+  // Driver-owned foreground-session machine: an app that arrives while
   // none is on screen stays for its measured Table II co-run time, and an
   // arrival during a session is absorbed. With a deterministic arrival feed
   // a session's whole future is determined, so the machine is advanced on
-  // demand. Two copies of the same deterministic machine run at different
-  // times: `live` answers reads at the current slot, `replay` paces the
-  // lazy accrual (historical states must not be contaminated by future
-  // arrivals). Both agree on every slot both have passed; the only
-  // external mutation — the co-run extension in start_training — is
-  // applied to both while they are synchronized.
-  struct SessionMachine {
-    Feed feed;          ///< next arrival this machine has not consumed
-    sim::Slot end = 0;  ///< first slot the current app is off screen
-    device::AppKind app{};
-  };
-  SessionMachine live_sess;
-  SessionMachine replay_sess;
+  // demand. Only catch_up advances it past synced + 1; every other reader
+  // goes through session_at, so each slot catch_up has yet to accrue still
+  // sees the session that was on screen at that slot.
+  Feed feed;                  ///< next arrival the machine has not consumed
+  sim::Slot session_end = 0;  ///< first slot the current app is off screen
 
   std::uint64_t version_at_download = 0;
   device::EnergyMeter meter;
   util::Rng rng{0};
 };
-static_assert(sizeof(UserState) <= 320, "the hot block must fit 320 bytes");
+static_assert(sizeof(UserState) == 192, "the hot block is three cache lines");
 
 /// Side column of track_battery: the user's battery and the meter total
 /// already drained into it.
@@ -287,13 +280,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   [[nodiscard]] std::optional<device::AppKind> user_app(
       std::size_t user) override {
-    // Materialize this user's live session through the current slot (the
-    // eager driver ticked every session before any read at slot t). The
-    // replay machine is untouched, so lazy accrual stays exact.
-    UserState& u = users_[user];
-    advance_session(u.live_sess, user, cur_);
-    return cur_ < u.live_sess.end ? std::optional{u.live_sess.app}
-                                  : std::nullopt;
+    // Materialize this user's session through the current slot (the eager
+    // driver ticked every session before any read at slot t).
+    const UserState& u = session_at(user, cur_);
+    return cur_ < u.session_end ? std::optional{u.session_app} : std::nullopt;
   }
 
   [[nodiscard]] double user_gap(std::size_t user) const override {
@@ -305,13 +295,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   [[nodiscard]] double momentum_norm() const override {
     return cfg_.real_training ? server_->momentum_norm()
                               : momentum_model_.momentum_norm();
-  }
-
-  [[nodiscard]] double expected_lag(std::size_t user,
-                                    device::AppStatus status,
-                                    device::AppKind app,
-                                    sim::Slot t) const override {
-    return expected_lag(users_[user], status, app, t);
   }
 
   [[nodiscard]] sim::Slot user_leave_slot(std::size_t user) const override {
@@ -326,10 +309,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                             device::AppStatus status,
                                             device::AppKind app,
                                             sim::Slot t) const override {
-    // Same duration table (and the same indexing) the expected_lag lookahead
-    // uses, so the scalar and batched paths see one end-slot arithmetic.
-    const UserState& u = users_[user];
-    return t + lag_slots_[static_cast<std::size_t>(u.dev_kind)]
+    // Duration-in-slots precomputed per (device, co-run context): the same
+    // training_duration_s/slots_for_seconds values, evaluated once.
+    return t + lag_slots_[static_cast<std::size_t>(users_[user].dev_kind)]
                          [status == device::AppStatus::kApp
                               ? static_cast<std::size_t>(app)
                               : device::kAppKinds];
@@ -587,9 +569,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         feed = end_script(begin);
       }
       // One positioning walk per user: a feed is a complete position, so
-      // the others are copies.
-      u.live_sess.feed = feed;
-      u.replay_sess.feed = feed;
+      // the oracle's is a copy.
+      u.feed = feed;
       if (!oracles_.empty()) {
         oracles_[i] = OracleState{feed, arrivals_end(u), windows_of(i).next};
       }
@@ -687,7 +668,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                               apps::StreamConcern::kArrivals));
   }
 
-  /// Arrival end of the user's live and replay feeds in stream mode.
+  /// Arrival end of the user's session feed in stream mode.
   [[nodiscard]] sim::Slot arrivals_end(const UserState& u) const noexcept {
     return std::min(cfg_.horizon_slots, u.leave);
   }
@@ -944,18 +925,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     const WindowSlice later = windows_of(index);
     if (u.leave != t || later.next == later.end) return;
     // Drain the retiring window's remaining arrivals (all strictly before
-    // the leave slot) through the live machine before repositioning its
+    // the leave slot) through the session machine before repositioning its
     // feed: the lazy re-init below skips past them, so consuming them now
     // keeps the session state identical to a script feed of the same
-    // stream (the replay machine was drained by the leave event's
-    // catch_up).
-    advance_session(u.live_sess, index, t);
+    // stream.
+    session_at(index, t);
     const scenario::PresenceWindow w = extra_windows_[windows_[index].next++];
     u.join = w.join;
     u.leave = w.leave;
     if (!stream_params_.empty()) {
-      u.live_sess.feed = stream_feed(index, u.join, arrivals_end(u));
-      u.replay_sess.feed = u.live_sess.feed;
+      u.feed = stream_feed(index, u.join, arrivals_end(u));
       // The oracle is NOT re-initialized here: its look-ahead may already
       // be past this window, and the script-mode oracle (whose arena spans
       // every window) never rewinds either.
@@ -988,7 +967,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// presence, battery gate) into `due_`, the strategy evaluates them in
   /// order, and each outcome comes back through the DecisionSink (a
   /// schedule is applied before the next row is evaluated, preserving the
-  /// scalar loop's intra-slot expected_lag coupling bit for bit). Users
+  /// scalar loop's intra-slot lag coupling bit for bit). Users
   /// whose strategy promises kIdle until a future slot are parked on a
   /// kWake event instead of being re-consulted every slot.
   void decide_ready(sim::Slot t) {
@@ -1103,18 +1082,17 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Re-derive a row's session fields at slot t, as user_app does. Slots
   /// clamp to int32: all reachable ones are below the bounded horizon.
   void refresh_row(ReadyRow& row, sim::Slot t) {
-    UserState& u = users_[row.user];
-    advance_session(u.live_sess, row.user, t);
-    const bool app_on = t < u.live_sess.end;
+    const UserState& u = session_at(row.user, t);
+    const bool app_on = t < u.session_end;
     row.app = static_cast<std::uint8_t>(
-        app_on ? static_cast<std::size_t>(u.live_sess.app) : device::kAppKinds);
+        app_on ? static_cast<std::size_t>(u.session_app) : device::kAppKinds);
     row.app_until = static_cast<std::int32_t>(
-        std::min<sim::Slot>(app_on ? u.live_sess.end : u.live_sess.feed.at,
+        std::min<sim::Slot>(app_on ? u.session_end : u.feed.at,
                             std::numeric_limits<std::int32_t>::max()));
   }
 
   /// Prefetch user i's hot block, every line of it: a transition reads
-  /// the phase, both session machines, the watermark and the meter.
+  /// the phase, the session machine, the watermark and the meter.
   void prefetch_user(std::uint32_t i) const {
     const char* p = reinterpret_cast<const char*>(&users_[i]);
     for (std::size_t line = 0; line < sizeof(UserState) / 64; ++line) {
@@ -1126,12 +1104,10 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   void schedule(std::size_t k) override {
     const std::uint32_t i = due_[k].user;
-    UserState& u = users_[i];
-    catch_up(i, cur_ - 1);
-    // Materialize the live session through the decision slot (the scalar
-    // loop did this before consulting decide(); deferring it to the apply
-    // point is invisible — the machine is lazy and monotone).
-    advance_session(u.live_sess, i, cur_);
+    // Materialize the session through the decision slot (the scalar loop
+    // did this before consulting decide(); deferring it to the apply point
+    // is invisible — the machine is lazy and monotone).
+    UserState& u = session_at(i, cur_);
     start_training(i, cur_);
     slot_served_ += 1.0;
     u.in_backlog = false;
@@ -1229,23 +1205,34 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   // ------------------------------------------------------- lazy accrual
 
-  /// Advance one of user i's foreground-session machines through slot `t`,
+  /// Advance user i's foreground-session machine through slot `t`,
   /// consuming feed arrivals exactly as the per-slot tick did: an arrival
   /// while an app runs is absorbed; otherwise it starts a session lasting
-  /// the device's measured Table II co-run time.
-  void advance_session(UserState::SessionMachine& m, std::size_t i,
-                       sim::Slot t) {
-    const UserState& u = users_[i];
-    while (m.feed.at <= t) {
-      if (m.feed.at >= m.end) {
-        m.app = m.feed.app;
+  /// the device's measured Table II co-run time. Called only by catch_up
+  /// and session_at.
+  void advance_session(std::size_t i, sim::Slot t) {
+    UserState& u = users_[i];
+    while (u.feed.at <= t) {
+      if (u.feed.at >= u.session_end) {
+        u.session_app = u.feed.app;
         const double duration_s =
-            device::profile(u.dev_kind).app(m.feed.app).corun_time_s;
-        m.end = m.feed.at + static_cast<sim::Slot>(
-                                std::ceil(duration_s / clock_.slot_seconds()));
+            device::profile(u.dev_kind).app(u.feed.app).corun_time_s;
+        u.session_end = u.feed.at + static_cast<sim::Slot>(std::ceil(
+                                        duration_s / clock_.slot_seconds()));
       }
-      feed_next(m.feed, i, arrivals_end(u));
+      feed_next(u.feed, i, arrivals_end(u));
     }
+  }
+
+  /// User i's session machine at slot t, for a read or a transition at t.
+  /// Accrual catches up through t - 1 first: the machine then never runs
+  /// past synced + 1, so catch_up still reads each slot's own session.
+  /// Exact wherever it is called: catch_up's result does not depend on how
+  /// a span is split, and each slot is still accrued once.
+  UserState& session_at(std::size_t i, sim::Slot t) {
+    catch_up(i, t - 1);
+    advance_session(i, t);
+    return users_[i];
   }
 
   /// Replay the per-slot accrual sequence for every slot in (u.synced, upto]
@@ -1271,18 +1258,18 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     const device::DeviceProfile& dev = device::profile(u.dev_kind);
     sim::Slot s = u.synced + 1;
     while (s <= upto) {
-      advance_session(u.replay_sess, index, s);
-      const bool app_on = s < u.replay_sess.end;
+      advance_session(index, s);
+      const bool app_on = s < u.session_end;
       sim::Slot seg_end;
       if (app_on) {
-        seg_end = std::min(upto, u.replay_sess.end - 1);
+        seg_end = std::min(upto, u.session_end - 1);
       } else {
-        const sim::Slot next_arrival = u.replay_sess.feed.at;
+        const sim::Slot next_arrival = u.feed.at;
         seg_end = next_arrival > upto ? upto : next_arrival - 1;
       }
       const device::AppStatus status =
           app_on ? device::AppStatus::kApp : device::AppStatus::kNoApp;
-      const device::AppKind app = app_on ? u.replay_sess.app : u.train_app;
+      const device::AppKind app = app_on ? u.session_app : u.train_app;
       if (!slow) {
         u.meter.accrue_repeat(dev, decision, status, app, cfg_.slot_seconds,
                               seg_end - s + 1);
@@ -1321,25 +1308,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   // ------------------------------------------------------------- decisions
 
-  /// Server-side lag estimate l_{d_i}: how many currently-training users
-  /// will apply an update while `u` would be training (Algorithm 2, line 4).
-  /// Answered from the sorted end-slot index of in-flight sessions
-  /// (training_ends_) in O(log n) instead of an O(n) fleet scan — the same
-  /// count bit for bit (`u` is never in the index when this is called), but
-  /// it keeps 10k-user online fleets out of O(n^2) per slot.
-  double expected_lag(const UserState& u, device::AppStatus status,
-                      device::AppKind app, sim::Slot t) const {
-    // Duration-in-slots precomputed per (device, co-run context): the same
-    // training_duration_s/slots_for_seconds values, evaluated once.
-    const sim::Slot slots =
-        lag_slots_[static_cast<std::size_t>(u.dev_kind)]
-                  [status == device::AppStatus::kApp
-                       ? static_cast<std::size_t>(app)
-                       : device::kAppKinds];
-    return cached_lag_count(t + slots, t);
-  }
-
-  /// Memoized Fenwick prefix count behind expected_lag/lag_count_at: the
+  /// Server-side lag estimate l_{d_i} (Algorithm 2, line 4): how many
+  /// currently-training users will apply an update by `end`, the end slot
+  /// of a session the asking user would start now. Answered from the
+  /// sorted end-slot index of in-flight sessions (training_ends_) in
+  /// O(log n) instead of an O(n) fleet scan — the same count bit for bit
+  /// (the asker is never in the index), which keeps 10k-user online fleets
+  /// out of O(n^2) per slot.
+  ///
+  /// Memoized Fenwick prefix count behind lag_count_at: the
   /// fleet asks for only a handful of distinct end slots t + d (device
   /// kinds x co-run contexts), so counts are cached until the next index
   /// mutation. At the next slot each entry moves to end + 1 by adding the
@@ -1364,7 +1341,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return static_cast<double>(count);
   }
 
-  /// Keep the expected_lag index in sync with kTraining phase transitions.
+  /// Keep the lag index in sync with kTraining phase transitions.
   void index_training_start(sim::Slot end) {
     training_ends_.add(end, +1);
     ++lag_index_version_;
@@ -1379,18 +1356,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
 
   void start_training(std::size_t index, sim::Slot t) {
     UserState& u = users_[index];
-    // Caller guarantees accrual through t-1; bring the replay machine to t
-    // so both session machines agree (required before the co-run extension
-    // below mutates them).
-    assert(u.synced == t - 1);
-    advance_session(u.replay_sess, index, t);
-    assert(u.replay_sess.feed.at == u.live_sess.feed.at &&
-           u.replay_sess.end == u.live_sess.end);
-    const bool app_on = t < u.live_sess.end;
+    // Caller brought the user to t through session_at.
+    assert(u.synced == t - 1 && u.feed.at > t);
+    const bool app_on = t < u.session_end;
     const device::AppStatus status =
         app_on ? device::AppStatus::kApp : device::AppStatus::kNoApp;
     u.training_corun = status == device::AppStatus::kApp;
-    u.train_app = app_on ? u.live_sess.app : device::AppKind::kMap;
+    u.train_app = app_on ? u.session_app : device::AppKind::kMap;
     double duration = device::training_duration_s(device::profile(u.dev_kind),
                                                   status, u.train_app);
     if (cfg_.enable_thermal) {
@@ -1402,16 +1374,15 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
     if (u.training_corun) {
       // System model: the app covers the co-scheduled training task
-      // (extend the session to the training duration if it is shorter) —
-      // applied to both machines while they are synchronized.
+      // (extend the session to the training duration if it is shorter).
       const sim::Slot needed = clock_.slots_for_seconds(duration);
-      if (needed > u.live_sess.end - t) u.live_sess.end = t + needed;
-      u.replay_sess.end = u.live_sess.end;
+      if (needed > u.session_end - t) u.session_end = t + needed;
       ++result_.corun_sessions;
     } else {
       ++result_.separate_sessions;
     }
-    const double lag = expected_lag(u, status, u.train_app, t);
+    const double lag = cached_lag_count(
+        training_end_slot(index, status, u.train_app, t), t);
     gap_[index] = fl::gradient_gap(cfg_.eta, cfg_.beta, lag, momentum_norm());
     u.phase = Phase::kTraining;
     u.phase_end = t + std::max<sim::Slot>(clock_.slots_for_seconds(duration), 1);
@@ -1645,7 +1616,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   net::Link wifi_link_;
   net::Link lte_link_;
   fl::SyntheticMomentumModel momentum_model_;
-  /// End slots of users currently in kTraining (the expected_lag index;
+  /// End slots of users currently in kTraining (the lag index;
   /// see index_training_start/finish).
   TrainingEndIndex training_ends_;
   std::uint64_t lag_index_version_ = 0;
@@ -1653,7 +1624,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   mutable sim::Slot lag_cache_slot_ = -1;
   mutable std::uint64_t lag_cache_version_ = 0;
   /// [device kind][app or kAppKinds for no-app] -> training duration in
-  /// slots (the expected_lag lookahead).
+  /// slots (the lag lookahead; see training_end_slot).
   std::vector<std::array<sim::Slot, device::kAppKinds + 1>> lag_slots_;
 
   data::SynthCifar dataset_;

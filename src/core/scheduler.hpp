@@ -106,52 +106,29 @@ class SchedulerContext {
   [[nodiscard]] virtual double user_gap(std::size_t user) const = 0;
   /// Server-side momentum norm ||v_t|| (real or synthetic model).
   [[nodiscard]] virtual double momentum_norm() const = 0;
-  /// Server lag estimate l_{d_i} (Algorithm 2, line 4): currently-training
-  /// users that will apply an update while `user` would be training.
-  /// Precondition: `user` must not itself be mid-training-session — the
-  /// driver answers from an index of in-flight sessions that would count
-  /// the caller's own session. Call it only for users being *considered*
-  /// for scheduling (the decide() path), which is also the only place the
-  /// estimate is meaningful.
-  [[nodiscard]] virtual double expected_lag(std::size_t user,
-                                            device::AppStatus status,
-                                            device::AppKind app,
-                                            sim::Slot t) const = 0;
-
   /// End of the user's current presence window (scenario::kNeverLeaves for
-  /// homogeneous fleets and never-churning users). Defaulted so only the
-  /// churn-aware modes need a driver that answers it.
-  [[nodiscard]] virtual sim::Slot user_leave_slot(std::size_t user) const {
-    (void)user;
-    return scenario::kNeverLeaves;
-  }
+  /// homogeneous fleets and never-churning users).
+  [[nodiscard]] virtual sim::Slot user_leave_slot(std::size_t user) const = 0;
   /// Scheduling weight of the user (PerUserConfig::priority; 1.0 =
-  /// standard). Defaulted for the same reason as user_leave_slot.
-  [[nodiscard]] virtual double user_priority(std::size_t user) const {
-    (void)user;
-    return 1.0;
-  }
+  /// standard).
+  [[nodiscard]] virtual double user_priority(std::size_t user) const = 0;
   /// End slot of a training session started at `t` in the given app
-  /// context — t + the user's Table II duration in slots, the expected_lag
-  /// query point. Defaulted (no duration known -> t) so only the
-  /// churn-aware and batched online consumers need an answer.
+  /// context — t + the user's Table II duration in slots, the query point
+  /// of lag_count_at.
   [[nodiscard]] virtual sim::Slot training_end_slot(std::size_t user,
                                                     device::AppStatus status,
                                                     device::AppKind app,
-                                                    sim::Slot t) const {
-    (void)user;
-    (void)status;
-    (void)app;
-    return t;
-  }
+                                                    sim::Slot t) const = 0;
 
-  /// The expected_lag answer for a training_end_slot() end slot: the
-  /// memoized count of in-flight training sessions ending at or before
-  /// `end_slot`. Must be read per user AFTER earlier users' schedule()
-  /// outcomes were applied — the same intra-slot coupling expected_lag
-  /// documents (a schedule invalidates the memo). Within one decide batch
-  /// the count never decreases: schedules only add training ends, and
-  /// completions run in the events phase.
+  /// Server lag estimate l_{d_i} (Algorithm 2, line 4) for a session ending
+  /// at `end_slot` (a training_end_slot() answer): the memoized count of
+  /// in-flight training sessions ending at or before it. Ask only for a
+  /// user being considered for scheduling — the index would count the
+  /// asker's own session if it were mid-training. Must be read per user
+  /// AFTER earlier users' schedule() outcomes were applied (a schedule
+  /// invalidates the memo) — the scalar loop's intra-slot coupling. Within
+  /// one decide batch the count never decreases: schedules only add
+  /// training ends, and completions run in the events phase.
   [[nodiscard]] virtual double lag_count_at(sim::Slot end_slot) const = 0;
 
   /// Offline-oracle service: the user's first scripted app arrival in

@@ -15,11 +15,11 @@ device::Decision OnlineLyapunovScheduler::decide(std::size_t user, sim::Slot t,
   input.app = app.value_or(device::AppKind::kMap);
   input.current_gap = ctx.user_gap(user);
   input.momentum_norm = momentum_norm_;  // constant within a slot, see hpp
-  input.expected_lag = ctx.expected_lag(user, input.app_status, input.app, t);
+  const sim::Slot end =
+      ctx.training_end_slot(user, input.app_status, input.app, t);
+  input.expected_lag = ctx.lag_count_at(end);
   if (churn_aware_ || has_priority_) {
-    input.h_scale = h_scale_for(
-        ctx, user, t,
-        ctx.training_end_slot(user, input.app_status, input.app, t));
+    input.h_scale = h_scale_for(ctx, user, t, end);
   }
   return online_.decide(ctx.user_device(user), input).decision;
 }

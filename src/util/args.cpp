@@ -1,5 +1,8 @@
 #include "util/args.hpp"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <type_traits>
 
@@ -7,25 +10,34 @@ namespace fedco::util {
 
 namespace {
 
-/// Parses the whole of `text` with std::stoll or std::stod.
+/// Parses the whole of `text` with std::stoll or std::strtod. A subnormal
+/// is a value, as it is to the JSON loader (std::stod would reject it:
+/// strtod flags it with ERANGE); overflow and underflow to zero stay out
+/// of range.
 template <typename T>
 T parse_number(const std::string& text, const char* expected) {
   if (text.empty()) throw std::invalid_argument{"needs a value"};
   const std::string got =
       std::string{"expects "} + expected + ", got '" + text + "'";
   std::size_t consumed = 0;
-  try {
-    T value{};
-    if constexpr (std::is_integral_v<T>) {
+  bool in_range = true;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    try {
       value = std::stoll(text, &consumed);
-    } else {
-      value = std::stod(text, &consumed);
+    } catch (const std::out_of_range&) {
+      in_range = false;
+    } catch (const std::invalid_argument&) {
     }
-    if (consumed == text.size()) return value;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument{got + " (out of range)"};
-  } catch (const std::invalid_argument&) {
+  } else {
+    errno = 0;
+    char* end = nullptr;
+    value = std::strtod(text.c_str(), &end);
+    consumed = static_cast<std::size_t>(end - text.c_str());
+    in_range = errno != ERANGE || (std::isfinite(value) && value != 0.0);
   }
+  if (!in_range) throw std::invalid_argument{got + " (out of range)"};
+  if (consumed == text.size()) return value;
   throw std::invalid_argument{got};
 }
 

@@ -39,7 +39,8 @@
 #  10. A flag that takes a value exits 2 naming the flag when the value is
 #      missing (`--scenario --scheduler offline`, a bare `--V`) or
 #      malformed (`--users abc`, `--scheduler bogus`, `--horizon 1e3`); a
-#      value that follows no flag exits 2 naming it.
+#      value that follows no flag exits 2 naming it; a subnormal value
+#      (`--epsilon 1e-310`) and a signed one (`--V +5`) run.
 #  11. Flag-built configs save to pinned bytes: the defaults, one command
 #      line that sets every config-bound flag, and the flag-only rules
 #      (--min-soc implies --battery; real LeNet-small gets the 16x16
@@ -489,6 +490,21 @@ foreach(bad "--users;abc" "--users;99999999999999999999" "--horizon;1e3"
     message(FATAL_ERROR
       "${flag} ${value} exited ${bad_value_rc} (want 2, naming the flag):\n"
       "${bad_value_err}")
+  endif()
+endforeach()
+
+# Every number the JSON config loader accepts is a flag value too, a
+# subnormal included; an explicit plus sign parses as well.
+foreach(good "--epsilon;1e-310" "--V;+5")
+  list(GET good 0 flag)
+  list(GET good 1 value)
+  execute_process(
+    COMMAND ${FEDCO_SIM} --horizon 60 --users 2 ${flag} ${value}
+    RESULT_VARIABLE good_value_rc ERROR_VARIABLE good_value_err OUTPUT_QUIET
+  )
+  if(NOT good_value_rc EQUAL 0)
+    message(FATAL_ERROR
+      "${flag} ${value} exited ${good_value_rc} (want 0):\n${good_value_err}")
   endif()
 endforeach()
 

@@ -100,11 +100,6 @@ class RowContext final : public SchedulerContext {
     return folded_gap(u.gap_base, u.gap_anchor, slot - 1, config_.epsilon);
   }
   [[nodiscard]] double momentum_norm() const override { return momentum; }
-  [[nodiscard]] double expected_lag(std::size_t user, device::AppStatus status,
-                                    device::AppKind app,
-                                    sim::Slot t) const override {
-    return lag_count_at(training_end_slot(user, status, app, t));
-  }
   [[nodiscard]] sim::Slot user_leave_slot(std::size_t user) const override {
     return users_[user].leave;
   }

@@ -173,10 +173,10 @@ ExperimentConfig small_run() {
   return cfg;
 }
 
-TEST(UserStateColumns, HotBlockIsWholeCacheLinesWithinBudget) {
+TEST(UserStateColumns, HotBlockIsThreeCacheLines) {
+  // One session machine per user: 192 bytes of fields, three cache lines.
   const UserStateBytes bytes = user_state_bytes(small_run());
-  EXPECT_LE(bytes.hot, 320u);
-  EXPECT_EQ(bytes.hot % 64, 0u);
+  EXPECT_EQ(bytes.hot, 192u);
 }
 
 TEST(UserStateColumns, EveryModeOffAllocatesNoSideColumn) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "util/args.hpp"
@@ -76,6 +77,21 @@ TEST(ParseValue, WholeStringOrThrow) {
   }
   for (const char* bad : {"", "4x2", "x", "1e999"}) {
     EXPECT_THROW((void)parse_double(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(ParseValue, SubnormalsAreNumbersOverflowIsNot) {
+  // The same finite doubles the JSON config loader accepts, in every
+  // spelling strtod takes; only overflow and underflow to zero are errors.
+  EXPECT_EQ(parse_double("1e-310"), 1e-310);
+  EXPECT_EQ(parse_double("4.9e-324"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(parse_double("+5"), 5.0);
+  EXPECT_EQ(parse_double("-1e-310"), -1e-310);
+  for (const char* bad : {"1e999", "-1e999", "1e-400"}) {
+    EXPECT_EQ(error_of([&] { return parse_double(bad); }),
+              std::string{"expects a number, got '"} + bad +
+                  "' (out of range)");
   }
 }
 
