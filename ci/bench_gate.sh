@@ -19,13 +19,14 @@ out=${1:-bench_1m_ci.jsonl}
 : >"$out"
 
 # Peak-RSS ceilings in MiB: 1.15x (the peak_rss_mib bound in BENCHMARK.json)
-# the medians measured on x86-64 Linux with GCC after the per-user driver
-# state became a 192-byte hot block (one session machine per user) with
-# mode-only side columns: 484.5 (online, 15 runs; 545.5 before) and 650.4
-# (offline, 8 runs; 711.4 before). Raise a ceiling only with a change that
-# explains its footprint.
+# the medians measured on x86-64 Linux with GCC, seed 1, after the run was
+# digested only once the driver's per-user state is freed, the server-gap
+# trace was recorded once and stream arrival laws were read from the fleet
+# arena: 377.1 (online, 10 runs; 484.5 before) and 592.7 (offline, 10 runs
+# at seed 3, 592.6 at seed 1; 650.4 before). Raise a ceiling only with a
+# change that explains its footprint.
 status=0
-for gate in fleet_1m_online:557 fleet_1m_offline:748; do
+for gate in fleet_1m_online:434 fleet_1m_offline:682; do
   workload=${gate%%:*}
   ceiling=${gate#*:}
   log=$(mktemp)

@@ -80,9 +80,9 @@ using Feed = apps::ArrivalCursor;
 /// in every mode, in three cache lines (prefetch_user fetches exactly
 /// these). State that only one mode reads lives in a side column of the
 /// driver, allocated only when that mode is on: battery_, thermal_,
-/// training_, oracles_, windows_ (and stream_params_ for lazy streams).
-/// The device profile, the link and the stream key are derived from
-/// dev_kind, lte and the user index.
+/// training_, oracles_, windows_. The device profile, the link, the stream
+/// key and a lazy stream's arrival law are derived from dev_kind, lte and
+/// the user index.
 struct alignas(64) UserState {
   Phase phase = Phase::kReady;
   device::DeviceKind dev_kind{};
@@ -161,6 +161,15 @@ struct OracleState {
   std::uint32_t window = 0;
 };
 
+/// A run whose slots are done and whose sums are settled: the result, and
+/// what digest() reads after the driver and its per-user state are gone.
+struct SettledRun {
+  ExperimentResult result;
+  std::vector<double> queue_q;      ///< per-slot Q(t)
+  std::vector<double> queue_h;      ///< per-slot H(t)
+  std::vector<double> user_energy;  ///< per-user total energy (J)
+};
+
 nn::Network make_model(ModelKind kind, const data::SynthCifarConfig& data_cfg,
                        util::Rng& rng) {
   switch (kind) {
@@ -233,12 +242,55 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     scheduler_->on_experiment_begin(*this);
   }
 
-  ExperimentResult run() {
+  void run() {
     watch_.start();
     for (sim::Slot t = 0; t < cfg_.horizon_slots; ++t) {
       step(t);
     }
-    return finalize();
+    result_.summary.timing.record_s += watch_.lap_s();  // the last slot
+  }
+
+  /// The first step of finalize, after run(): materialize every lazy span,
+  /// sum the meters and batteries, and take the final queues and
+  /// evaluation. digest() runs once the driver is gone.
+  SettledRun settle() {
+    // Materialize every outstanding lazy span through the last slot the
+    // eager loop would have accrued.
+    for (std::size_t i = 0; i < users_.size(); ++i) {
+      catch_up(i, cfg_.horizon_slots - 1);
+    }
+    SettledRun run;
+    run.user_energy.reserve(users_.size());
+    for (const UserState& u : users_) {
+      result_.total_energy_j += u.meter.total_j();
+      result_.training_j += u.meter.training_j();
+      result_.corun_j += u.meter.corun_j();
+      result_.app_j += u.meter.app_j();
+      result_.idle_j += u.meter.idle_j();
+      result_.overhead_j += u.meter.overhead_j();
+      run.user_energy.push_back(u.meter.total_j());
+    }
+    for (const BatteryState& b : battery_) {
+      result_.battery_cycles_total += b.battery.equivalent_cycles();
+      result_.battery_recharges += b.battery.recharge_count();
+    }
+    result_.total_energy_j += result_.network_j;
+    result_.avg_queue_q = queue_q_stats_.mean();
+    result_.avg_queue_h = queue_h_stats_.mean();
+    result_.final_queue_q = scheduler_->queue_q();
+    result_.final_queue_h = scheduler_->queue_h();
+    if (result_.total_updates > 0) {
+      result_.avg_lag = lag_sum_ / static_cast<double>(result_.total_updates);
+      result_.avg_gap = gap_sum_ / static_cast<double>(result_.total_updates);
+    }
+    if (cfg_.real_training) {
+      evaluate(static_cast<double>(cfg_.horizon_slots) * cfg_.slot_seconds);
+    }
+    if (events_ != nullptr) events_->flush();
+    run.result = std::move(result_);
+    run.queue_q = std::move(queue_q_samples_);
+    run.queue_h = std::move(queue_h_samples_);
+    return run;
   }
 
   /// Bytes per user of the hot block and of the side columns set up.
@@ -246,7 +298,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     const auto bytes = [](const auto& c) { return c.size() * sizeof(c[0]); };
     return {sizeof(UserState), (bytes(battery_) + bytes(thermal_) +
                                 bytes(training_) + bytes(oracles_) +
-                                bytes(windows_) + bytes(stream_params_)) /
+                                bytes(windows_)) /
                                    users_.size()};
   }
 
@@ -329,7 +381,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     // so a script feed crosses boundaries for free, and the lazy oracle
     // must match a script of the same stream look-ahead for look-ahead.
     OracleState& o = oracles_[user];
-    const bool lazy = !stream_params_.empty();
+    const bool lazy = stream_feeds_;
     if (lazy && o.feed.at == Feed::kNoArrival) oracle_advance_window(user);
     while (o.feed.at < from) {
       feed_next(o.feed, user, o.end);
@@ -485,7 +537,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     }
     if (cfg_.real_training) training_.resize(cfg_.num_users);
     if (scheduler_->looks_ahead()) oracles_.resize(cfg_.num_users);
-    hot_.reserve(cfg_.num_users);  // untouched capacity costs no memory
+    // Untouched capacity costs no memory. A batch holds at most one row
+    // per user; one reserve leaves no heap holes, a reserve per batch size
+    // left ~30 MiB of them at 1M users.
+    hot_.reserve(cfg_.num_users);
+    due_.reserve(cfg_.num_users);
     gap_.assign(cfg_.num_users, 0.0);
     // Everyone starts absent; the set_mode(i, 0) below performs the real
     // slot-0 classification and the initial accumulator attach.
@@ -501,15 +557,16 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
                                             cfg_.num_users, part_rng);
     }
     const nn::SgdConfig sgd{cfg_.eta, cfg_.beta, 0.0, 0.0};
+    // Trace-driven fleet (arrival_trace_dir, else arrival_trace_path): read
+    // only while the scripts are built; user i replays file i mod count.
+    const apps::TraceFleet trace =
+        apps::load_trace_fleet(cfg_.arrival_trace_dir, cfg_.arrival_trace_path);
     // Stream mode: arrivals, device picks, and runtime draws come from
     // counter-based streams keyed on (seed, user, concern) — no per-user
     // master forks, so user i's state is independent of fleet size and
     // construction order. A replayed trace is already a script: it
     // supplies the arrivals, while the streams still key the draws.
-    const bool stream_mode = cfg_.arrival_streams &&
-                             cfg_.arrival_trace_path.empty() &&
-                             cfg_.arrival_trace_dir.empty();
-    if (stream_mode) stream_params_.resize(cfg_.num_users);
+    stream_feeds_ = cfg_.arrival_streams && trace.empty();
     for (std::size_t i = 0; i < cfg_.num_users; ++i) {
       UserState& u = users_[i];
       const scenario::PerUserConfig pu = user_overrides(i);
@@ -560,12 +617,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
         priority_[i] = pu.priority;
       }
       Feed feed;
-      if (stream_mode) {
-        stream_params_[i] = arrival_law(pu);
+      if (stream_feeds_) {
         feed = stream_feed(i, u.join, arrivals_end(u));
       } else {
         const std::size_t begin = script_arena_.size();
-        generate_script(u, pu);
+        generate_script(i, pu, trace);
         feed = end_script(begin);
       }
       // One positioning walk per user: a feed is a complete position, so
@@ -604,9 +660,11 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     return scenario::PerUserConfig{};
   }
 
-  /// User i's arrival law: its per-user overrides over the config's.
-  [[nodiscard]] apps::ArrivalStreamParams arrival_law(
-      const scenario::PerUserConfig& pu) const {
+  /// User i's arrival law: its per-user overrides over the config's, read
+  /// from the arena's arrival columns when the driver needs it.
+  [[nodiscard]] apps::ArrivalStreamParams arrival_law(std::size_t i) const {
+    const scenario::PerUserConfig pu =
+        cfg_.fleet ? cfg_.fleet->arrival_overrides(i) : scenario::PerUserConfig{};
     return {pu.arrival_probability.value_or(cfg_.arrival_probability),
             pu.diurnal.value_or(cfg_.diurnal),
             pu.diurnal_swing.value_or(cfg_.diurnal_swing),
@@ -614,12 +672,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   }
 
   /// Script generation, appended to the shared arena (end_script closes
-  /// the user's slice): the user's trace when the run replays one, else
-  /// the legacy walk. The walk is draw-for-draw the historical per-user
-  /// vector build: the full-horizon Bernoulli walk runs even for churned
-  /// users (identical RNG consumption across presence windows) and the app
-  /// draw fires on every arrival; only in-window events are stored.
-  void generate_script(UserState& u, const scenario::PerUserConfig& pu) {
+  /// the user's slice): user i's file of `trace` when the run replays one,
+  /// else the legacy walk. The walk is draw-for-draw the historical vector
+  /// build: the full-horizon Bernoulli walk runs even for churned users
+  /// (identical RNG consumption across presence windows) and the app draw
+  /// fires on every arrival; only in-window events are stored.
+  void generate_script(std::size_t i, const scenario::PerUserConfig& pu,
+                       const apps::TraceFleet& trace) {
     // Storage filter: only events inside one of the user's presence
     // windows reach the arena (the RNG walk below still runs full-horizon
     // — identical draw consumption across presence shapes).
@@ -630,20 +689,14 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
       }
       return false;
     };
-    if (!cfg_.arrival_trace_dir.empty() || !cfg_.arrival_trace_path.empty()) {
-      // Trace-driven fleet: loaded once, shared across users; each user
-      // replays its file (every user the same one for a single trace).
-      if (trace_fleet_.empty()) {
-        trace_fleet_ = apps::load_trace_fleet(cfg_.arrival_trace_dir,
-                                              cfg_.arrival_trace_path);
-      }
-      const auto index = static_cast<std::size_t>(&u - users_.data());
-      for (const apps::ArrivalEvent& e : trace_fleet_.events_for_user(index)) {
+    if (!trace.empty()) {
+      for (const apps::ArrivalEvent& e : trace.events_for_user(i)) {
         if (in_any_window(e.at)) script_arena_.push_back(e);
       }
       return;
     }
-    const apps::ArrivalStreamParams law = arrival_law(pu);
+    UserState& u = users_[i];
+    const apps::ArrivalStreamParams law = arrival_law(i);
     const double peak = law.max_probability();  // once per user
     // One uniform draw per slot, exactly rng.bernoulli's; the curve is
     // evaluated only for draws under its peak (fires()).
@@ -676,8 +729,8 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// A lazy stream feed at user i's first arrival in [from, end).
   [[nodiscard]] Feed stream_feed(std::size_t i, sim::Slot from,
                                  sim::Slot end) const {
-    return apps::stream_arrivals_begin(stream_params_[i], arrival_key(i),
-                                       from, end);
+    return apps::stream_arrivals_begin(arrival_law(i), arrival_key(i), from,
+                                       end);
   }
 
   /// Close the script slice that starts at arena index `begin` with its
@@ -694,13 +747,13 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Advance user i's feed to its next arrival (kNoArrival when exhausted);
   /// `end` bounds a stream feed's arrivals.
   void feed_next(Feed& f, std::size_t i, sim::Slot end) {
-    if (stream_params_.empty()) {
+    if (!stream_feeds_) {
       const apps::ArrivalEvent& e =
           script_arena_[static_cast<std::size_t>(++f.scan)];
       f.at = e.at;
       f.app = e.app;
     } else {
-      apps::stream_arrivals_next(stream_params_[i], f, end);
+      apps::stream_arrivals_next(arrival_law(i), f, end);
     }
   }
 
@@ -933,7 +986,7 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     const scenario::PresenceWindow w = extra_windows_[windows_[index].next++];
     u.join = w.join;
     u.leave = w.leave;
-    if (!stream_params_.empty()) {
+    if (stream_feeds_) {
       u.feed = stream_feed(index, u.join, arrivals_end(u));
       // The oracle is NOT re-initialized here: its look-ahead may already
       // be past this window, and the script-mode oracle (whose arena spans
@@ -973,8 +1026,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   void decide_ready(sim::Slot t) {
     due_.clear();
     gated_.clear();
-    // Sized up front: a push_back reallocation would hold two copies.
-    due_.reserve(hot_.size() + decide_scratch_.size());
     constexpr std::size_t kAhead = 8;
     const std::size_t hot_count = hot_.size();
     std::size_t a = 0;
@@ -1496,12 +1547,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
           user == users_.size() ? -1 : static_cast<std::int64_t>(user),
           static_cast<std::int64_t>(lag), gap));
     }
-    // Recorded once per applied update — hot on big fleets, so the series
-    // lookup is resolved once (map nodes are stable across insertions).
-    if (server_gap_series_ == nullptr) {
-      server_gap_series_ = &result_.traces.series("server_gap");
-    }
-    server_gap_series_->add(now_s, gap);
   }
 
   void begin_transfer(std::size_t index, sim::Slot t) {
@@ -1551,64 +1596,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
     result_.final_loss = eval.loss;
   }
 
-  // ------------------------------------------------------------- finalize
-
-  ExperimentResult finalize() {
-    result_.summary.timing.record_s += watch_.lap_s();  // the last slot
-    // Materialize every outstanding lazy span through the last slot the
-    // eager loop would have accrued.
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      catch_up(i, cfg_.horizon_slots - 1);
-    }
-    std::vector<double> user_energy;
-    user_energy.reserve(users_.size());
-    for (const UserState& u : users_) {
-      result_.total_energy_j += u.meter.total_j();
-      result_.training_j += u.meter.training_j();
-      result_.corun_j += u.meter.corun_j();
-      result_.app_j += u.meter.app_j();
-      result_.idle_j += u.meter.idle_j();
-      result_.overhead_j += u.meter.overhead_j();
-      user_energy.push_back(u.meter.total_j());
-    }
-    for (const BatteryState& b : battery_) {
-      result_.battery_cycles_total += b.battery.equivalent_cycles();
-      result_.battery_recharges += b.battery.recharge_count();
-    }
-    result_.total_energy_j += result_.network_j;
-    // Summary percentile digests (docs/observability.md): per-slot queue
-    // observables, per-applied-update lag/gap, per-user energy.
-    result_.summary.queue_q = util::percentiles(queue_q_samples_);
-    result_.summary.queue_h = util::percentiles(queue_h_samples_);
-    {
-      std::vector<double> lags;
-      std::vector<double> gaps;
-      lags.reserve(result_.lag_gap_samples.size());
-      gaps.reserve(result_.lag_gap_samples.size());
-      for (const LagGapSample& s : result_.lag_gap_samples) {
-        lags.push_back(static_cast<double>(s.lag));
-        gaps.push_back(s.gap);
-      }
-      result_.summary.lag = util::percentiles(lags);
-      result_.summary.gap = util::percentiles(gaps);
-    }
-    result_.summary.user_energy_j = util::percentiles(user_energy);
-    result_.avg_queue_q = queue_q_stats_.mean();
-    result_.avg_queue_h = queue_h_stats_.mean();
-    result_.final_queue_q = scheduler_->queue_q();
-    result_.final_queue_h = scheduler_->queue_h();
-    if (result_.total_updates > 0) {
-      result_.avg_lag = lag_sum_ / static_cast<double>(result_.total_updates);
-      result_.avg_gap = gap_sum_ / static_cast<double>(result_.total_updates);
-    }
-    if (cfg_.real_training) {
-      evaluate(static_cast<double>(cfg_.horizon_slots) * cfg_.slot_seconds);
-    }
-    if (events_ != nullptr) events_->flush();
-    result_.summary.timing.finalize_s = watch_.lap_s();
-    return std::move(result_);
-  }
-
   ExperimentConfig cfg_;
   sim::Clock clock_;
   util::Rng master_rng_;
@@ -1650,9 +1637,6 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// Folded-accrual engine: closed-form per-user gaps and the O(1) G(t)
   /// accumulators.
   FoldedGapAccrual fold_;
-  /// Trace-driven fleet (cfg.arrival_trace_dir, else arrival_trace_path):
-  /// loaded once on first use.
-  apps::TraceFleet trace_fleet_;
   /// Flat pool of every user's later presence windows (commute cycles,
   /// outage recovery); windows_ holds each user's slice of it.
   std::vector<scenario::PresenceWindow> extra_windows_;
@@ -1670,9 +1654,9 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// for the whole fleet instead of one vector per user. Feeds hold
   /// indices (not pointers), so growth during setup is safe.
   std::vector<apps::ArrivalEvent> script_arena_;
-  /// Lazy stream mode: per-user arrival laws (empty in script mode — the
-  /// switch feed_next dispatches on).
-  std::vector<apps::ArrivalStreamParams> stream_params_;
+  /// Lazy stream feeds (else script feeds) — the switch feed_next
+  /// dispatches on. A stream feed reads its user's law from the arena.
+  bool stream_feeds_ = false;
 
   /// Calendar event queue: one bucket per slot (push_event drops slots past
   /// the horizon, so the index is always in range). See the step() drain.
@@ -1718,13 +1702,37 @@ class Driver final : public SchedulerContext, private Scheduler::DecisionSink {
   /// The events phase did work beyond its due events this slot (an
   /// emission, a replan or a sync round), so it laps.
   bool events_work_ = false;
-  util::TimeSeries* server_gap_series_ = nullptr;  ///< see record_update
   /// Series recorded every record_interval; see resolve_slot_series.
   util::TimeSeries* q_series_ = nullptr;
   util::TimeSeries* h_series_ = nullptr;
   util::TimeSeries* g_series_ = nullptr;
   std::vector<util::TimeSeries*> gap_user_series_;
 };
+
+/// The second step of finalize, after the driver's teardown: the summary
+/// percentile digests (docs/observability.md) of the per-slot queues, the
+/// applied updates' lag and gap, and the per-user energy, and the
+/// server_gap trace, one point per update (none for a run without one).
+ExperimentResult digest(SettledRun run) {
+  ExperimentResult& r = run.result;
+  r.summary.queue_q = util::percentiles(run.queue_q);
+  r.summary.queue_h = util::percentiles(run.queue_h);
+  r.summary.user_energy_j = util::percentiles(run.user_energy);
+  const std::vector<LagGapSample>& samples = r.lag_gap_samples;
+  std::vector<double> column(samples.size());
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    column[k] = static_cast<double>(samples[k].lag);
+  }
+  r.summary.lag = util::percentiles(column);
+  for (std::size_t k = 0; k < samples.size(); ++k) column[k] = samples[k].gap;
+  r.summary.gap = util::percentiles(column);
+  if (!samples.empty()) {
+    util::TimeSeries& server_gap = r.traces.series("server_gap");
+    server_gap.reserve(samples.size());
+    for (const LagGapSample& x : samples) server_gap.add(x.time_s, x.gap);
+  }
+  return std::move(r);
+}
 
 }  // namespace
 
@@ -1736,9 +1744,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunHooks& hooks) {
   util::Stopwatch total;
   util::Stopwatch phase;
-  Driver driver{config, hooks};
+  std::optional<Driver> driver{std::in_place, config, hooks};
   const double setup_s = phase.lap_s();
-  ExperimentResult result = driver.run();
+  driver->run();
+  util::Stopwatch finalize;  // settle, teardown and digest
+  SettledRun settled = driver->settle();
+  driver.reset();  // the per-user state is freed before the digest
+  ExperimentResult result = digest(std::move(settled));
+  result.summary.timing.finalize_s = finalize.lap_s();
   result.summary.timing.setup_s = setup_s;
   result.summary.timing.total_s = total.elapsed_s();
   return result;

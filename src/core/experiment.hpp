@@ -264,7 +264,7 @@ struct RunSummary {
   /// the clock only at the end of a phase that did work: events laps when
   /// it dispatched or emitted an event or the slot hook replanned or ran a
   /// sync round, decide when it had rows, and record never laps itself —
-  /// the next slot's first lap (or finalize's) closes it. So an empty
+  /// the next slot's first lap (or the run's last) closes it. So an empty
   /// phase's few nanoseconds land in the next phase that laps, and a quiet
   /// slot counts as record_s. A run with no due event and no hook work
   /// reports events_s == 0 exactly. The phases sum to at most total_s.
@@ -273,7 +273,9 @@ struct RunSummary {
     double events_s = 0.0;    ///< calendar drain + scheduler hooks
     double decide_s = 0.0;    ///< decision batches incl. session starts
     double record_s = 0.0;    ///< queue/gap accounting, traces, eval, quiet slots
-    double finalize_s = 0.0;  ///< catch-up + meter summation
+    /// Settle (catch-up, meter and battery sums, final evaluation), the
+    /// driver's teardown, then the digest (percentiles, server_gap).
+    double finalize_s = 0.0;
     double total_s = 0.0;     ///< whole run_experiment call
   } timing;
 };
@@ -355,8 +357,9 @@ struct RunHooks {
 /// The per-user driver state of a run of `config` once set up (its driver
 /// is built, not stepped), in bytes per user: `hot`, the block every user
 /// carries, and `side`, the columns its modes switch on (battery, thermal,
-/// real training, an offline look-ahead, multi-window presence, lazy
-/// stream arrival laws). Throws as run_experiment does.
+/// real training, an offline look-ahead, multi-window presence). Lazy
+/// streams read each user's arrival law from the config or the fleet arena
+/// and hold none. Throws as run_experiment does.
 struct UserStateBytes {
   std::size_t hot = 0;
   std::size_t side = 0;

@@ -87,16 +87,8 @@ void FleetArena::set_priority(std::size_t i, double weight) {
 }
 
 PerUserConfig FleetArena::user(std::size_t i) const {
-  PerUserConfig pu;
+  PerUserConfig pu = arrival_overrides(i);
   if (!device_.empty() && device_set_[i] != 0) pu.device = device_[i];
-  if (!arrival_probability_.empty() && arrival_probability_set_[i] != 0) {
-    pu.arrival_probability = arrival_probability_[i];
-  }
-  if (!diurnal_.empty() && diurnal_set_[i] != 0) pu.diurnal = diurnal_[i] != 0;
-  if (!diurnal_swing_.empty() && diurnal_swing_set_[i] != 0) {
-    pu.diurnal_swing = diurnal_swing_[i];
-  }
-  if (!diurnal_peak_hour_.empty()) pu.diurnal_peak_hour = diurnal_peak_hour_[i];
   if (!use_lte_.empty() && use_lte_set_[i] != 0) pu.use_lte = use_lte_[i] != 0;
   if (!join_slot_.empty()) pu.join_slot = join_slot_[i];
   if (!leave_slot_.empty()) pu.leave_slot = leave_slot_[i];

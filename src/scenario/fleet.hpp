@@ -136,6 +136,22 @@ class FleetArena {
   /// would hold at index i).
   [[nodiscard]] PerUserConfig user(std::size_t i) const;
 
+  /// User i's arrival-law overrides (probability, diurnal, swing, peak
+  /// hour), every other field left at its default. Reads those four
+  /// columns alone, inline, so a driver can re-read a law per arrival.
+  [[nodiscard]] PerUserConfig arrival_overrides(std::size_t i) const {
+    PerUserConfig pu;
+    if (!arrival_probability_.empty() && arrival_probability_set_[i] != 0) {
+      pu.arrival_probability = arrival_probability_[i];
+    }
+    if (!diurnal_.empty() && diurnal_set_[i] != 0) pu.diurnal = diurnal_[i] != 0;
+    if (!diurnal_swing_.empty() && diurnal_swing_set_[i] != 0) {
+      pu.diurnal_swing = diurnal_swing_[i];
+    }
+    if (!diurnal_peak_hour_.empty()) pu.diurnal_peak_hour = diurnal_peak_hour_[i];
+    return pu;
+  }
+
   /// Number of live (allocated) columns — the arena's total allocation
   /// count. Bounded by a constant (18) regardless of fleet size; the
   /// memory-budget property test pins this.

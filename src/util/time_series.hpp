@@ -16,6 +16,11 @@ class TimeSeries {
   explicit TimeSeries(std::string name) : name_(std::move(name)) {}
 
   void add(double t, double value);
+  /// Room for n samples, so a series built at a known length holds no slack.
+  void reserve(std::size_t n) {
+    times_.reserve(n);
+    values_.reserve(n);
+  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t size() const noexcept { return times_.size(); }

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/arrival_stream.hpp"
 #include "core/config_io.hpp"
 #include "golden_fingerprint.hpp"
 #include "scenario/spec.hpp"
@@ -191,12 +190,12 @@ TEST(UserStateColumns, EveryModeOffAllocatesNoSideColumn) {
   }
   // The paper-scale configuration the sweep campaigns run.
   EXPECT_EQ(user_state_bytes(ExperimentConfig{}).side, 0u);
-  // Lazy streams hold one arrival law per user. Replayed as a trace (the
-  // stream oracle, whose guard checks the traced run allocates one law
-  // less per user), they live in the script arena and need none.
+  // Lazy streams read each user's arrival law from the config or the
+  // fleet arena when they need it, so they hold no column either; replayed
+  // as a trace (the stream oracle), they live in the script arena.
   ExperimentConfig streams = small_run();
   streams.arrival_streams = true;
-  EXPECT_EQ(user_state_bytes(streams).side, sizeof(apps::ArrivalStreamParams));
+  EXPECT_EQ(user_state_bytes(streams).side, 0u);
   EXPECT_EQ(testing::fingerprint(testing::run_stream_oracle(streams)),
             testing::fingerprint(run_experiment(streams)));
 }
@@ -222,7 +221,6 @@ TEST(UserStateColumns, EachModeAllocatesOnlyItsColumn) {
         fleet[3].extra_windows = {{150, 200}};
         testing::set_fleet(c, fleet);
       },
-      [](ExperimentConfig& c) { c.arrival_streams = true; },
   };
   ExperimentConfig all = small_run();
   std::size_t sum = 0;

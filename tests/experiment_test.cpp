@@ -4,6 +4,7 @@
 // phase-timing contract of RunSummary::Timing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -186,6 +187,39 @@ TEST(Experiment, TracesAreRecorded) {
     ASSERT_NE(gap, nullptr) << i;
     EXPECT_EQ(gap->size(), r.traces.find("Q")->size()) << i;
   }
+}
+
+TEST(Experiment, ServerGapTraceIsTheUpdateSamples) {
+  // server_gap is one point per applied update: the samples' time and gap,
+  // bit for bit. Sync-SGD's come from aggregated rounds, whose sample
+  // carries the user == num_users sentinel.
+  for (const auto kind : {SchedulerKind::kImmediate, SchedulerKind::kSyncSgd,
+                          SchedulerKind::kOffline, SchedulerKind::kOnline}) {
+    const ExperimentConfig cfg = fast_config(kind);
+    const ExperimentResult r = run_experiment(cfg);
+    const std::vector<LagGapSample>& samples = r.lag_gap_samples;
+    ASSERT_FALSE(samples.empty()) << scheduler_name(kind);
+    EXPECT_EQ(samples.back().user == cfg.num_users,
+              kind == SchedulerKind::kSyncSgd)
+        << scheduler_name(kind);
+    const util::TimeSeries* trace = r.traces.find("server_gap");
+    ASSERT_NE(trace, nullptr) << scheduler_name(kind);
+    ASSERT_EQ(trace->size(), samples.size()) << scheduler_name(kind);
+    for (std::size_t k = 0; k < samples.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(trace->time_at(k)),
+                std::bit_cast<std::uint64_t>(samples[k].time_s))
+          << scheduler_name(kind) << " #" << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(trace->value_at(k)),
+                std::bit_cast<std::uint64_t>(samples[k].gap))
+          << scheduler_name(kind) << " #" << k;
+    }
+  }
+  // Two slots end before any session does: no update, no series.
+  ExperimentConfig quiet = fast_config(SchedulerKind::kImmediate);
+  quiet.horizon_slots = 2;
+  const ExperimentResult r = run_experiment(quiet);
+  EXPECT_EQ(r.total_updates, 0u);
+  EXPECT_FALSE(r.traces.contains("server_gap"));
 }
 
 /// Counts what it is sent; attaching it turns the driver's emission on.
