@@ -59,8 +59,7 @@ void BM_OfflineWindowPlan25Users(benchmark::State& state) {
   core::OfflinePlannerConfig cfg;
   cfg.lb = 1000.0;
   for (auto _ : state) {
-    core::OfflinePlanner planner{cfg};  // cold: no DP rows to reuse
-    benchmark::DoNotOptimize(planner.plan(0, users));
+    benchmark::DoNotOptimize(core::OfflinePlanner{cfg}.plan(0, users));
   }
 }
 BENCHMARK(BM_OfflineWindowPlan25Users);

@@ -162,15 +162,15 @@ scenario::SharedFleet read_per_user(const util::JsonValue& array,
       scenario::fleet_arena_from(fleet));
 }
 
-// Retired planner switches. Older archives carry them at the one setting
-// that survives (incremental on, the others off); any other value asks for
-// an engine that no longer exists.
+// Retired planner switches. Older archives carry them at their defaults
+// (incremental on, the others off), which the one remaining planner
+// reproduces; any other value is rejected by name.
 template <bool kSurvivingSetting>
 void read_retired_planner_switch(const util::JsonValue& value,
                                  const util::JsonScope& scope,
                                  const std::string& key, Config& /*out*/) {
   if (util::json_read_bool(value, key, scope.prefix) != kSurvivingSetting) {
-    reject_field(key, "is retired; only the incremental planner remains");
+    reject_field(key, "is retired; only the default planner remains");
   }
 }
 

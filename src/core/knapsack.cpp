@@ -68,50 +68,16 @@ KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
 
 KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
                                        double capacity, std::size_t grid) {
-  last_prefix_reused_ = 0;
   KnapsackSolution solution;
   solution.selected.assign(items.size(), false);
-  if (items.empty() || capacity <= 0.0 || grid == 0) {
-    // Degenerate calls cache nothing reusable.
-    items_.clear();
-    checkpoints_.clear();
-    row_items_.clear();
-    row_bits_.clear();
-    capacity_ = 0.0;
-    grid_ = 0;
-    return solution;
-  }
+  row_items_.clear();
+  row_bits_.clear();
+  if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
   validate_items(items);
 
-  // Longest bitwise-equal item prefix shared with the previous call (only
-  // meaningful under the same capacity/grid discretization).
-  std::size_t prefix = 0;
-  if (capacity == capacity_ && grid == grid_) {
-    const std::size_t limit = std::min(items.size(), items_.size());
-    while (prefix < limit && items[prefix].value == items_[prefix].value &&
-           items[prefix].weight == items_[prefix].weight) {
-      ++prefix;
-    }
-  }
-  // Resume from the last checkpointed DP row inside the prefix: the first
-  // `start` items' rows (and their stored take bits) are exactly what the
-  // full DP would recompute, so they are reused verbatim.
-  const std::size_t checkpoint =
-      std::min(prefix / kCheckpointStride, checkpoints_.size());
-  const std::size_t start = checkpoint * kCheckpointStride;
-  last_prefix_reused_ = start;
-
   const std::vector<std::size_t> units = weight_units(items, capacity, grid);
-  std::vector<double> best = checkpoint == 0
-                                 ? std::vector<double>(grid + 1, 0.0)
-                                 : checkpoints_[checkpoint - 1];
-  checkpoints_.resize(checkpoint);
+  std::vector<double> best(grid + 1, 0.0);
   const std::size_t words = grid / 64 + 1;  // grid + 1 bits per row
-  const std::size_t kept = static_cast<std::size_t>(
-      std::lower_bound(row_items_.begin(), row_items_.end(), start) -
-      row_items_.begin());
-  row_items_.resize(kept);
-  row_bits_.resize(kept * words);
 
   // Skip certificates. cert_value[u] is the largest value v* whose row for
   // weight u set no bit against the current table, valid while
@@ -121,32 +87,27 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
   //   fl(best[y-u] + v) <= fl(best[y-u] + v*) <= best[y]:
   // row (u, v) would set no bit either and is skipped unevaluated. Only a
   // row that sets a bit changes the table, and it bumps the epoch, which
-  // voids every certificate at once. A resumed solve starts with none.
+  // voids every certificate at once.
   std::vector<double> cert_value(grid + 1, 0.0);
   std::vector<std::uint64_t> cert_epoch(grid + 1, 0);
   std::uint64_t epoch = 1;
-  for (std::size_t i = start; i < items.size(); ++i) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
     const std::size_t u = units[i];
     const double v = items[i].value;
     const bool evaluate = u <= grid && v > 0.0 &&  // else cannot fit/no gain
                           !(cert_epoch[u] == epoch && v <= cert_value[u]);
-    if (evaluate) {
-      const std::size_t base = row_bits_.size();
-      row_bits_.resize(base + words, 0);
-      if (dp_item_row(best.data(), row_bits_.data() + base, u, v, grid)) {
-        row_items_.push_back(i);
-        ++epoch;
-      } else {
-        row_bits_.resize(base);
-        cert_epoch[u] = epoch;
-        cert_value[u] = v;
-      }
+    if (!evaluate) continue;
+    const std::size_t base = row_bits_.size();
+    row_bits_.resize(base + words, 0);
+    if (dp_item_row(best.data(), row_bits_.data() + base, u, v, grid)) {
+      row_items_.push_back(i);
+      ++epoch;
+    } else {
+      row_bits_.resize(base);
+      cert_epoch[u] = epoch;
+      cert_value[u] = v;
     }
-    if ((i + 1) % kCheckpointStride == 0) checkpoints_.push_back(best);
   }
-  items_ = items;
-  capacity_ = capacity;
-  grid_ = grid;
 
   // Standard backtrack from the full budget in decreasing item order. Rows
   // that were never stored are all-zero, so only stored rows can select.

@@ -26,57 +26,42 @@ struct KnapsackSolution {
 /// `capacity` is Lb; `grid` is the number of integer weight units the
 /// capacity is split into (larger = finer approximation; weights are rounded
 /// *up* so the staleness constraint is never violated). O(n * grid) worst
-/// case. A cold KnapsackSolver::solve. Throws std::invalid_argument on a
+/// case. Same as KnapsackSolver{}.solve. Throws std::invalid_argument on a
 /// negative or non-finite value or weight.
 [[nodiscard]] KnapsackSolution solve_knapsack(const std::vector<KnapsackItem>& items,
                                               double capacity,
                                               std::size_t grid = 1000);
 
-/// The Algorithm 1 DP, with two exact shortcuts for windowed replans (Sec.
-/// IV runs Algorithm 1 every 500 s over a slowly-changing ready set):
-///  - Prefix reuse: the previous call's DP rows are checkpointed every
-///    kCheckpointStride items; when the next call shares (capacity, grid)
-///    and a bitwise-equal item prefix, the DP restarts from the last
-///    checkpoint inside that prefix instead of from item 0.
-///  - Row skip: an item whose row provably sets no take bit against the
-///    current table (a certificate per weight unit, see knapsack.cpp) is
-///    not evaluated, and only rows that set a bit are stored.
-/// Both replay or skip only operations whose outcome is known, so the
+/// The Algorithm 1 DP, one cold solve per call: Sec. IV replans every 500 s
+/// and each window's item list is new (every waiting user's gap has grown),
+/// so nothing is carried from one call to the next. An item whose row
+/// provably sets no take bit against the current table (a certificate per
+/// weight unit, see knapsack.cpp) is not evaluated, and only rows that set a
+/// bit are stored. The skip omits only rows whose outcome is known, so the
 /// selection and totals equal the plain row-by-row DP bit for bit
 /// (property-tested against it in core_knapsack_test).
 class KnapsackSolver {
  public:
-  /// Solve (items, capacity, grid), reusing prior DP rows when the inputs
-  /// share a prefix with the previous call.
   [[nodiscard]] KnapsackSolution solve(const std::vector<KnapsackItem>& items,
                                        double capacity, std::size_t grid);
 
-  /// Items whose DP rows the last solve() restored instead of recomputing
-  /// (0 on a cold or non-matching call) — observability for tests/benches.
-  [[nodiscard]] std::size_t last_prefix_reused() const noexcept {
-    return last_prefix_reused_;
-  }
+  // Always 0: solves no longer reuse rows. Kept because
+  // benchmark/fedco_bench.cpp still calls it; ROADMAP "Benchmark upkeep"
+  // deletes it.
+  [[nodiscard]] std::size_t last_prefix_reused() const noexcept { return 0; }
 
   /// Rows the last solve() holds take bits for: the rows that changed the
-  /// table, of every item so far (test hook; all other rows are all-zero).
+  /// table (test hook; all other rows are all-zero).
   [[nodiscard]] std::size_t stored_rows() const noexcept {
     return row_items_.size();
   }
 
-  static constexpr std::size_t kCheckpointStride = 256;
-
  private:
-  std::vector<KnapsackItem> items_;
-  double capacity_ = 0.0;
-  std::size_t grid_ = 0;
-  /// checkpoints_[c] = the rolled DP row after the first c * stride items.
-  std::vector<std::vector<double>> checkpoints_;
-  /// Take bits of the rows that set at least one: row_items_ holds their
-  /// item indices in ascending order, row_bits_ their grid + 1 bits each,
-  /// packed into 64-bit words.
+  /// Per-solve scratch. Take bits of the rows that set at least one:
+  /// row_items_ holds their item indices in ascending order, row_bits_
+  /// their grid + 1 bits each, packed into 64-bit words.
   std::vector<std::size_t> row_items_;
   std::vector<std::uint64_t> row_bits_;
-  std::size_t last_prefix_reused_ = 0;
 };
 
 /// Exhaustive 0-1 knapsack (2^n) for verification; n <= 24.

@@ -23,7 +23,7 @@ OfflinePlannerConfig make_planner_config(const ExperimentConfig& config) {
 }
 
 OfflineWindowPlan OfflinePlanner::plan(
-    sim::Slot window_begin, const std::vector<OfflineUserInput>& users) {
+    sim::Slot window_begin, const std::vector<OfflineUserInput>& users) const {
   OfflineWindowPlan out;
   out.plans.assign(users.size(), OfflineUserPlan{});
   if (users.empty()) return out;
@@ -37,9 +37,8 @@ OfflineWindowPlan OfflinePlanner::plan(
   // sessions run to completion).
   constexpr sim::Slot kNever = std::numeric_limits<sim::Slot>::max();
   const bool churn = config_.churn_aware;
-  std::vector<std::uint8_t>& infeasible = infeasible_;
+  std::vector<std::uint8_t> infeasible(churn ? users.size() : 0, 0);
   if (churn) {
-    infeasible.assign(users.size(), 0);
     for (std::size_t i = 0; i < users.size(); ++i) {
       const auto& u = users[i];
       if (!u.next_arrival || u.leave_slot == kNever) continue;
@@ -56,11 +55,8 @@ OfflineWindowPlan OfflinePlanner::plan(
     return users[i].next_arrival.has_value() && (!churn || infeasible[i] == 0);
   };
 
-  // Candidate execution windows for the Lemma 1 lag bound (scratch
-  // buffers persist across windows, so steady-state replans allocate
-  // nothing here).
-  std::vector<UserWindow>& windows = windows_;
-  windows.resize(users.size());
+  // Candidate execution windows for the Lemma 1 lag bound.
+  std::vector<UserWindow> windows(users.size());
   for (std::size_t i = 0; i < users.size(); ++i) {
     const auto& u = users[i];
     windows[i].begin = t0;
@@ -79,8 +75,7 @@ OfflineWindowPlan OfflinePlanner::plan(
   // training separately now; weight = the gradient gap that the wait + stale
   // co-run update will have cost (Eq. 4 with the Lemma 1 lag bound, plus the
   // Eq. 12 epsilon accumulation while idling until the app arrives).
-  std::vector<KnapsackItem>& items = items_;
-  items.resize(users.size());
+  std::vector<KnapsackItem> items(users.size());
   out.lag_bounds.resize(users.size());
   // The Lemma 1 bound via the counting index: identical integers to the
   // O(n)-per-user lag_upper_bound scan, computed once per distinct window
@@ -124,7 +119,7 @@ OfflineWindowPlan OfflinePlanner::plan(
     if (u.priority != 1.0) items[i].weight *= u.priority;
     if (items[i].value < 0.0) items[i].value = 0.0;  // co-run never helps here
   }
-  out.knapsack = solver_.solve(items, config_.lb, config_.knapsack_grid);
+  out.knapsack = solve_knapsack(items, config_.lb, config_.knapsack_grid);
 
   for (std::size_t i = 0; i < users.size(); ++i) {
     if (out.knapsack.selected[i]) {

@@ -8,13 +8,12 @@
 // an in-window arrival are deferred when selected, scheduled immediately
 // otherwise.
 //
-// OfflinePlanner is the one planning path: each plan() solves Algorithm 1
-// with the planner's own KnapsackSolver, which reuses the previous window's
-// DP rows for the unchanged item prefix and skips rows that provably change
-// nothing — bit-identical to the plain DP (docs/algorithms.md §1).
+// OfflinePlanner is the one planning path: each plan() builds the window's
+// items and runs one cold Algorithm 1 DP over them, which skips rows that
+// provably change nothing — bit-identical to the plain DP
+// (docs/algorithms.md §1). Nothing carries from one window to the next.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -82,23 +81,18 @@ struct OfflineWindowPlan {
   std::vector<std::size_t> lag_bounds; ///< Lemma 1 bound per user
 };
 
-/// Stateful window planner (one per offline scheduler instance). Owns the
-/// incremental DP cache.
+/// Stateless window planner: a plan depends only on the config and the
+/// window's inputs.
 class OfflinePlanner {
  public:
   explicit OfflinePlanner(OfflinePlannerConfig config) : config_(config) {}
 
   /// Algorithm 1 applied to one window starting at `window_begin`.
   [[nodiscard]] OfflineWindowPlan plan(
-      sim::Slot window_begin, const std::vector<OfflineUserInput>& users);
+      sim::Slot window_begin, const std::vector<OfflineUserInput>& users) const;
 
  private:
   OfflinePlannerConfig config_;
-  KnapsackSolver solver_;
-  // Window-to-window scratch (capacity persists across replans).
-  std::vector<UserWindow> windows_;
-  std::vector<KnapsackItem> items_;
-  std::vector<std::uint8_t> infeasible_;  ///< churn-aware dropped co-runs
 };
 
 }  // namespace fedco::core

@@ -2,9 +2,9 @@
 // the Sec. IV knapsack planner over the ready users with oracle knowledge of
 // their in-window app arrivals, and caches one plan per user (its
 // scheme-owned state): schedule now, wait for the app and co-run, or defer
-// to the next window. The planner is one stateful OfflinePlanner per
-// scheme instance, so each window replan reuses the previous window's DP
-// rows for the unchanged item prefix (see OfflinePlanner).
+// to the next window. Each replan is one cold Algorithm 1 DP over that
+// window's items; the cached plans are the only state kept between windows
+// (see OfflinePlanner).
 #pragma once
 
 #include <vector>
@@ -49,9 +49,6 @@ class OfflineScheduler final : public Scheduler {
   OfflinePlanner planner_;
   sim::Slot window_slots_;
   std::vector<OfflineUserPlan> plans_;  ///< scheme state, one slot per user
-  // Replan scratch (capacity persists across windows).
-  std::vector<std::size_t> ready_;
-  std::vector<OfflineUserInput> inputs_;
 };
 
 }  // namespace fedco::core

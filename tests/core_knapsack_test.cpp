@@ -1,9 +1,9 @@
 // Offline knapsack (Algorithm 1): DP optimality vs exhaustive search,
 // capacity feasibility, greedy comparison, the Lemma 1 lag bound checked
 // against a brute-force enumeration of all decision combinations, and the
-// KnapsackSolver the planner runs (prefix reuse and row skipping, both
-// bit-identical to the plain row-by-row DP oracle below under arbitrary
-// input mutations).
+// KnapsackSolver the planner runs (row skipping, bit-identical to the plain
+// row-by-row DP oracle below, and a reused solver leaking nothing from one
+// solve into the next).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -147,7 +147,7 @@ TEST(Knapsack, ExactRejectsLargeInstances) {
   EXPECT_THROW(solve_knapsack_exact(items, 10.0), std::invalid_argument);
 }
 
-// ------------------------------------------------- incremental solver
+// ------------------------------------------------------- reused solver
 
 std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n) {
   std::vector<KnapsackItem> items(n);
@@ -161,10 +161,11 @@ std::vector<KnapsackItem> random_items(util::Rng& rng, std::size_t n) {
 class IncrementalKnapsack : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
-  // The incremental solver must be indistinguishable from the plain DP —
-  // identical selections and bitwise-identical totals —
-  // no matter how the item list, capacity, or grid changed since the
-  // previous call (prefix edits, suffix edits, growth, shrinkage).
+  // A solver reused across calls keeps per-solve scratch; none of it may
+  // leak into the next solve. Each call must equal the plain DP —
+  // identical selections and bitwise-identical totals — no matter how the
+  // item list, capacity, or grid changed since the previous call (prefix
+  // edits, suffix edits, growth, shrinkage).
   util::Rng rng{GetParam()};
   KnapsackSolver solver;
   std::vector<KnapsackItem> items =
@@ -180,7 +181,7 @@ TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
     EXPECT_EQ(inc.total_weight, full.total_weight);
     // Mutate for the next round.
     switch (rng.uniform_int(std::uint64_t{5})) {
-      case 0: {  // suffix edit (the case prefix reuse exists for)
+      case 0: {  // suffix edit
         const std::size_t at = rng.uniform_int(items.size());
         items.resize(at);
         const auto grown = random_items(
@@ -206,29 +207,6 @@ TEST_P(IncrementalKnapsack, MatchesFullSolveUnderArbitraryMutations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalKnapsack,
                          ::testing::Range<std::uint64_t>(1, 13));
-
-TEST(IncrementalKnapsackReuse, SuffixEditResumesFromACheckpoint) {
-  util::Rng rng{99};
-  std::vector<KnapsackItem> items = random_items(rng, 700);
-  KnapsackSolver solver;
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(), 0u);  // cold call
-  // Same inputs: the whole item list is a reusable prefix (rounded down to
-  // the checkpoint stride).
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(),
-            (700 / KnapsackSolver::kCheckpointStride) *
-                KnapsackSolver::kCheckpointStride);
-  // A suffix edit keeps every checkpoint before the edit point.
-  items[600].value += 1.0;
-  (void)solver.solve(items, 40.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(),
-            (600 / KnapsackSolver::kCheckpointStride) *
-                KnapsackSolver::kCheckpointStride);
-  // A capacity change invalidates the discretization entirely.
-  (void)solver.solve(items, 41.0, 500);
-  EXPECT_EQ(solver.last_prefix_reused(), 0u);
-}
 
 // Saturated, duplicate-heavy item sets: the planner's regime. A handful of
 // device/app profiles give few distinct values, weights span 11..98 units of
@@ -273,20 +251,17 @@ TEST(PrunedKnapsack, SkippedRowsLeaveTheSolutionBitEqualToThePlainDp) {
   EXPECT_LT(solver.stored_rows(), items.size() / 20);
   EXPECT_GT(solver.stored_rows(), 0u);
 
-  // Incremental solves resume from a checkpoint with no certificates and
-  // must still match the cold plain DP.
+  // Re-solves after edits on the same solver must still match the plain DP.
   items[18'000].value = 100.0;  // suffix edit
   expect_same_solution(solver.solve(items, kCapacity, kGrid),
                        naive_knapsack(items, kCapacity, kGrid));
-  EXPECT_GT(solver.last_prefix_reused(), 17'000u);
   const std::vector<KnapsackItem> grown = saturated_items(rng, 3'000, kUnit);
   items.insert(items.end(), grown.begin(), grown.end());  // growth
   expect_same_solution(solver.solve(items, kCapacity, kGrid),
                        naive_knapsack(items, kCapacity, kGrid));
-  items[5].weight = 0.0;  // prefix edit: a cold re-solve
+  items[5].weight = 0.0;  // prefix edit
   expect_same_solution(solver.solve(items, kCapacity, kGrid),
                        naive_knapsack(items, kCapacity, kGrid));
-  EXPECT_LT(solver.last_prefix_reused(), KnapsackSolver::kCheckpointStride);
 }
 
 // Many tiny instances over a handful of integer values and widths: small
@@ -632,6 +607,75 @@ TEST(OfflinePlanner, LagBoundsMatchNaiveScanOverLargeWindow) {
   ASSERT_EQ(plan.lag_bounds.size(), users.size());
   for (std::size_t i = 0; i < users.size(); ++i) {
     ASSERT_EQ(plan.lag_bounds[i], lag_upper_bound(windows, i)) << "user " << i;
+  }
+}
+
+TEST(OfflinePlanner, ReusedPlannerMatchesAFreshPlannerPerWindow) {
+  // One planner over a run of windows that grow, shrink and carry
+  // churn-aware infeasible co-runs must plan every window exactly as a
+  // planner built for that window alone: nothing crosses a window boundary.
+  util::Rng rng{515};
+  OfflinePlannerConfig cfg = planner_config(40.0);
+  cfg.churn_aware = true;
+  OfflinePlanner reused{cfg};
+  constexpr std::size_t kSizes[] = {300, 900, 40, 1200, 600, 1};
+  std::vector<OfflineUserInput> users;
+  for (std::size_t w = 0; w < std::size(kSizes); ++w) {
+    const sim::Slot begin = static_cast<sim::Slot>(w) * cfg.window_slots;
+    // Survivors keep their place with a grown gap; the rest are redrawn.
+    users.resize(kSizes[w]);
+    std::size_t infeasible = 0;
+    for (OfflineUserInput& u : users) {
+      if (u.dev != nullptr && rng.bernoulli(0.5)) {
+        u.current_gap += cfg.epsilon * static_cast<double>(cfg.window_slots);
+        continue;
+      }
+      u = OfflineUserInput{};
+      u.dev = &device::profile(static_cast<device::DeviceKind>(
+          rng.uniform_int(device::kDeviceKinds)));
+      u.current_gap = rng.uniform(0.0, 5.0);
+      u.momentum_norm = rng.uniform(1.0, 12.0);
+      if (rng.bernoulli(0.6)) {
+        u.next_arrival = begin + static_cast<sim::Slot>(
+                                     rng.uniform_int(std::uint64_t{500}));
+        u.arrival_app =
+            static_cast<device::AppKind>(rng.uniform_int(device::kAppKinds));
+      }
+      if (rng.bernoulli(0.3)) {
+        u.leave_slot =
+            begin + static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{600}));
+      }
+    }
+    for (const OfflineUserInput& u : users) {
+      if (!u.next_arrival ||
+          u.leave_slot == std::numeric_limits<sim::Slot>::max()) {
+        continue;
+      }
+      const double end_s =
+          static_cast<double>(*u.next_arrival) * cfg.slot_seconds +
+          device::training_duration_s(*u.dev, device::AppStatus::kApp,
+                                      u.arrival_app);
+      if (end_s > static_cast<double>(u.leave_slot) * cfg.slot_seconds) {
+        ++infeasible;
+      }
+    }
+    if (kSizes[w] >= 300) {
+      ASSERT_GT(infeasible, 0u) << "window " << w;
+    }
+
+    const OfflineWindowPlan got = reused.plan(begin, users);
+    const OfflineWindowPlan want = OfflinePlanner{cfg}.plan(begin, users);
+    ASSERT_EQ(got.plans.size(), want.plans.size());
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      ASSERT_EQ(got.plans[i].action, want.plans[i].action)
+          << "window " << w << " user " << i;
+      ASSERT_EQ(got.plans[i].start_slot, want.plans[i].start_slot)
+          << "window " << w << " user " << i;
+    }
+    EXPECT_EQ(got.lag_bounds, want.lag_bounds) << "window " << w;
+    EXPECT_EQ(got.knapsack.selected, want.knapsack.selected) << "window " << w;
+    EXPECT_EQ(got.knapsack.total_value, want.knapsack.total_value);
+    EXPECT_EQ(got.knapsack.total_weight, want.knapsack.total_weight);
   }
 }
 
