@@ -19,14 +19,15 @@ out=${1:-bench_1m_ci.jsonl}
 : >"$out"
 
 # Peak-RSS ceilings in MiB: 1.15x (the peak_rss_mib bound in BENCHMARK.json)
-# the medians measured on x86-64 Linux with GCC, seed 1, after the run was
-# digested only once the driver's per-user state is freed, the server-gap
-# trace was recorded once and stream arrival laws were read from the fleet
-# arena: 377.1 (online, 10 runs; 484.5 before) and 592.7 (offline, 10 runs
-# at seed 3, 592.6 at seed 1; 650.4 before). Raise a ceiling only with a
-# change that explains its footprint.
+# the medians measured on x86-64 Linux with GCC, seed 1: 377.1 online (10
+# runs, after the run was digested only once the driver's per-user state is
+# freed, the server-gap trace was recorded once and stream arrival laws were
+# read from the fleet arena; 484.5 before) and 411.5 offline (10 runs, after
+# the offline replan gathered ~28 B per ready user into class-keyed rows;
+# 509.9 before, docs/performance.md section 14). Raise a ceiling only with
+# a change that explains its footprint.
 status=0
-for gate in fleet_1m_online:434 fleet_1m_offline:682; do
+for gate in fleet_1m_online:434 fleet_1m_offline:473; do
   workload=${gate%%:*}
   ceiling=${gate#*:}
   log=$(mktemp)

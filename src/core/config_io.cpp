@@ -162,14 +162,12 @@ scenario::SharedFleet read_per_user(const util::JsonValue& array,
       scenario::fleet_arena_from(fleet));
 }
 
-// Retired planner switches. Older archives carry them at their defaults
-// (incremental on, the others off), which the one remaining planner
-// reproduces; any other value is rejected by name.
-template <bool kSurvivingSetting>
+// Retired planner switches. Older archives carry them off, which the one
+// remaining planner reproduces; on is rejected by name.
 void read_retired_planner_switch(const util::JsonValue& value,
                                  const util::JsonScope& scope,
                                  const std::string& key, Config& /*out*/) {
-  if (util::json_read_bool(value, key, scope.prefix) != kSurvivingSetting) {
+  if (util::json_read_bool(value, key, scope.prefix)) {
     reject_field(key, "is retired; only the default planner remains");
   }
 }
@@ -177,8 +175,9 @@ void read_retired_planner_switch(const util::JsonValue& value,
 // Retired engine switches. folded_gap_accrual archives carry false (the
 // per-slot sweep and the lazy chain); the folded engine, now the only one,
 // reproduces those runs up to floating-point associativity. The scalar
-// decide loop and the pregenerated stream arena were bit-identical to the
-// batched pass and the lazy streams. So either value loads.
+// decide loop, the pregenerated stream arena and the incremental replan
+// were bit-identical to the batched pass, the lazy streams and the cold DP
+// per window. So either value loads.
 void read_retired_engine_switch(const util::JsonValue& value,
                                 const util::JsonScope& scope,
                                 const std::string& key, Config& /*out*/) {
@@ -208,9 +207,9 @@ constexpr util::JsonField<Config> kConfigFields[] = {
     json_field<&Config::epsilon>("epsilon"),
     json_field<&Config::offline_window_slots>("offline_window_slots"),
     json_field<&Config::offline_lb>("offline_lb"),
-    {"offline_incremental_replan", read_retired_planner_switch<true>},
-    {"offline_parallel_plan", read_retired_planner_switch<false>},
-    {"offline_adaptive_grid", read_retired_planner_switch<false>},
+    {"offline_incremental_replan", read_retired_engine_switch},
+    {"offline_parallel_plan", read_retired_planner_switch},
+    {"offline_adaptive_grid", read_retired_planner_switch},
     {"folded_gap_accrual", read_retired_engine_switch},
     {"online_batch_decide", read_retired_engine_switch},
     {"pregenerate_streams", read_retired_engine_switch},

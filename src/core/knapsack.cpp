@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -29,15 +27,16 @@ void validate_items(const std::vector<KnapsackItem>& items) {
 /// Discretize: weight w -> ceil(w / capacity * grid) units, so any DP
 /// solution respects the true (continuous) capacity. Every quotient past
 /// the grid maps to grid + 1 (such an item never fits; the cast of a huge
-/// or overflowed quotient would be undefined).
-std::vector<std::size_t> weight_units(const std::vector<KnapsackItem>& items,
-                                      double capacity, std::size_t grid) {
+/// or overflowed quotient would be undefined). 4 bytes per item: the grid
+/// is checked below 2^32 - 1.
+std::vector<std::uint32_t> weight_units(const std::vector<KnapsackItem>& items,
+                                        double capacity, std::size_t grid) {
   const double unit = capacity / static_cast<double>(grid);
-  std::vector<std::size_t> units(items.size());
+  std::vector<std::uint32_t> units(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const double q = std::ceil(items[i].weight / unit - 1e-12);
-    units[i] = q <= static_cast<double>(grid) ? static_cast<std::size_t>(q)
-                                              : grid + 1;
+    units[i] = static_cast<std::uint32_t>(
+        q <= static_cast<double>(grid) ? static_cast<std::size_t>(q) : grid + 1);
   }
   return units;
 }
@@ -74,8 +73,9 @@ KnapsackSolution KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
   row_bits_.clear();
   if (items.empty() || capacity <= 0.0 || grid == 0) return solution;
   validate_items(items);
+  if (grid >= UINT32_MAX) throw std::length_error{"knapsack: grid too large"};
 
-  const std::vector<std::size_t> units = weight_units(items, capacity, grid);
+  const std::vector<std::uint32_t> units = weight_units(items, capacity, grid);
   std::vector<double> best(grid + 1, 0.0);
   const std::size_t words = grid / 64 + 1;  // grid + 1 bits per row
 
@@ -186,22 +186,6 @@ bool in_interval(double point, double lo, double len) noexcept {
   return point >= lo && point <= lo + len;
 }
 
-/// A window's three doubles as bits, ±0 canonicalised to +0: windows with
-/// equal keys are exactly those no comparison of the naive scan can tell
-/// apart, so they share one bound.
-std::array<std::uint64_t, 3> window_key(const UserWindow& u) noexcept {
-  const auto bits = [](double v) {
-    return std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v);
-  };
-  return {bits(u.begin), bits(u.app_arrival), bits(u.duration)};
-}
-
-std::uint64_t mix(std::uint64_t h) noexcept {  // splitmix64 finalizer
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
 /// Fenwick tree of weights over positions [0, tree.size() - 1).
 struct Fenwick {
   std::vector<std::int64_t> tree;
@@ -218,48 +202,34 @@ struct Fenwick {
 };
 }  // namespace
 
-LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users) {
-  // Deduplicate the windows into m distinct ones with multiplicities: an
-  // open-addressing table sized to the input (load <= 1/2), holding
-  // indices into `distinct`. Each distinct window also becomes a weighted
-  // point: its separate completion t_j + d_j, its co-run completion
-  // t_a_j + d_j and its user count. These are the exact doubles the naive
-  // scan computes, so every comparison below sees identical values.
-  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
-  if (users.size() >= kEmpty) throw std::length_error{"LagBoundIndex: too many users"};
-  const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(16, 2 * users.size()));
-  std::vector<std::uint32_t> table(capacity, kEmpty);
-  std::vector<UserWindow> distinct;
+LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users,
+                             const std::vector<std::uint32_t>& weights) {
+  // Each entry becomes a weighted point: its separate completion
+  // t_j + d_j, its co-run completion t_a_j + d_j and its user count. These
+  // are the exact doubles the naive scan computes, so every comparison
+  // below sees identical values.
+  if (users.size() >= UINT32_MAX) throw std::length_error{"LagBoundIndex: too many users"};
+  if (!weights.empty() && weights.size() != users.size()) {
+    throw std::invalid_argument{"LagBoundIndex: one weight per window"};
+  }
   struct Point {
     double separate;
     double corun;
     std::int64_t weight;
   };
   std::vector<Point> points;
-  slot_.resize(users.size());
   for (std::size_t i = 0; i < users.size(); ++i) {
     const UserWindow& u = users[i];
+    const std::uint32_t weight = weights.empty() ? 1 : weights[i];
     if (!std::isfinite(u.begin) || !std::isfinite(u.app_arrival) ||
-        !std::isfinite(u.duration) || u.duration < 0.0) {
+        !std::isfinite(u.duration) || u.duration < 0.0 || weight == 0) {
       throw std::invalid_argument{
           "LagBoundIndex: user " + std::to_string(i) +
-          " has a non-finite field or a negative duration"};
+          " has a non-finite field, a negative duration or weight 0"};
     }
-    const auto key = window_key(u);
-    std::size_t h = mix(mix(mix(key[0]) ^ key[1]) ^ key[2]) & (capacity - 1);
-    while (table[h] != kEmpty && window_key(distinct[table[h]]) != key) {
-      h = (h + 1) & (capacity - 1);
-    }
-    if (table[h] == kEmpty) {
-      table[h] = static_cast<std::uint32_t>(distinct.size());
-      distinct.push_back(u);
-      points.push_back({u.begin + u.duration, u.app_arrival + u.duration, 0});
-    }
-    slot_[i] = table[h];
-    ++points[table[h]].weight;
+    points.push_back({u.begin + u.duration, u.app_arrival + u.duration, weight});
   }
-  const std::size_t m = distinct.size();
+  const std::size_t m = users.size();
 
   // The points sorted by separate completion (`separates`; sep_cum[k] =
   // weight of points [0, k)), and their co-run completions in value order
@@ -321,7 +291,7 @@ LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users) {
   std::vector<Boundary> boundaries;
   boundaries.reserve(4 * m);
   for (std::size_t d = 0; d < m; ++d) {
-    const UserWindow& me = distinct[d];
+    const UserWindow& me = users[d];
     const double lo1 = me.begin;
     const double hi1 = me.begin + me.duration;
     const double lo2 = me.app_arrival;
@@ -372,10 +342,10 @@ LagBoundIndex::LagBoundIndex(const std::vector<UserWindow>& users) {
 }
 
 std::size_t LagBoundIndex::bound(std::size_t i) const {
-  if (i >= slot_.size()) {
+  if (i >= bounds_.size()) {
     throw std::out_of_range{"LagBoundIndex::bound: bad user index"};
   }
-  return bounds_[slot_[i]];
+  return bounds_[i];
 }
 
 std::size_t lag_upper_bound(const std::vector<UserWindow>& users, std::size_t i) {

@@ -90,28 +90,31 @@ struct UserWindow {
 
 /// Counting index over the Lemma 1 bound: answers every lag_upper_bound
 /// query with the identical integer count, without the O(n) scan per user.
-/// A bound is a pure function of the user's window, so the constructor
-/// deduplicates the windows (±0 canonicalised) into m distinct ones with
-/// multiplicities and computes each distinct bound once: users whose
-/// separate completion t_j + d_j hits one of the window's intervals count
+/// An entry is a window with the number of users that share it (the
+/// window planner passes one entry per user class): users whose separate
+/// completion t_j + d_j hits one of the window's intervals count
 /// wholesale, the rest by their co-run completion t_a_j + d_j
 /// (inclusion-exclusion over the two closed intervals), as weighted range
-/// counts answered by one sweep over a Fenwick tree. O(n + m log m) to
-/// build; bound() is a table read. Exact: the counts are integers and every
-/// comparison uses the same IEEE-754 values as the naive scan, so the
-/// window planner built on it stays bit-identical (golden-parity guarded).
+/// counts answered by one sweep over a Fenwick tree. O(m log m) to build
+/// over m entries; bound() is a table read. Exact: the counts are integers
+/// and every comparison uses the same IEEE-754 values as the naive scan,
+/// so the window planner built on it stays bit-identical (golden-parity
+/// guarded).
 class LagBoundIndex {
  public:
-  /// Throws std::invalid_argument, naming the user index, on a non-finite
-  /// field or a negative duration.
-  explicit LagBoundIndex(const std::vector<UserWindow>& users);
+  /// `users[i]` stands for `weights[i]` >= 1 users with that window (1
+  /// each when `weights` is empty). Throws std::invalid_argument, naming
+  /// the index, on a non-finite field, a negative duration or a zero
+  /// weight, and on a weight count that is not the user count.
+  explicit LagBoundIndex(const std::vector<UserWindow>& users,
+                         const std::vector<std::uint32_t>& weights = {});
 
-  /// Identical to lag_upper_bound(users, i) for the indexed users.
+  /// Identical to lag_upper_bound(users, i) for the indexed users (over
+  /// the expanded list: any one user of entry i).
   [[nodiscard]] std::size_t bound(std::size_t i) const;
 
  private:
-  std::vector<std::uint32_t> slot_;   ///< user -> its distinct window
-  std::vector<std::size_t> bounds_;   ///< Lemma 1 bound per distinct window
+  std::vector<std::size_t> bounds_;  ///< Lemma 1 bound per entry
 };
 
 }  // namespace fedco::core

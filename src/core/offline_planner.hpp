@@ -8,12 +8,16 @@
 // an in-window arrival are deferred when selected, scheduled immediately
 // otherwise.
 //
-// OfflinePlanner is the one planning path: each plan() builds the window's
-// items and runs one cold Algorithm 1 DP over them, which skips rows that
-// provably change nothing — bit-identical to the plain DP
-// (docs/algorithms.md §1). Nothing carries from one window to the next.
+// OfflinePlanner is the one planning path. Its core gathers each ready user
+// into a 24-byte row keyed by the user's class (device and momentum norm,
+// plus the feasible co-run's arrival slot and app), computes the Lemma 1
+// bound and the gradient gap once per class, and runs one cold Algorithm 1
+// DP over the items, which skips rows that provably change nothing —
+// bit-identical to the plain DP (docs/algorithms.md §1). Nothing carries
+// from one window to the next.
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -87,9 +91,25 @@ class OfflinePlanner {
  public:
   explicit OfflinePlanner(OfflinePlannerConfig config) : config_(config) {}
 
-  /// Algorithm 1 applied to one window starting at `window_begin`.
+  /// Algorithm 1 applied to one window starting at `window_begin`: an
+  /// adapter over the core below.
   [[nodiscard]] OfflineWindowPlan plan(
       sim::Slot window_begin, const std::vector<OfflineUserInput>& users) const;
+
+  using Gather = std::function<bool(std::size_t user, OfflineUserInput& in)>;
+  using Emit = std::function<void(std::size_t user, const OfflineUserPlan& plan,
+                                  std::size_t lag_bound)>;
+
+  /// The planning core. `gather(user, in)` fills `in` for users 0 ..
+  /// num_users - 1 (< 2^32) and returns whether the user is ready; `emit`
+  /// receives each ready user's plan and Lemma 1 bound in user order. It
+  /// keeps ~28 bytes per ready user (docs/performance.md §14) and one
+  /// class per key: at one momentum norm and 500 slots, at most 16,004 =
+  /// 4 devices x (500 x 8 apps + 1). Every weight is finished in the order
+  /// ((gap + epsilon * wait) + gradient gap) * priority. Returns the DP's
+  /// solution.
+  KnapsackSolution plan(sim::Slot window_begin, std::size_t num_users,
+                        const Gather& gather, const Emit& emit) const;
 
  private:
   OfflinePlannerConfig config_;

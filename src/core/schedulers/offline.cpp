@@ -13,36 +13,32 @@ void OfflineScheduler::on_experiment_begin(SchedulerContext& ctx) {
 void OfflineScheduler::on_slot_begin(sim::Slot t, SchedulerContext& ctx) {
   if (t % window_slots_ != 0) return;
   const double momentum_norm = ctx.momentum_norm();  // constant within a slot
-  std::vector<std::size_t> ready;
-  std::vector<OfflineUserInput> inputs;
-  // One allocation each, so no regrowth copies; unused capacity is never
-  // paged in.
-  ready.reserve(ctx.num_users());
-  inputs.reserve(ctx.num_users());
-  for (std::size_t i = 0; i < ctx.num_users(); ++i) {
-    // Only present, ready users enter the window knapsack; a churned-out
-    // user neither saves energy nor accrues schedulable staleness.
-    if (!ctx.user_ready(i) || !ctx.user_present(i, t)) continue;
-    ready.push_back(i);
-    OfflineUserInput in;
-    in.dev = &ctx.user_device(i);
-    in.current_gap = ctx.user_gap(i);
-    in.momentum_norm = momentum_norm;
-    in.leave_slot = ctx.user_leave_slot(i);
-    in.priority = ctx.user_priority(i);
-    if (const auto arrival = ctx.next_arrival_between(i, t, t + window_slots_)) {
-      in.next_arrival = arrival->at;
-      in.arrival_app = arrival->app;
-    }
-    inputs.push_back(in);
-  }
-  const OfflineWindowPlan plan = planner_.plan(t, inputs);
+  std::size_t ready = 0;
   std::size_t scheduled = 0;
-  for (std::size_t k = 0; k < ready.size(); ++k) {
-    plans_[ready[k]] = plan.plans[k];
-    if (plan.plans[k].action != OfflineAction::kDefer) ++scheduled;
-  }
-  ctx.note_replan(t, ready.size(), scheduled);
+  planner_.plan(
+      t, ctx.num_users(),
+      [&](std::size_t i, OfflineUserInput& in) {
+        // Only present, ready users enter the window knapsack; a churned-out
+        // user neither saves energy nor accrues schedulable staleness.
+        if (!ctx.user_ready(i) || !ctx.user_present(i, t)) return false;
+        in.dev = &ctx.user_device(i);
+        in.current_gap = ctx.user_gap(i);
+        in.momentum_norm = momentum_norm;
+        in.leave_slot = ctx.user_leave_slot(i);
+        in.priority = ctx.user_priority(i);
+        if (const auto arrival =
+                ctx.next_arrival_between(i, t, t + window_slots_)) {
+          in.next_arrival = arrival->at;
+          in.arrival_app = arrival->app;
+        }
+        return true;
+      },
+      [&](std::size_t user, const OfflineUserPlan& plan, std::size_t) {
+        plans_[user] = plan;
+        ++ready;
+        if (plan.action != OfflineAction::kDefer) ++scheduled;
+      });
+  ctx.note_replan(t, ready, scheduled);
 }
 
 void OfflineScheduler::on_user_ready(std::size_t user, sim::Slot t,

@@ -2,9 +2,12 @@
 // the Sec. IV knapsack planner over the ready users with oracle knowledge of
 // their in-window app arrivals, and caches one plan per user (its
 // scheme-owned state): schedule now, wait for the app and co-run, or defer
-// to the next window. Each replan is one cold Algorithm 1 DP over that
-// window's items; the cached plans are the only state kept between windows
-// (see OfflinePlanner).
+// to the next window. A replan hands the planner's core each ready user
+// straight from the context (the core keeps a user index, a class id and a
+// knapsack item per ready user; the class is the device plus the feasible
+// co-run's arrival slot and app), runs one cold Algorithm 1 DP and writes
+// the plans into the cache; the cached plans are the only state kept
+// between windows (see OfflinePlanner).
 #pragma once
 
 #include <vector>

@@ -366,16 +366,21 @@ TEST(ConfigIo, RetiredGapEngineKeyLoadsAtEitherValueAndIsNotWritten) {
 }
 
 TEST(ConfigIo, RetiredPlannerKeysLoadOnlyAtTheSurvivingSetting) {
-  // Archives written before the planner collapse carry these keys.
+  // Archives written before the planner collapse carry these keys. The
+  // incremental replan's two settings both asked for plans the one cold
+  // DP per window reproduces, so either loads; the other two switches
+  // load only off.
   EXPECT_TRUE(config_from_json(R"({"offline_incremental_replan":true,
       "offline_parallel_plan":false,"offline_adaptive_grid":false})") ==
+              ExperimentConfig{});
+  EXPECT_TRUE(config_from_json(R"({"offline_incremental_replan":false})") ==
               ExperimentConfig{});
   EXPECT_THROW((void)config_from_json(R"({"offline_parallel_plan":true})"),
                std::invalid_argument);
   EXPECT_THROW((void)config_from_json(R"({"offline_adaptive_grid":true})"),
                std::invalid_argument);
   EXPECT_THROW(
-      (void)config_from_json(R"({"offline_incremental_replan":false})"),
+      (void)config_from_json(R"({"offline_incremental_replan":"no"})"),
       std::invalid_argument);
 }
 

@@ -3,18 +3,28 @@
 // against a brute-force enumeration of all decision combinations, and the
 // KnapsackSolver the planner runs (row skipping, bit-identical to the plain
 // row-by-row DP oracle below, and a reused solver leaking nothing from one
-// solve into the next).
+// solve into the next), and the class-keyed window planner against a
+// per-user reference planner, through its adapter and through the offline
+// scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "core/knapsack.hpp"
 #include "core/offline_planner.hpp"
+#include "core/scheduler.hpp"
+#include "core/schedulers/offline.hpp"
 #include "device/power_model.hpp"
 #include "device/profiles.hpp"
+#include "fl/staleness.hpp"
 #include "util/rng.hpp"
 
 namespace fedco::core {
@@ -676,6 +686,344 @@ TEST(OfflinePlanner, ReusedPlannerMatchesAFreshPlannerPerWindow) {
     EXPECT_EQ(got.knapsack.selected, want.knapsack.selected) << "window " << w;
     EXPECT_EQ(got.knapsack.total_value, want.knapsack.total_value);
     EXPECT_EQ(got.knapsack.total_weight, want.knapsack.total_weight);
+  }
+}
+
+TEST_P(LagBoundIndexProperty, WeightedWindowsMatchTheExpandedUsers) {
+  // An entry with weight w stands for w users with its window: every
+  // bound equals the naive scan over the expanded per-user list. Entries
+  // repeat keys (also as ±0 twins of the begin and the arrival): separate
+  // entries with one window must count alike.
+  util::Rng rng{GetParam() * 31337};
+  std::vector<UserWindow> entries;
+  std::vector<std::uint32_t> weights;
+  const std::size_t m = 1 + rng.uniform_int(std::uint64_t{80});
+  for (std::size_t k = 0; k < m; ++k) {
+    UserWindow u;
+    if (k > 0 && rng.bernoulli(0.3)) {
+      u = entries[rng.uniform_int(static_cast<std::uint64_t>(k))];
+      if (u.begin == 0.0) u.begin = -u.begin;
+      if (u.app_arrival == 0.0) u.app_arrival = -u.app_arrival;
+    } else {
+      const bool at_zero = rng.bernoulli(0.4);
+      u.begin = at_zero ? (rng.bernoulli(0.5) ? 0.0 : -0.0) : 500.0;
+      u.duration = 37.5 * static_cast<double>(1 + rng.uniform_int(std::uint64_t{4}));
+      u.app_arrival =
+          rng.bernoulli(0.3)
+              ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+              : u.begin + static_cast<double>(rng.uniform_int(std::uint64_t{500}));
+    }
+    entries.push_back(u);
+    weights.push_back(static_cast<std::uint32_t>(1 + rng.uniform_int(std::uint64_t{6})));
+  }
+  std::vector<UserWindow> expanded;
+  std::vector<std::size_t> first;  // entry -> its first expanded user
+  for (std::size_t k = 0; k < m; ++k) {
+    first.push_back(expanded.size());
+    expanded.insert(expanded.end(), weights[k], entries[k]);
+  }
+  const LagBoundIndex index{entries, weights};
+  for (std::size_t k = 0; k < m; ++k) {
+    ASSERT_EQ(index.bound(k), lag_upper_bound(expanded, first[k])) << "entry " << k;
+  }
+}
+
+TEST(LagBoundIndex, WeightedRejectsZeroWeightsAndSizeMismatch) {
+  const std::vector<UserWindow> two(2, UserWindow{0.0, 10.0, 50.0});
+  EXPECT_THROW((LagBoundIndex{two, {1, 0}}), std::invalid_argument);
+  EXPECT_THROW((LagBoundIndex{two, {1}}), std::invalid_argument);
+  EXPECT_EQ((LagBoundIndex{two, {3, 2}}.bound(1)), 4u);
+}
+
+// ------------------------------------ class-keyed planner vs per-user oracle
+
+constexpr sim::Slot kNever = std::numeric_limits<sim::Slot>::max();
+
+/// Would `u`'s co-run end after its known departure?
+bool departs_first(const OfflinePlannerConfig& cfg, const OfflineUserInput& u) {
+  if (!u.next_arrival || u.leave_slot == kNever) return false;
+  const double end_s = static_cast<double>(*u.next_arrival) * cfg.slot_seconds +
+                       device::training_duration_s(*u.dev, device::AppStatus::kApp,
+                                                   u.arrival_app);
+  return end_s > static_cast<double>(u.leave_slot) * cfg.slot_seconds;
+}
+
+/// The per-user planner: one UserWindow and one item per user, the O(n)
+/// lag_upper_bound scan per user and solve_knapsack, in the operation
+/// order of Algorithm 1 as Sec. IV states it per user. The class-keyed
+/// OfflinePlanner must reproduce it bit for bit.
+OfflineWindowPlan reference_plan(const OfflinePlannerConfig& cfg,
+                                 sim::Slot begin,
+                                 const std::vector<OfflineUserInput>& users) {
+  const std::size_t n = users.size();
+  const double t0 = static_cast<double>(begin) * cfg.slot_seconds;
+  std::vector<bool> corun(n);
+  std::vector<UserWindow> windows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const OfflineUserInput& u = users[i];
+    corun[i] = u.next_arrival && !(cfg.churn_aware && departs_first(cfg, u));
+    windows[i] =
+        corun[i]
+            ? UserWindow{t0, static_cast<double>(*u.next_arrival) * cfg.slot_seconds,
+                         device::training_duration_s(
+                             *u.dev, device::AppStatus::kApp, u.arrival_app)}
+            : UserWindow{t0, t0, u.dev->train_time_s};
+  }
+  OfflineWindowPlan out;
+  std::vector<KnapsackItem> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const OfflineUserInput& u = users[i];
+    out.lag_bounds.push_back(lag_upper_bound(windows, i));
+    KnapsackItem& item = items[i];
+    if (corun[i]) {
+      const double wait_slots = (windows[i].app_arrival - t0) / cfg.slot_seconds;
+      item.value = device::corun_saving_joules(*u.dev, u.arrival_app);
+      item.weight = u.current_gap + cfg.epsilon * wait_slots +
+                    fl::gradient_gap(cfg.eta, cfg.beta,
+                                     static_cast<double>(out.lag_bounds[i]),
+                                     u.momentum_norm);
+    } else {
+      item.value = (u.dev->train_power_w - u.dev->idle_power_w) *
+                   u.dev->train_time_s;
+      item.weight =
+          u.current_gap + cfg.epsilon * static_cast<double>(cfg.window_slots);
+      if (cfg.churn_aware && u.leave_slot != kNever) {
+        item.value *= std::clamp((static_cast<double>(u.leave_slot) -
+                                  static_cast<double>(begin)) /
+                                     static_cast<double>(cfg.window_slots),
+                                 0.0, 1.0);
+      }
+    }
+    if (u.priority != 1.0) item.weight *= u.priority;
+    if (item.value < 0.0) item.value = 0.0;
+  }
+  out.knapsack = solve_knapsack(items, cfg.lb, cfg.knapsack_grid);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!out.knapsack.selected[i]) {
+      out.plans.push_back({OfflineAction::kScheduleNow, begin});
+    } else if (corun[i]) {
+      out.plans.push_back({OfflineAction::kWaitForApp, *users[i].next_arrival});
+    } else {
+      out.plans.push_back({OfflineAction::kDefer, 0});
+    }
+  }
+  return out;
+}
+
+void expect_same_plan(const OfflineWindowPlan& got, const OfflineWindowPlan& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.plans.size(), want.plans.size()) << where;
+  for (std::size_t i = 0; i < want.plans.size(); ++i) {
+    ASSERT_EQ(got.plans[i].action, want.plans[i].action) << where << " user " << i;
+    ASSERT_EQ(got.plans[i].start_slot, want.plans[i].start_slot)
+        << where << " user " << i;
+  }
+  EXPECT_EQ(got.lag_bounds, want.lag_bounds) << where;
+  EXPECT_EQ(got.knapsack.selected, want.knapsack.selected) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knapsack.total_value),
+            std::bit_cast<std::uint64_t>(want.knapsack.total_value)) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knapsack.total_weight),
+            std::bit_cast<std::uint64_t>(want.knapsack.total_weight)) << where;
+}
+
+/// A Pixel 2 with other power levels: the same training durations, so its
+/// classes share Lemma 1 windows with the Pixel 2's.
+const device::DeviceProfile& pixel2_twin() {
+  static const device::DeviceProfile twin = [] {
+    device::DeviceProfile p = device::profile(device::DeviceKind::kPixel2);
+    p.train_power_w *= 1.25;
+    p.idle_power_w *= 0.75;
+    for (auto& app : p.apps) app.corun_power_w *= 1.1;
+    return p;
+  }();
+  return twin;
+}
+
+/// A random window of `n` ready users: four Table II devices and the
+/// Pixel 2 twin, ±0 and positive gaps, users with and without an
+/// in-window arrival, departures inside and past the window, priorities
+/// off 1.0, and one or several momentum norms.
+std::vector<OfflineUserInput> random_window(util::Rng& rng, std::size_t n,
+                                            sim::Slot begin,
+                                            const OfflinePlannerConfig& cfg,
+                                            bool one_momentum) {
+  const double momenta[] = {6.5, 1.25, 0.0, -0.0};
+  std::vector<OfflineUserInput> users(n);
+  for (OfflineUserInput& u : users) {
+    const std::uint64_t d = rng.uniform_int(device::kDeviceKinds + 1);
+    u.dev = d == device::kDeviceKinds
+                ? &pixel2_twin()
+                : &device::profile(static_cast<device::DeviceKind>(d));
+    const std::uint64_t g = rng.uniform_int(std::uint64_t{10});
+    u.current_gap = g == 0 ? 0.0 : g == 1 ? -0.0 : rng.uniform(0.0, 5.0);
+    u.momentum_norm = one_momentum ? momenta[0] : momenta[rng.uniform_int(std::uint64_t{4})];
+    if (rng.bernoulli(0.6)) {
+      u.next_arrival = begin + static_cast<sim::Slot>(
+                                   rng.uniform_int(static_cast<std::uint64_t>(cfg.window_slots)));
+      u.arrival_app = static_cast<device::AppKind>(rng.uniform_int(device::kAppKinds));
+    }
+    if (rng.bernoulli(0.3)) {
+      u.leave_slot = begin + static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{600}));
+    }
+    if (rng.bernoulli(0.2)) {
+      const double tiers[] = {0.5, 2.0, 3.75};
+      u.priority = tiers[rng.uniform_int(std::uint64_t{3})];
+    }
+  }
+  return users;
+}
+
+class PlannerDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PlannerDifferential, ClassKeyedPlanMatchesThePerUserReference) {
+  util::Rng rng{GetParam() * 6151};
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2000},
+                              static_cast<std::size_t>(2 + rng.uniform_int(std::uint64_t{300}))}) {
+    for (const bool churn : {false, true}) {
+      OfflinePlannerConfig cfg = planner_config(
+          std::array{5.0, 40.0, 400.0, 1e6}[rng.uniform_int(std::uint64_t{4})]);
+      cfg.churn_aware = churn;
+      const sim::Slot begin =
+          static_cast<sim::Slot>(rng.uniform_int(std::uint64_t{4})) * cfg.window_slots;
+      const auto users = random_window(rng, n, begin, cfg, rng.bernoulli(0.5));
+      const std::string where = "n=" + std::to_string(n) +
+                                " churn=" + std::to_string(churn);
+      if (n == 2000) {  // the window exercises the churn-aware veto
+        EXPECT_GT(std::count_if(users.begin(), users.end(),
+                                [&](const OfflineUserInput& u) {
+                                  return departs_first(cfg, u);
+                                }),
+                  0)
+            << where;
+      }
+      expect_same_plan(OfflinePlanner{cfg}.plan(begin, users),
+                       reference_plan(cfg, begin, users), where);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferential, ::testing::Range<std::uint64_t>(1, 13));
+
+/// A driver stand-in for the offline scheduler: every user has a device,
+/// a gap, a leave slot, a priority and at most one scripted arrival; some
+/// are not ready or not present and must stay out of the window.
+class PlanContext final : public SchedulerContext {
+ public:
+  struct User {
+    OfflineUserInput in;
+    bool ready = true;
+    bool present = true;
+  };
+  std::vector<User> users;
+  double momentum = 6.5;
+  std::size_t replan_items = 0;
+  std::size_t replan_scheduled = 0;
+
+  [[nodiscard]] std::size_t num_users() const noexcept override { return users.size(); }
+  [[nodiscard]] bool user_ready(std::size_t i) const override { return users[i].ready; }
+  [[nodiscard]] bool user_present(std::size_t i, sim::Slot) const override {
+    return users[i].present;
+  }
+  [[nodiscard]] std::size_t barrier_count() const noexcept override { return 0; }
+  [[nodiscard]] std::size_t active_present_count() const noexcept override {
+    return users.size();
+  }
+  [[nodiscard]] const device::DeviceProfile& user_device(std::size_t i) const override {
+    return *users[i].in.dev;
+  }
+  [[nodiscard]] std::optional<device::AppKind> user_app(std::size_t) override {
+    return std::nullopt;
+  }
+  [[nodiscard]] double user_gap(std::size_t i) const override {
+    return users[i].in.current_gap;
+  }
+  [[nodiscard]] double momentum_norm() const override { return momentum; }
+  [[nodiscard]] sim::Slot user_leave_slot(std::size_t i) const override {
+    return users[i].in.leave_slot;
+  }
+  [[nodiscard]] double user_priority(std::size_t i) const override {
+    return users[i].in.priority;
+  }
+  [[nodiscard]] sim::Slot training_end_slot(std::size_t, device::AppStatus,
+                                            device::AppKind, sim::Slot t) const override {
+    return t;
+  }
+  [[nodiscard]] double lag_count_at(sim::Slot) const override { return 0.0; }
+  [[nodiscard]] std::optional<apps::ArrivalEvent> next_arrival_between(
+      std::size_t i, sim::Slot from, sim::Slot until) override {
+    const OfflineUserInput& in = users[i].in;
+    if (in.next_arrival && *in.next_arrival >= from && *in.next_arrival < until) {
+      return apps::ArrivalEvent{*in.next_arrival, in.arrival_app};
+    }
+    return std::nullopt;
+  }
+  void aggregate_round(sim::Slot) override {}
+  void note_replan(sim::Slot, std::size_t items, std::size_t scheduled) override {
+    replan_items = items;
+    replan_scheduled = scheduled;
+  }
+};
+
+TEST(PlannerDifferential, SchedulerReplanMatchesTheAdapter) {
+  // The scheduler gathers straight from the context into the planning
+  // core; its cached plans must be the adapter's plans over the inputs the
+  // ready, present users would have handed it, and the users left out
+  // must keep their previous plan.
+  util::Rng rng{8088};
+  ExperimentConfig config;
+  config.offline_lb = 60.0;
+  for (const bool churn : {false, true}) {
+    config.offline_churn_aware = churn;
+    const OfflinePlannerConfig cfg = make_planner_config(config);
+    OfflineScheduler scheduler{config};
+    PlanContext ctx;
+    ctx.users.resize(1500);
+    scheduler.on_experiment_begin(ctx);
+    for (const sim::Slot t : {sim::Slot{0}, cfg.window_slots, 3 * cfg.window_slots}) {
+      const auto inputs = random_window(rng, ctx.users.size(), t, cfg, true);
+      std::vector<OfflineUserInput> ready;
+      std::vector<std::size_t> ids;
+      std::vector<std::pair<device::Decision, sim::Slot>> left_out;
+      for (std::size_t i = 0; i < ctx.users.size(); ++i) {
+        ctx.users[i].in = inputs[i];
+        ctx.users[i].ready = !rng.bernoulli(0.1);
+        ctx.users[i].present = !rng.bernoulli(0.1);
+        if (ctx.users[i].ready && ctx.users[i].present) {
+          ready.push_back(inputs[i]);
+          ids.push_back(i);
+        }
+      }
+      for (std::size_t i = 0; i < ctx.users.size(); ++i) {
+        left_out.emplace_back(scheduler.decide(i, t, ctx),
+                              scheduler.ready_parked_until(i, t));
+      }
+      scheduler.on_slot_begin(t + 1, ctx);  // not a boundary: no replan
+      scheduler.on_slot_begin(t, ctx);
+      const OfflineWindowPlan want = OfflinePlanner{cfg}.plan(t, ready);
+      ASSERT_EQ(ctx.replan_items, ids.size());
+      std::size_t scheduled = 0;
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < ctx.users.size(); ++i) {
+        const device::Decision decision = scheduler.decide(i, t, ctx);
+        const sim::Slot parked = scheduler.ready_parked_until(i, t);
+        if (k == ids.size() || ids[k] != i) {
+          ASSERT_EQ(decision, left_out[i].first) << "t " << t << " user " << i;
+          ASSERT_EQ(parked, left_out[i].second) << "t " << t << " user " << i;
+          continue;
+        }
+        const OfflineUserPlan& plan = want.plans[k++];
+        scheduled += plan.action != OfflineAction::kDefer;
+        const bool now = plan.action != OfflineAction::kDefer && plan.start_slot <= t;
+        ASSERT_EQ(decision, now ? device::Decision::kSchedule : device::Decision::kIdle)
+            << "t " << t << " user " << i;
+        const sim::Slot boundary = t + cfg.window_slots;
+        ASSERT_EQ(parked, plan.action != OfflineAction::kDefer && plan.start_slot > t
+                              ? std::min(boundary, plan.start_slot)
+                              : boundary)
+            << "t " << t << " user " << i;
+      }
+      EXPECT_EQ(ctx.replan_scheduled, scheduled);
+    }
   }
 }
 
